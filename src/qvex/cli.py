@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a scenario and emit report + CSV series")
     common(p_solve)
     p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.add_argument("--sequential", action="store_true", help="force single-threaded inner solves")
     p_solve.add_argument("--tol", type=float, default=None, help="override outer tolerance")
     p_solve.add_argument("--max-iter", type=int, default=None, help="override outer iteration budget")
     p_solve.add_argument(
@@ -299,8 +298,6 @@ def main(argv=None) -> int:
             overrides = {}
             if args.seed is not None:
                 overrides["seed"] = args.seed
-            if args.sequential:
-                overrides["parallel"] = False
             if args.tol is not None:
                 overrides["outer_tol"] = args.tol
             if args.max_iter is not None:

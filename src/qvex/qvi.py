@@ -14,13 +14,12 @@ stays strictly inside, which upgrades to the untruncated problem by the
 usual convex-combination argument.
 
 Residual conventions: every certificate below is a natural-map residual
-evaluated at the fixed gauge step `params.residual_gauge` (default 1.0),
-independent of whatever internal steps the iterations used.
+evaluated at the fixed gauge step `RESIDUAL_GAUGE` = 1.0, independent of
+whatever internal steps the iterations used.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -40,6 +39,11 @@ from .sets import (
 )
 from .vi import OperatorHandle, estimate_lipschitz, solve_vi_extragradient, vi_residual
 
+#: step at which every natural-map residual certificate is evaluated
+RESIDUAL_GAUGE = 1.0
+#: outer iterations without progress before `solve_qvi` halves its price step
+STALL_WINDOW = 15
+
 
 @dataclass
 class QVIParams:
@@ -51,12 +55,7 @@ class QVIParams:
     inner_step: Optional[float] = None
     max_outer: int = 2000
     max_inner: int = 20000
-    product_step: Optional[float] = None
     max_product: int = 60000
-    residual_gauge: float = 1.0
-    stall_window: int = 15
-    adaptive_inner_tol: bool = True
-    parallel: bool = False
     seed: int = 0
     start_price: Optional[PriceCurve] = None
 
@@ -136,7 +135,7 @@ class QVISolveReport:
         return len(self.inner_residuals)
 
 
-def _inner_solve(op, C, start, step, tol, gauge, max_iter, seed):
+def _inner_solve(op, C, start, step, tol, max_iter, seed):
     """One agent's VI solve, certified at the gauge step; retries tighter."""
     # the natural-map residual scales at most like 1/step between gauges,
     # so aim below tol*step with margin to make the first shot certify
@@ -146,13 +145,13 @@ def _inner_solve(op, C, start, step, tol, gauge, max_iter, seed):
         report = solve_vi_extragradient(
             op, C, start, step=step, tol=run_tol, max_iter=max_iter, seed=seed
         )
-        gauge_res = vi_residual(report.solution, op, C, gauge)
+        gauge_res = vi_residual(report.solution, op, C, RESIDUAL_GAUGE)
         if report.converged and gauge_res <= tol:
             return report, gauge_res
         if not report.converged:
             break
         start, run_tol = report.solution, run_tol * 0.1
-    return report, vi_residual(report.solution, op, C, gauge)
+    return report, vi_residual(report.solution, op, C, RESIDUAL_GAUGE)
 
 
 def _agent_steps(prob: QVIProblem, params: QVIParams) -> list:
@@ -172,37 +171,15 @@ def _best_responses(d, prob, params, tol, steps=None, starts=None):
     `starts` overrides the warm starts; the inner operators are strictly
     monotone for the supported utility families, so the certified limit is
     the same from any start and a continuation start only buys speed.
+    Residuals above `tol` are returned, not raised: the caller decides.
     """
     sets = prob.constraint_map(d)
     steps = steps if steps is not None else _agent_steps(prob, params)
     starts = starts if starts is not None else prob.warm_starts
-    gauge = params.residual_gauge
-
-    def solve_one(i):
-        return _inner_solve(
-            prob.agent_operators[i],
-            sets[i],
-            starts[i],
-            steps[i],
-            tol,
-            gauge,
-            params.max_inner,
-            params.seed + i,
-        )
-
-    n = prob.n_agents
-    if params.parallel and n > 1:
-        with ThreadPoolExecutor(max_workers=min(n, 8)) as pool:
-            results = list(pool.map(solve_one, range(n)))
-    else:
-        results = [solve_one(i) for i in range(n)]
-
-    failed = [i for i, (rep, res) in enumerate(results) if res > tol]
-    if failed:
-        raise InnerSolveFailure(
-            f"inner solves failed to certify at tol={tol:g} for agents {failed}",
-            failed_agents=failed,
-        )
+    results = [
+        _inner_solve(op, s, x0, step, tol, params.max_inner, params.seed + i)
+        for i, (op, s, x0, step) in enumerate(zip(prob.agent_operators, sets, starts, steps))
+    ]
     blocks = [rep.solution for rep, _ in results]
     return blocks, [rep for rep, _ in results], np.array([res for _, res in results])
 
@@ -216,7 +193,13 @@ def agent_best_responses(d: PriceCurve, prob: QVIProblem, params: QVIParams) -> 
     """
     if membership_residual(d, prob.price_set) > 1e-9:
         raise ValueError("price curve is not in the price set")
-    blocks, _, _ = _best_responses(d, prob, params, params.inner_tol)
+    blocks, _, inner_res = _best_responses(d, prob, params, params.inner_tol)
+    failed = np.flatnonzero(inner_res > params.inner_tol).tolist()
+    if failed:
+        raise InnerSolveFailure(
+            f"inner solves failed to certify at tol={params.inner_tol:g} for agents {failed}",
+            failed_agents=failed,
+        )
     return stack_components(blocks)
 
 
@@ -225,8 +208,8 @@ def outer_operator(d: PriceCurve, prob: QVIProblem, params: QVIParams) -> GridFu
     return prob.outer_map(agent_best_responses(d, prob, params))
 
 
-def _outer_residual(d_vals, h_vals, prob, gauge):
-    proj = project_values(d_vals - gauge * h_vals, prob.price_set, prob.grid)
+def _outer_residual(d_vals, h_vals, prob):
+    proj = project_values(d_vals - RESIDUAL_GAUGE * h_vals, prob.price_set, prob.grid)
     return float(np.sqrt(prob.grid.dt) * np.linalg.norm(d_vals - proj))
 
 
@@ -235,7 +218,9 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
 
     Convergence means both certificate families hold: the price-space
     natural-map residual at the gauge step is <= outer_tol, and every
-    agent's residual on K_i(d) is <= inner_tol.
+    agent's residual on K_i(d) is <= inner_tol.  An inner solve that fails
+    to certify ends the run with converged=False and the best certified
+    pair so far (the failing iteration's own pair if none certified yet).
     """
     params = params or QVIParams()
     if params.max_outer < 1:
@@ -243,7 +228,6 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     d = params.start_price or PriceCurve.uniform(prob.grid, prob.goods)
     steps = _agent_steps(prob, params)
     sigma = params.outer_step
-    gauge = params.residual_gauge
 
     history = []
     best = None
@@ -254,9 +238,11 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     starts = None
     prev_move = None
     osc_count = 0
+    failure = ""
     k = 0
     for k in range(params.max_outer):
-        if params.adaptive_inner_tol and prev_res > 20 * params.outer_tol:
+        # loose inner solves while far from the fixed point, exact near it
+        if prev_res > 20 * params.outer_tol:
             tol_eff = float(np.clip(0.05 * prev_res, params.inner_tol, 1e-4))
         else:
             tol_eff = params.inner_tol
@@ -264,8 +250,16 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
         starts = blocks
         x = stack_components(blocks)
         h = prob.outer_map(x)
-        res = _outer_residual(d.values, h.values, prob, gauge)
+        res = _outer_residual(d.values, h.values, prob)
         history.append(res)
+        failed = np.flatnonzero(inner_res > tol_eff)
+        if failed.size:
+            failure = (
+                f"inner solves failed to certify at tol={tol_eff:g} for agents "
+                f"{failed.tolist()} (residuals {[f'{r:.3e}' for r in inner_res[failed]]})"
+            )
+            best = best or (d, x, reports, inner_res, res)
+            break
         prev_res = res
         if res < best_res:
             best_res = res
@@ -287,10 +281,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
         # oscillation shows up as successive price moves pointing against each
         # other (ping-pong around the fixed point) or residuals bouncing above
         # the best seen; halving the price step turns it into fast contraction
-        stalled = (
-            k - last_in_band >= params.stall_window
-            or k - last_new_best >= 4 * params.stall_window
-        )
+        stalled = k - last_in_band >= STALL_WINDOW or k - last_new_best >= 4 * STALL_WINDOW
         if stalled and sigma > 1e-8:
             sigma *= 0.5
             last_in_band = last_new_best = k
@@ -322,7 +313,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
         iterations=k + 1,
         converged=False,
         residual_history=np.asarray(history),
-        message=f"outer iteration budget exhausted (best residual {res:.3e})",
+        message=failure or f"outer iteration budget exhausted (best residual {res:.3e})",
     )
 
 
@@ -444,21 +435,17 @@ def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveRep
     if params.max_product < 1:
         raise ValueError("product iteration budget must be positive")
     grid = prob.grid
-    gauge = params.residual_gauge
 
     d = params.start_price or PriceCurve.uniform(grid, prob.goods)
     sets = prob.constraint_map(d)
     xs = [project(w, s) for w, s in zip(prob.warm_starts, sets)]
 
-    if params.product_step is not None:
-        gamma = params.product_step
-    else:
-        l_blocks = max(
-            estimate_lipschitz(op, s, w, seed=params.seed + i)
-            for i, (op, s, w) in enumerate(zip(prob.agent_operators, sets, prob.warm_starts))
-        )
-        # the price block of the operator is affine in x with gain <= sqrt(n)
-        gamma = 0.7 / max(np.sqrt(prob.n_agents), l_blocks)
+    l_blocks = max(
+        estimate_lipschitz(op, s, w, seed=params.seed + i)
+        for i, (op, s, w) in enumerate(zip(prob.agent_operators, sets, prob.warm_starts))
+    )
+    # the price block of the operator is affine in x with gain <= sqrt(n)
+    gamma = 0.7 / max(np.sqrt(prob.n_agents), l_blocks)
 
     check_every = 10
     history = []
@@ -472,10 +459,10 @@ def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveRep
         fs = [op(x_i) for op, x_i in zip(prob.agent_operators, xs)]
 
         if k % check_every == 0:
-            outer_res = _outer_residual(d.values, h.values, prob, gauge)
+            outer_res = _outer_residual(d.values, h.values, prob)
             inner_res = np.array(
                 [
-                    vi_residual(x_i, op, s, gauge)
+                    vi_residual(x_i, op, s, RESIDUAL_GAUGE)
                     for x_i, op, s in zip(xs, prob.agent_operators, sets)
                 ]
             )

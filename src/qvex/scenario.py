@@ -123,6 +123,10 @@ class AgentConfig:
         }
 
 
+#: solver keys schema v1 still accepts but drops: no result depended on them
+_RETIRED_SOLVER_KEYS = {"sequential", "product_step", "max_product"}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int = 0
@@ -132,10 +136,7 @@ class SolverConfig:
     inner_step: Optional[float] = None
     max_outer: int = 2000
     max_inner: int = 20000
-    product_step: Optional[float] = None
-    max_product: int = 60000
     radius_schedule: Optional[tuple] = None
-    sequential: bool = True
 
     def to_mapping(self) -> dict:
         out = asdict(self)
@@ -248,8 +249,8 @@ def parse_scenario(mapping: dict) -> Scenario:
 
     solver_node = mapping.get("solver", {}) or {}
     solver_fields = {f.name for f in fields(SolverConfig)}
-    _require_keys(solver_node, solver_fields, set(), "scenario.solver")
-    kwargs = dict(solver_node)
+    _require_keys(solver_node, solver_fields | _RETIRED_SOLVER_KEYS, set(), "scenario.solver")
+    kwargs = {k: v for k, v in solver_node.items() if k not in _RETIRED_SOLVER_KEYS}
     if kwargs.get("radius_schedule") is not None:
         sched = kwargs["radius_schedule"]
         if not isinstance(sched, list) or any(
@@ -319,9 +320,6 @@ def solver_params(scn: Scenario, **overrides) -> QVIParams:
         inner_step=cfg.inner_step,
         max_outer=cfg.max_outer,
         max_inner=cfg.max_inner,
-        product_step=cfg.product_step,
-        max_product=cfg.max_product,
-        parallel=not cfg.sequential,
         seed=cfg.seed,
     )
     return replace(params, **overrides) if overrides else params

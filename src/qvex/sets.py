@@ -103,32 +103,38 @@ def _simplex_rows(v: np.ndarray) -> np.ndarray:
     return out / out.sum(axis=1, keepdims=True)
 
 
-def _capbox_values(v: np.ndarray, caps: Sequence[float], dt: float) -> np.ndarray:
-    """Clamp to the cone, then water-fill the components whose integral cap binds.
-
-    The water-filling threshold per component solves
-    sum_k max(0, v_k - tau) = cap/dt, the KKT condition of the projection.
-    """
-    out = np.maximum(v, 0.0)
+def _cap_budgets(caps: Sequence[float], dt: float):
+    """Per-component water-filling budgets cap/dt (+inf where uncapped), or
+    None when no cap is finite."""
     caps_arr = np.asarray(caps, dtype=float)
     finite = np.isfinite(caps_arr)
     if not finite.any():
+        return None
+    return np.where(finite, caps_arr / dt, np.inf)
+
+
+def _water_fill(v: np.ndarray, budgets) -> np.ndarray:
+    """Project onto the capped cone: clamp to the cone, then water-fill the
+    components whose integral cap binds.
+
+    The water-filling threshold per component solves
+    sum_k max(0, v_k - tau) = cap/dt, the KKT condition of the projection.
+    `budgets` comes from `_cap_budgets`.
+    """
+    out = np.maximum(v, 0.0)
+    if budgets is None:
         return out
-    sums = dt * out.sum(axis=0)
-    need = finite & (sums > caps_arr)
+    need = out.sum(axis=0) > budgets
     if not need.any():
         return out
     idx = np.nonzero(need)[0]
     V = v[:, idx]
-    budgets = caps_arr[idx] / dt
     U = np.sort(V, axis=0)[::-1]
     css = np.cumsum(U, axis=0)
     ks = np.arange(1, V.shape[0] + 1)[:, None]
-    taus = (css - budgets[None, :]) / ks
-    valid = U > taus
-    rho = V.shape[0] - 1 - np.argmax(valid[::-1], axis=0)
-    tau = taus[rho, np.arange(idx.size)]
-    out[:, idx] = np.maximum(V - tau[None, :], 0.0)
+    taus = (css - budgets[idx][None, :]) / ks
+    rho = V.shape[0] - 1 - np.argmax((U > taus)[::-1], axis=0)
+    out[:, idx] = np.maximum(V - taus[rho, np.arange(idx.size)][None, :], 0.0)
     return out
 
 
@@ -160,27 +166,8 @@ def _project_budget_capbox(v, p, e, caps, dt):
     else binds, the plain halfspace multiplier is the exact root, so it is
     tried first and the common case costs two evaluations.
     """
-    caps_arr = np.asarray(caps, dtype=float)
-    finite = np.isfinite(caps_arr)
-    caps_active = bool(finite.any())
-    budgets = np.where(finite, caps_arr / dt, np.inf)
-
-    def proj_box(y):
-        out = np.maximum(y, 0.0)
-        if caps_active:
-            need = finite & (out.sum(axis=0) > budgets)
-            if need.any():
-                idx = np.nonzero(need)[0]
-                V = y[:, idx]
-                U = np.sort(V, axis=0)[::-1]
-                css = np.cumsum(U, axis=0)
-                ks = np.arange(1, V.shape[0] + 1)[:, None]
-                taus = (css - budgets[idx][None, :]) / ks
-                rho = V.shape[0] - 1 - np.argmax((U > taus)[::-1], axis=0)
-                out[:, idx] = np.maximum(V - taus[rho, np.arange(idx.size)][None, :], 0.0)
-        return out
-
-    z = proj_box(v)
+    budgets = _cap_budgets(caps, dt)
+    z = _water_fill(v, budgets)
     wealth = dt * float(np.vdot(p, e))
     scale = 1.0 + abs(wealth)
     g0 = dt * float(np.vdot(p, z)) - wealth
@@ -188,10 +175,10 @@ def _project_budget_capbox(v, p, e, caps, dt):
         return z
     if wealth <= 1e-300:
         # worthless endowment: every component with positive price must vanish
-        return proj_box(np.where(p > 0, np.minimum(v, 0.0), v))
+        return _water_fill(np.where(p > 0, np.minimum(v, 0.0), v), budgets)
 
     def g(lam):
-        zz = proj_box(v - lam * p)
+        zz = _water_fill(v - lam * p, budgets)
         return dt * float(np.vdot(p, zz)) - wealth, zz
 
     lo, glo = 0.0, g0
@@ -225,14 +212,6 @@ def _canonical_parts(parts):
     return None
 
 
-@dataclass(frozen=True)
-class _BudgetCapBox(SetDescriptor):
-    """Internal composite set with an exact projection (budget cap + capped cone)."""
-
-    budget: BudgetHalfspace
-    capbox: CapBox
-
-
 def project_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) -> np.ndarray:
     """Project raw values onto `s`; used internally by the iterative solvers."""
     dt = grid.dt
@@ -241,21 +220,20 @@ def project_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) -> np.ndarra
     if isinstance(s, BudgetHalfspace):
         return _halfspace_values(v, s.price.values, s.endowment.values, dt)
     if isinstance(s, CapBox):
-        return _capbox_values(v, s.caps, dt)
+        return _water_fill(v, _cap_budgets(s.caps, dt))
     if isinstance(s, Ball):
         return _ball_values(v, s.radius, s.center, dt)
-    if isinstance(s, _BudgetCapBox):
-        b = s.budget
-        return _project_budget_capbox(v, b.price.values, b.endowment.values, s.capbox.caps, dt)
     if isinstance(s, Intersection):
         canon = _canonical_parts(s.parts)
-        if canon is not None:
-            budget, capbox, rest = canon
-            composite = _BudgetCapBox(budget, capbox)
-            if not rest:
-                return project_values(v, composite, grid)
-            return _dykstra_values(v, (composite, *rest), grid, s.tol, s.max_iter)
-        return _dykstra_values(v, s.parts, grid, s.tol, s.max_iter)
+        if canon is None:
+            return _dykstra_values(v, s.parts, grid, s.tol, s.max_iter)
+        budget, capbox, rest = canon
+        if not rest:
+            return _project_budget_capbox(
+                v, budget.price.values, budget.endowment.values, capbox.caps, dt
+            )
+        # the exact budget-and-caps pair is one Dykstra part; it dispatches back here
+        return _dykstra_values(v, (Intersection((budget, capbox)), *rest), grid, s.tol, s.max_iter)
     raise TypeError(f"not a projectable set descriptor: {s!r}")
 
 
@@ -306,13 +284,6 @@ def membership_residual_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) 
         c = np.asarray(s.center) if s.center else 0.0
         r = np.sqrt(dt) * np.linalg.norm(v - c)
         return float(max(0.0, r - s.radius))
-    if isinstance(s, _BudgetCapBox):
-        return float(
-            max(
-                membership_residual_values(v, s.budget, grid),
-                membership_residual_values(v, s.capbox, grid),
-            )
-        )
     if isinstance(s, Intersection):
         return float(max(membership_residual_values(v, p, grid) for p in s.parts))
     raise TypeError(f"not a set descriptor: {s!r}")
@@ -347,8 +318,7 @@ def project_budget_halfspace(x: GridFunction, p: GridFunction, e: GridFunction) 
 
 def project_cap_box(x: GridFunction, caps: Sequence[float]) -> GridFunction:
     """Projection onto the nonnegative cone with per-component integral caps."""
-    box = CapBox(tuple(caps))
-    return x.with_values(_capbox_values(x.values, box.caps, x.grid.dt))
+    return x.with_values(project_values(x.values, CapBox(tuple(caps)), x.grid))
 
 
 def project_intersection(

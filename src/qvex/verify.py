@@ -100,8 +100,7 @@ def certify_equilibrium(
 
     Gates: price lies in the per-cell simplex, every budget gap <= tol,
     every per-good clearing integral <= tol, every best-response residual
-    <= tol.  The Walras aggregate and the mean-normalization gap of the
-    price curve are reported as metadata only.
+    <= tol.  The Walras aggregate is reported as metadata only.
 
     Certification semantics: the optimality gates combine exact residual
     evaluations with sampled checks, so a pass certifies the equilibrium
@@ -112,8 +111,6 @@ def certify_equilibrium(
     witness = None
 
     residuals["price_simplex"] = membership_residual(p, PointwiseSimplex())
-    mean_sum = p.values.sum(axis=1).mean()
-    residuals["price_mean_normalization"] = abs(mean_sum - 1.0)
 
     budgets = budget_residuals(eco, p, x)
     for i, b in enumerate(budgets):

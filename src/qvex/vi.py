@@ -5,7 +5,7 @@ The solver is Korpelevich's two-projection extragradient iteration
     y = P_C(x - g F(x));   x+ = P_C(x - g F(y))
 which converges for monotone Lipschitz operators when g < 1/L.  The step
 defaults to 0.9 / L_hat with L_hat a finite-difference Lipschitz estimate,
-and is halved (at most `max_halvings` times) when the residual stalls.
+and is halved (at most `MAX_HALVINGS` times) when the residual stalls.
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ from .errors import NumericFailure, SamplingFailure
 from .grids import GridFunction, inner_product, norm
 from .reports import CertReport
 from .sets import SetDescriptor, project_values, sample_feasible
+
+#: extragradient iterations without progress before the step is halved
+STALL_WINDOW = 50
+#: most step halvings one extragradient solve makes
+MAX_HALVINGS = 6
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,6 @@ def solve_vi_extragradient(
     tol: float = 1e-8,
     max_iter: int = 10000,
     seed: int = 0,
-    stall_window: int = 50,
-    max_halvings: int = 6,
 ) -> SolveReport:
     """Run the extragradient iteration from x0 until the residual meets `tol`.
 
@@ -134,8 +137,8 @@ def solve_vi_extragradient(
             return SolveReport(x0.with_values(x), k, res, np.asarray(history), True, gamma)
         # halve only on divergence from the best residual or a hard plateau;
         # slow steady progress is left alone (smaller steps would slow it further)
-        stalled = k - last_in_band >= stall_window or k - last_new_best >= 4 * stall_window
-        if stalled and halvings < max_halvings:
+        stalled = k - last_in_band >= STALL_WINDOW or k - last_new_best >= 4 * STALL_WINDOW
+        if stalled and halvings < MAX_HALVINGS:
             gamma *= 0.5
             halvings += 1
             last_in_band = last_new_best = k

@@ -1,6 +1,7 @@
 import csv
 
 import numpy as np
+import yaml
 
 from qvex.cli import main
 
@@ -50,10 +51,24 @@ def test_solve_nonconvergent_budget_exits_nonzero(scenario_dir, tmp_path):
     assert (out / "prices.csv").exists()  # best iterate still written
 
 
-def test_csv_determinism_sequential(scenario_dir, tmp_path):
+def test_solve_inner_failure_still_writes_files(scenario_dir, tmp_path):
+    scn = yaml.safe_load((scenario_dir / "sinusoid_seasonal.yaml").read_text())
+    scn["solver"]["max_inner"] = 5
+    path = tmp_path / "starved.yaml"
+    path.write_text(yaml.safe_dump(scn), encoding="utf-8")
+    out = tmp_path / "run"
+    assert run(["solve", "--scenario", path, "--out", out]) == 1
+    for name in ("report.txt", "prices.csv", "allocations.csv"):
+        assert (out / name).is_file()
+    report = (out / "report.txt").read_text()
+    assert "converged: False" in report
+    assert "failed to certify" in report
+
+
+def test_csv_determinism(scenario_dir, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["solve", "--scenario", scenario_dir / "oracle_cd_quad.yaml", "--out", out1, "--sequential"]) == 0
-    assert run(["solve", "--scenario", scenario_dir / "oracle_cd_quad.yaml", "--out", out2, "--sequential"]) == 0
+    assert run(["solve", "--scenario", scenario_dir / "oracle_cd_quad.yaml", "--out", out1]) == 0
+    assert run(["solve", "--scenario", scenario_dir / "oracle_cd_quad.yaml", "--out", out2]) == 0
     assert (out1 / "prices.csv").read_bytes() == (out2 / "prices.csv").read_bytes()
     assert (out1 / "allocations.csv").read_bytes() == (out2 / "allocations.csv").read_bytes()
 

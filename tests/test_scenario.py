@@ -160,18 +160,22 @@ def test_negative_sampled_endowment_rejected(tmp_path):
 
 
 def test_solver_params_translation(tmp_path):
-    mapping = {
-        **MINIMAL,
-        "solver": {"seed": 5, "outer_tol": 1e-6, "sequential": False, "max_outer": 77},
-    }
+    mapping = {**MINIMAL, "solver": {"seed": 5, "outer_tol": 1e-6, "max_outer": 77}}
     scn = load_scenario(write(tmp_path, mapping))
     params = solver_params(scn)
     assert params.seed == 5
     assert params.outer_tol == 1e-6
-    assert params.parallel is True
     assert params.max_outer == 77
-    overridden = solver_params(scn, seed=9, parallel=False)
-    assert overridden.seed == 9 and overridden.parallel is False
+    overridden = solver_params(scn, seed=9, max_inner=11)
+    assert overridden.seed == 9 and overridden.max_inner == 11
+
+    # schema v1 keys that no longer change a run still load, and are dropped
+    retired = {"sequential": False, "product_step": 0.01, "max_product": 5}
+    old = {**MINIMAL, "solver": {**mapping["solver"], **retired}}
+    old_scn = load_scenario(write(tmp_path, old, name="old.yaml"))
+    assert solver_params(old_scn) == params
+    echoed = echo_scenario(old_scn)
+    assert not any(key in echoed for key in retired)
 
 
 def test_oracle_fixture_parses(scenario_dir):

@@ -125,9 +125,8 @@ def test_certify_accepts_solver_output(oracle_economy, oracle_problem, skewed_st
     rep = solve_qvi(oracle_problem, QVIParams(start_price=skewed_start))
     cert = certify_equilibrium(eco, rep.price, rep.agent_allocations(), tol=1e-5, seed=0)
     assert cert.verdict
-    assert set(cert.residuals) >= {
+    assert set(cert.residuals) == {
         "price_simplex",
-        "price_mean_normalization",
         "budget[0]",
         "budget[1]",
         "clearing[0]",
