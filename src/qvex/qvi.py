@@ -52,7 +52,6 @@ class QVIParams:
     outer_step: float = 0.5
     outer_tol: float = 1e-7
     inner_tol: float = 1e-8
-    inner_step: Optional[float] = None
     max_outer: int = 2000
     max_inner: int = 20000
     max_product: int = 60000
@@ -135,29 +134,8 @@ class QVISolveReport:
         return len(self.inner_residuals)
 
 
-def _inner_solve(op, C, start, step, tol, max_iter, seed):
-    """One agent's VI solve, certified at the gauge step; retries tighter."""
-    # the natural-map residual scales at most like 1/step between gauges,
-    # so aim below tol*step with margin to make the first shot certify
-    run_tol = 0.5 * tol * min(1.0, step if step is not None else 1.0)
-    report = None
-    for _ in range(4):
-        report = solve_vi_extragradient(
-            op, C, start, step=step, tol=run_tol, max_iter=max_iter, seed=seed
-        )
-        gauge_res = vi_residual(report.solution, op, C, RESIDUAL_GAUGE)
-        if report.converged and gauge_res <= tol:
-            return report, gauge_res
-        if not report.converged:
-            break
-        start, run_tol = report.solution, run_tol * 0.1
-    return report, vi_residual(report.solution, op, C, RESIDUAL_GAUGE)
-
-
 def _agent_steps(prob: QVIProblem, params: QVIParams) -> list:
     """Per-agent extragradient steps: 0.9 / Lipschitz estimate near the warm start."""
-    if params.inner_step is not None:
-        return [params.inner_step] * prob.n_agents
     sets = prob.constraint_map(params.start_price or PriceCurve.uniform(prob.grid, prob.goods))
     return [
         0.9 / estimate_lipschitz(op, s, w, seed=params.seed + i)
@@ -176,12 +154,17 @@ def _best_responses(d, prob, params, tol, steps=None, starts=None):
     sets = prob.constraint_map(d)
     steps = steps if steps is not None else _agent_steps(prob, params)
     starts = starts if starts is not None else prob.warm_starts
-    results = [
-        _inner_solve(op, s, x0, step, tol, params.max_inner, params.seed + i)
-        for i, (op, s, x0, step) in enumerate(zip(prob.agent_operators, sets, starts, steps))
+    reports = [
+        solve_vi_extragradient(op, s, x0, step=step, tol=tol, max_iter=params.max_inner)
+        for op, s, x0, step in zip(prob.agent_operators, sets, starts, steps)
     ]
-    blocks = [rep.solution for rep, _ in results]
-    return blocks, [rep for rep, _ in results], np.array([res for _, res in results])
+    inner_res = np.array(
+        [
+            vi_residual(rep.solution, op, s, RESIDUAL_GAUGE)
+            for rep, op, s in zip(reports, prob.agent_operators, sets)
+        ]
+    )
+    return [rep.solution for rep in reports], reports, inner_res
 
 
 def agent_best_responses(d: PriceCurve, prob: QVIProblem, params: QVIParams) -> GridFunction:
@@ -376,7 +359,8 @@ def solve_qvi_truncated(
 
     The first radius whose solution passes the strict interiority check is
     accepted and re-verified against the untruncated sets.  An exhausted
-    schedule yields a converged=False report advising a larger radius.
+    schedule yields a converged=False report advising a larger radius,
+    followed by the last radius's own failure message if it had one.
     """
     params = params or QVIParams()
     radii = list(radii) if radii is not None else default_radius_schedule(prob)
@@ -407,11 +391,14 @@ def solve_qvi_truncated(
                 return report
             report.message = "interior solution failed the untruncated re-verification"
 
+    # keep why the last radius failed (inner failure, outer budget,
+    # re-verification) after the advice; a bare radius note would hide it
+    reason = f"; last radius: {last.message}" if last.message else ""
     last.converged = False
     last.truncation_radius_used = None
     last.message = (
         "radius schedule exhausted without a strictly interior solution; "
-        "retry with a larger coercivity radius"
+        f"retry with a larger coercivity radius{reason}"
     )
     return last
 

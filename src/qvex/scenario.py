@@ -124,7 +124,7 @@ class AgentConfig:
 
 
 #: solver keys schema v1 still accepts but drops: no result depended on them
-_RETIRED_SOLVER_KEYS = {"sequential", "product_step", "max_product"}
+_RETIRED_SOLVER_KEYS = {"sequential", "product_step", "max_product", "inner_step"}
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,6 @@ class SolverConfig:
     outer_step: float = 0.5
     outer_tol: float = 1e-7
     inner_tol: float = 1e-8
-    inner_step: Optional[float] = None
     max_outer: int = 2000
     max_inner: int = 20000
     radius_schedule: Optional[tuple] = None
@@ -317,7 +316,6 @@ def solver_params(scn: Scenario, **overrides) -> QVIParams:
         outer_step=cfg.outer_step,
         outer_tol=cfg.outer_tol,
         inner_tol=cfg.inner_tol,
-        inner_step=cfg.inner_step,
         max_outer=cfg.max_outer,
         max_inner=cfg.max_inner,
         seed=cfg.seed,

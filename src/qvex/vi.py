@@ -4,8 +4,10 @@ solver over any projectable set, and a sampled Minty cross-check.
 The solver is Korpelevich's two-projection extragradient iteration
     y = P_C(x - g F(x));   x+ = P_C(x - g F(y))
 which converges for monotone Lipschitz operators when g < 1/L.  The step
-defaults to 0.9 / L_hat with L_hat a finite-difference Lipschitz estimate,
-and is halved (at most `MAX_HALVINGS` times) when the residual stalls.
+starts at 0.9 / L_hat with L_hat a finite-difference Lipschitz estimate and
+adapts after every iteration by the self-adaptive rule of Yang & Liu (2019),
+    g <- min(g, STEP_SAFETY * ||x - y|| / ||F(x) - F(y)||),
+so it only ever shrinks, and only where the local Lipschitz ratio demands.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from .grids import GridFunction, inner_product, norm
 from .reports import CertReport
 from .sets import SetDescriptor, project_values, sample_feasible
 
-#: extragradient iterations without progress before the step is halved
-STALL_WINDOW = 50
-#: most step halvings one extragradient solve makes
-MAX_HALVINGS = 6
+#: fraction of the inverse local Lipschitz ratio the adaptive step may reach
+STEP_SAFETY = 0.5
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,9 @@ def estimate_lipschitz(
     """Finite-difference Lipschitz estimate from random feasible probe pairs.
 
     The default probe scale is local to `around`; an optimistic (small)
-    estimate gives a long step and relies on the solver's stall halving as
-    the guardrail, which beats a globally safe but tiny step.
+    estimate gives a long step and relies on the solver's adaptive step
+    rule to shrink it where needed, which beats a globally safe but tiny
+    step.
     """
     rng = np.random.default_rng(seed)
     scale = scale if scale is not None else 0.25 * (1.0 + norm(around))
@@ -104,10 +105,15 @@ def solve_vi_extragradient(
     max_iter: int = 10000,
     seed: int = 0,
 ) -> SolveReport:
-    """Run the extragradient iteration from x0 until the residual meets `tol`.
+    """Run the extragradient iteration from x0 until it is certified at `tol`.
 
-    On budget exhaustion the best iterate seen is returned with
-    converged=False; nothing is raised, so callers can inspect the trace.
+    The iteration stops when the residual at the current step g satisfies
+    res <= tol * min(1, g).  Since ||R_g|| is nondecreasing in g and
+    ||R_g|| / g is nonincreasing (Gafni & Bertsekas 1984), this bounds the
+    natural-map residual at unit step by `tol` as well.  On budget
+    exhaustion the best iterate seen is returned with converged=False, and
+    `step_used` is the step its residual was measured at; nothing is
+    raised, so callers can inspect the trace.
     """
     grid = x0.grid
     gamma = step if step is not None else 0.9 / estimate_lipschitz(op, C, x0, seed=seed)
@@ -115,10 +121,7 @@ def solve_vi_extragradient(
 
     x = project_values(x0.values, C, grid)
     history = []
-    best_vals, best_res = x, np.inf
-    halvings = 0
-    last_in_band = 0
-    last_new_best = 0
+    best_vals, best_res, best_gamma = x, np.inf, gamma
     k = 0
     for k in range(max_iter):
         xf = x0.with_values(x)
@@ -129,26 +132,20 @@ def solve_vi_extragradient(
         res = float(sqdt * np.linalg.norm(x - y))
         history.append(res)
         if res < best_res:
-            best_res, best_vals = res, x
-            last_new_best = k
-        if res <= 1.2 * best_res:
-            last_in_band = k
-        if res <= tol:
+            best_vals, best_res, best_gamma = x, res, gamma
+        if res <= tol * min(1.0, gamma):
             return SolveReport(x0.with_values(x), k, res, np.asarray(history), True, gamma)
-        # halve only on divergence from the best residual or a hard plateau;
-        # slow steady progress is left alone (smaller steps would slow it further)
-        stalled = k - last_in_band >= STALL_WINDOW or k - last_new_best >= 4 * STALL_WINDOW
-        if stalled and halvings < MAX_HALVINGS:
-            gamma *= 0.5
-            halvings += 1
-            last_in_band = last_new_best = k
         fy = op(x0.with_values(y)).values
         if not np.all(np.isfinite(fy)):
             raise NumericFailure("operator returned non-finite values during solve")
-        x = project_values(x - gamma * fy, C, grid)
+        x_next = project_values(x - gamma * fy, C, grid)
+        dF = float(np.linalg.norm(fx - fy))
+        if dF > 0:
+            gamma = min(gamma, STEP_SAFETY * float(np.linalg.norm(x - y)) / dF)
+        x = x_next
 
     return SolveReport(
-        x0.with_values(best_vals), k + 1, best_res, np.asarray(history), False, gamma
+        x0.with_values(best_vals), k + 1, best_res, np.asarray(history), False, best_gamma
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qvex
+from corpus import make_random_economy
 from qvex import (
     Agent,
     BudgetHalfspace,
@@ -70,6 +71,30 @@ def test_tight_cap_slack_still_certifies():
     assert rep.converged
     cert = certify_equilibrium(eco, rep.price, rep.agent_allocations(), tol=1e-6, seed=0)
     assert cert.verdict
+
+
+def _scaled(eco, c):
+    """The economy in units c times larger: endowments, bliss and shift scale by c."""
+    agents = []
+    for a in eco.agents:
+        spec = a.utility
+        if isinstance(spec, Quadratic):
+            spec = Quadratic(c * spec.bliss, spec.weights)
+        else:
+            spec = LogShift(spec.weights, c * spec.shift, spec.cells)
+        agents.append(Agent(c * a.endowment, spec))
+    return Economy(eco.grid, eco.goods, tuple(agents))
+
+
+@pytest.mark.parametrize("seed", [5, 16])
+def test_scaled_corpus_economy_certifies(seed):
+    # the initial inner step comes from a Lipschitz estimate, so it follows
+    # the operator's scale; a fixed start step would be far off at 1e3
+    eco = _scaled(make_random_economy(seed), 1e3)
+    rep = solve_qvi(assemble_qvi(eco, default_caps(eco, 1.1)), QVIParams(seed=seed))
+    assert rep.converged, rep.message
+    cert = certify_equilibrium(eco, rep.price, rep.agent_allocations(), tol=1e-6, seed=seed)
+    assert cert.verdict, cert.residuals
 
 
 def test_default_radius_schedule_doubles_from_caps(oracle_problem):

@@ -208,11 +208,12 @@ def test_inner_failure_returns_a_pair_instead_of_raising(oracle_problem, skewed_
     assert "failed to certify" in rep.message and "agents [0]" in rep.message
     assert rep.outer_residual == rep.residual_history[0]
 
-    # loose early inner solves certify; the tight ones near the fixed point fail
-    params = QVIParams(start_price=skewed_start, max_inner=100, inner_tol=1e-12)
+    # loose early inner solves certify; the tight ones near the fixed point
+    # fail, since 1e-17 is below what double precision can certify
+    params = QVIParams(start_price=skewed_start, max_inner=100, inner_tol=1e-17)
     rep = solve_qvi(oracle_problem, params)
     assert not rep.converged and rep.iterations > 1
-    assert "failed to certify at tol=1e-12" in rep.message
+    assert "failed to certify at tol=1e-17" in rep.message
     # the best certified pair, not the failing iterate
     assert rep.outer_residual == rep.residual_history[:-1].min()
 
@@ -225,6 +226,13 @@ def test_nonconvergence_reports_best_iterate(oracle_problem, skewed_start):
 
 
 # --- truncated solves ---
+
+
+def test_truncation_exhausted_keeps_inner_failure_message(oracle_problem):
+    # the radius advice must not hide that the last solve's inner VIs failed
+    rep = solve_qvi_truncated(oracle_problem, [50.0, 100.0], QVIParams(max_inner=2))
+    assert not rep.converged and rep.truncation_radius_used is None
+    assert "radius" in rep.message and "failed to certify" in rep.message
 
 
 def test_truncation_inactive_matches_plain_solve(oracle_problem, skewed_start):

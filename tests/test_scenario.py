@@ -170,7 +170,7 @@ def test_solver_params_translation(tmp_path):
     assert overridden.seed == 9 and overridden.max_inner == 11
 
     # schema v1 keys that no longer change a run still load, and are dropped
-    retired = {"sequential": False, "product_step": 0.01, "max_product": 5}
+    retired = {"sequential": False, "product_step": 0.01, "max_product": 5, "inner_step": 0.1}
     old = {**MINIMAL, "solver": {**mapping["solver"], **retired}}
     old_scn = load_scenario(write(tmp_path, old, name="old.yaml"))
     assert solver_params(old_scn) == params

@@ -130,9 +130,10 @@ def test_solver_nonconvergence_reports_best_iterate():
     )
 
 
-def test_solver_step_halving_recovers_from_bad_step():
-    # step far above 1/L oscillates; halving must still bring it home
-    op = OperatorHandle(lambda x: x.with_values(4.0 * x.values - 2.0), "monotone")
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_solver_adaptive_step_recovers_from_bad_step(scale):
+    # step far above 1/L = 1/(4 scale) oscillates; the adaptive rule must bring it home
+    op = OperatorHandle(lambda x: x.with_values(scale * (4.0 * x.values - 2.0)), "monotone")
     rep = solve_vi_extragradient(op, interval(0.0, 2.0), scalar(2.0), step=0.6, tol=1e-9, max_iter=5000)
     assert rep.converged
     assert rep.solution.values[0, 0] == pytest.approx(0.5, abs=1e-8)
