@@ -157,49 +157,76 @@ def _ball_values(v: np.ndarray, radius: float, center: tuple, dt: float) -> np.n
     return c + d * (radius / r)
 
 
+# evaluations the budget multiplier search may spend before it gives up
+_MAX_SEARCH = 200
+
+
 def _project_budget_capbox(v, p, e, caps, dt):
     """Exact projection onto {z in capbox : <<p, z - e>> <= 0}.
 
-    The budget multiplier is the root of the monotone piecewise-linear map
-    lam -> <<p, P_capbox(v - lam p) - e>>, found by bracketing plus regula
-    falsi; each evaluation is one cheap capbox projection.  When nothing
-    else binds, the plain halfspace multiplier is the exact root, so it is
-    tried first and the common case costs two evaluations.
+    The budget multiplier is the root of the nonincreasing piecewise-linear
+    map g(lam) = <<p, P_capbox(v - lam p) - e>>; each evaluation is one
+    capped-cone projection (`_water_fill`).  The first trial is g(0) over
+    the slope g would have if no cap bound.  Until g changes sign, the next
+    trial is the secant step through the last two points, never more than
+    doubling lam.  Inside the bracket the search runs Illinois regula falsi:
+    when the same end survives two steps in a row, its stored value is
+    halved, so neither end stalls.  The search accepts a point that spends
+    between 1 - 2e-15 and 1 times the wealth, or stops when the bracket is
+    a few ulps wide and takes its upper end, so the result never
+    overspends.  Running out of evaluations raises `NonConvergence`.
     """
     budgets = _cap_budgets(caps, dt)
     z = _water_fill(v, budgets)
     wealth = dt * float(np.vdot(p, e))
-    scale = 1.0 + abs(wealth)
-    g0 = dt * float(np.vdot(p, z)) - wealth
-    if g0 <= 1e-15 * scale:
+    spend = dt * float(np.vdot(p, z))
+    if spend <= wealth:
         return z
     if wealth <= 1e-300:
         # worthless endowment: every component with positive price must vanish
         return _water_fill(np.where(p > 0, np.minimum(v, 0.0), v), budgets)
-
-    def g(lam):
-        zz = _water_fill(v - lam * p, budgets)
-        return dt * float(np.vdot(p, zz)) - wealth, zz
-
-    lo, glo = 0.0, g0
-    hi = g0 / max(dt * float(np.vdot(p, p)), 1e-300)
-    ghi, zhi = g(hi)
-    while ghi > 0 and hi < 1e18:
-        lo, glo = hi, ghi
-        hi *= 2.0
-        ghi, zhi = g(hi)
-    for _ in range(200):
-        if -ghi <= 1e-14 * scale or hi - lo <= 1e-16 * (1.0 + hi):
-            break
-        mid = hi - ghi * (hi - lo) / (ghi - glo)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        gm, zm = g(mid)
-        if gm > 0:
-            lo, glo = mid, gm
+    # accept a point that spends at most tol less than the wealth; the
+    # search aims at the middle of that window, so g below is measured from
+    # there, with g(lo) > 0 > g(hi)
+    tol = 2e-15 * wealth
+    target = wealth - 0.5 * tol
+    lo, glo = 0.0, spend - target
+    hi = ghi = zhi = None
+    kept = 0  # +1 when lo survived the last bracket step, -1 when hi did
+    lam = (spend - wealth) / max(dt * float(np.vdot(p * p, z > 0)), 1e-300)
+    for _ in range(_MAX_SEARCH):
+        zl = _water_fill(v - lam * p, budgets)
+        spend = dt * float(np.vdot(p, zl))
+        if wealth - tol <= spend <= wealth:
+            return zl
+        gl = spend - target
+        if gl > 0.0:
+            if hi is None:
+                step = gl * (lam - lo) / (glo - gl) if glo > gl else lam
+                lo, glo = lam, gl
+                lam += min(lam, step)
+                continue
+            if kept == -1:
+                ghi *= 0.5
+            lo, glo, kept = lam, gl, -1
         else:
-            hi, ghi, zhi = mid, gm, zm
-    return zhi
+            if kept == 1:
+                glo *= 0.5
+            hi, ghi, zhi, kept = lam, gl, zl, 1
+        if hi - lo <= 4.0 * np.spacing(hi):
+            return zhi
+        # keep the trial point inside, so a secant step that rounds onto an
+        # end still shrinks the bracket
+        pad = 2.0 * np.spacing(hi)
+        lam = min(max(hi - ghi * (hi - lo) / (ghi - glo), lo + pad), hi - pad)
+    raise NonConvergence(
+        f"budget multiplier search did not converge in {_MAX_SEARCH} evaluations",
+        last_iterate=zl,
+        residuals={
+            "budget_gap": spend - wealth,
+            "bracket_width": np.inf if hi is None else hi - lo,
+        },
+    )
 
 
 def _canonical_parts(parts):
@@ -242,17 +269,22 @@ def _dykstra_values(v, parts, grid, tol, max_iter):
 
     Plain alternation converges to a point of the intersection but not to
     the metric projection; the corrections restore it for convex parts.
+    A sweep can leave the iterate in place while the corrections still
+    move, so the stop test asks both to have settled (Birgin & Raydan 2005).
     """
     x = np.array(v, dtype=float)
     corrections = [np.zeros_like(x) for _ in parts]
     scale = np.sqrt(grid.dt)
     for _ in range(max_iter):
         x_prev = x
+        change = 0.0
         for i, part in enumerate(parts):
             y = project_values(x + corrections[i], part, grid)
-            corrections[i] = x + corrections[i] - y
+            correction = x + corrections[i] - y
+            change = max(change, np.linalg.norm(correction - corrections[i]))
+            corrections[i] = correction
             x = y
-        change = scale * np.linalg.norm(x - x_prev)
+        change = scale * max(change, np.linalg.norm(x - x_prev))
         if change <= tol:
             resid = max(membership_residual_values(x, part, grid) for part in parts)
             if resid <= max(tol, 1e-12):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qvex
 from oracles import brute_force_project
@@ -21,8 +23,8 @@ from qvex import (
     project_intersection,
     project_pointwise_simplex,
 )
-from qvex.errors import DegenerateSet
-from qvex.sets import _dykstra_values
+from qvex.errors import DegenerateSet, NonConvergence
+from qvex.sets import _dykstra_values, _project_budget_capbox
 
 
 def grid1():
@@ -214,8 +216,6 @@ def test_general_dykstra_matches_exact_dual_path():
 
 
 def test_dykstra_budget_exhaustion_carries_iterate_and_residuals():
-    from qvex.errors import NonConvergence
-
     g = grid1()
     p = PriceCurve(g, np.array([[0.9, 0.1]]))
     e = gf(g, [[0.5, 0.5]])
@@ -224,6 +224,160 @@ def test_dykstra_budget_exhaustion_carries_iterate_and_residuals():
         project_intersection(gf(g, [[4.0, -2.0]]), parts, tol=1e-12, max_iter=1)
     assert err.value.last_iterate is not None
     assert err.value.residuals
+
+
+# --- exact budget-and-caps kernel ---
+
+
+def _budget_caps(v, p, e, caps):
+    v, p, e = (np.asarray(a, dtype=float) for a in (v, p, e))
+    g = make_grid(1.0, v.shape[0])
+    parts = (BudgetHalfspace(GridFunction(g, p), GridFunction(g, e)), CapBox(caps))
+    return GridFunction(g, v), parts
+
+
+# inputs on which a regula falsi search with one fixed end stopped far from
+# the projection, leaving part of the budget unspent
+STALLED_SEARCH_CASES = {
+    "1x3-partly-capped": (
+        [[0.6400173555880371, -1.7265727032160125, 5.229284213856759]],
+        [[0.04319191379620358, 0.336142720277157, 0.6206653659266395]],
+        [[0.18470400177101498, 1.5485296242847648, 1.5212885753583472]],
+        (2.9055995902831437, np.inf, 2.3371374852615077),
+    ),
+    "4x1-unit-price": (
+        [[0.007547284291567869], [0.0052045484967914], [0.009762811051360636], [0.011893458759835846]],
+        np.ones((4, 1)),
+        [[0.0026229568520916226], [8.74865179592591e-06], [0.0012152945017450023], [2.957639051788233e-05]],
+        (0.0009719747178323821,),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALLED_SEARCH_CASES))
+def test_budget_capbox_reaches_dykstra_where_the_search_stalled(case):
+    x, parts = _budget_caps(*STALLED_SEARCH_CASES[case])
+    exact = project(x, Intersection(parts))
+    dyk = project_intersection(x, parts, tol=1e-13)
+    assert abs(norm(exact - x) - norm(dyk - x)) <= 1e-9 * norm(dyk - x)
+    budget = parts[0]
+    wealth = inner_product(budget.price, budget.endowment)
+    assert abs(inner_product(budget.price, exact - budget.endowment)) <= 1e-12 * (1.0 + wealth)
+
+
+@st.composite
+def budget_caps_problems(draw):
+    """Budget-and-caps projections with zero prices, zero endowments, partly
+    infinite caps and magnitudes from 1e-6 to 1e6."""
+    cells = draw(st.sampled_from([1, 2, 16]))
+    goods = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    capped = draw(st.lists(st.booleans(), min_size=goods, max_size=goods))
+    zero_prices = draw(st.booleans())
+    zero_endowments = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.random((cells, goods))
+    if zero_prices:
+        keep = np.argmax(p, axis=1)
+        p[rng.random(p.shape) < 0.4] = 0.0
+        p[np.arange(cells), keep] = 1.0  # each cell stays on the simplex
+    p /= p.sum(axis=1, keepdims=True)
+    e = rng.random((cells, goods))
+    if zero_endowments:
+        e[rng.random(e.shape) < 0.5] = 0.0
+        e[0, np.argmax(p[0])] = 1.0  # zero wealth leaves only the origin, where Dykstra crawls
+    v = e + rng.normal(0.0, 2.0, size=e.shape) + rng.uniform(0.0, 2.0)
+    caps = tuple(rng.uniform(0.1, 2.0) if c else np.inf for c in capped)
+    return v, p, e, caps, scale
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(budget_caps_problems())
+def test_budget_capbox_property_matches_dykstra(problem):
+    v, p, e, caps, scale = problem
+    # the kernel sees the scaled problem; Dykstra's absolute tolerance needs
+    # the unit one, and the projection scales with it
+    x, parts = _budget_caps(scale * v, p, scale * e, tuple(scale * c for c in caps))
+    z = project(x, Intersection(parts))
+    unit_x, unit_parts = _budget_caps(v, p, e, caps)
+    unit_z = z * (1.0 / scale)
+    dt = x.grid.dt
+
+    assert z.values.min() >= 0.0
+    assert membership_residual(unit_z, unit_parts[1]) <= 1e-12
+    # the search never overspends, measured as the kernel measures it
+    assert dt * float(np.vdot(p, z.values)) <= dt * float(np.vdot(p, scale * e))
+
+    dyk = project_intersection(unit_x, unit_parts, tol=1e-12, max_iter=200000)
+    assert abs(norm(unit_z - unit_x) - norm(dyk - unit_x)) <= 1e-9 * (1.0 + norm(unit_x))
+
+    rng = np.random.default_rng(0)
+    feasible = qvex.sample_feasible(Intersection(unit_parts), unit_z, 1.0 + norm(unit_x), rng, 10)
+    for y in [unit_z * 0.0, *feasible]:
+        assert inner_product(unit_x - unit_z, y - unit_z) <= 1e-9 * (1.0 + norm(unit_x)) ** 2
+
+
+def _search_input(rng, cells, goods, capped):
+    """Prices on the per-cell simplex and endowments on (0.2, 1.2).  Capped:
+    demand one to three times the endowment, caps within 30 % of its
+    integral, as in an extragradient step of a solve.  Uncapped: a Gaussian
+    cloud around the endowment, as in certification sampling."""
+    dt = 1.0 / cells
+    p = rng.random((cells, goods))
+    p /= p.sum(axis=1, keepdims=True)
+    e = 0.2 + rng.random((cells, goods))
+    if capped:
+        v = e * rng.uniform(1.0, 3.0, size=e.shape)
+        caps = tuple(dt * v.sum(axis=0) * rng.uniform(0.7, 1.3, size=goods))
+    else:
+        v = e + rng.normal(0.0, 1.0 + np.sqrt(dt) * np.linalg.norm(e), size=e.shape)
+        caps = (np.inf,) * goods
+    return v, p, e, caps, dt
+
+
+@pytest.mark.parametrize("cells, goods, capped", [(16, 2, True), (1024, 3, False)])
+def test_budget_capbox_search_evaluations_per_projection(monkeypatch, cells, goods, capped):
+    calls = 0
+    water_fill = qvex.sets._water_fill
+
+    def counting(v, budgets):
+        nonlocal calls
+        calls += 1
+        return water_fill(v, budgets)
+
+    monkeypatch.setattr(qvex.sets, "_water_fill", counting)
+    rng = np.random.default_rng(0)
+    count = 300
+    for _ in range(count):
+        _project_budget_capbox(*_search_input(rng, cells, goods, capped))
+    assert calls / count <= 8.0
+
+
+def test_budget_capbox_search_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(qvex.sets, "_MAX_SEARCH", 1)
+    x, parts = _budget_caps(*STALLED_SEARCH_CASES["1x3-partly-capped"])
+    with pytest.raises(NonConvergence) as err:
+        project(x, Intersection(parts))
+    assert err.value.last_iterate is not None
+    assert err.value.residuals
+
+
+def test_dykstra_waits_for_the_corrections_to_settle():
+    # the capped-cone projection of x already meets the budget, so it is the
+    # answer; one sweep in, Dykstra's iterate stands still at another point
+    # while its corrections keep moving
+    g = make_grid(1.0, 2)
+    p = PriceCurve(g, np.array([[0.14409965591660678, 0.0, 0.8559003440833932],
+                                [0.2532325497720247, 0.0, 0.7467674502279753]]))
+    e = gf(g, [[0.3916355378830422, 0.5416685571154368, 0.12669424370685267],
+               [0.05216658011532394, 0.2797966407293334, 0.7170896493045754]])
+    caps = (np.inf, 0.13068587597538248, 0.4038495931413112)
+    x = gf(g, [[-0.10293392144739533, -0.4867560704684546, 2.846366103254284],
+               [0.1788141143439772, 2.3120364024720708, 3.9648186452233736]])
+    capped = project_cap_box(x, caps)
+    assert inner_product(p, capped - e) < 0.0
+    out = project_intersection(x, [BudgetHalfspace(p, e), CapBox(caps)], tol=1e-12)
+    assert norm(out - capped) <= 1e-10
 
 
 def test_membership_residual_examples():
