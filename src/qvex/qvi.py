@@ -5,13 +5,17 @@ outer map f).
 `solve_qvi` follows the reduction of the problem to a price-space VI:
 evaluate the inner best responses x(d) on K(d), then move prices by a
 projected step against h(d) = f(x(d)) (tatonnement: prices rise where
-excess demand is positive).  `solve_qvi_product` is an independent
-cross-check that runs one extragradient iteration on the stacked
-(price, allocation) pair with the constraint set frozen at the current
-price each step.  `solve_qvi_truncated` intersects the constraint sets
-with balls of growing radius and accepts the first radius whose solution
-stays strictly inside, which upgrades to the untruncated problem by the
-usual convex-combination argument.
+excess demand is positive).  The price step s starts at `OUTER_STEP0`
+and then follows the rule of Malitsky & Mishchenko (2020),
+    s <- min(sqrt(1 + theta) s, OUTER_STEP_SAFETY ||d - d_prev|| / ||h - h_prev||)
+with theta the ratio of the last two steps, so it needs no setting.
+`solve_qvi_product` is an independent cross-check that runs one
+extragradient iteration on the stacked (price, allocation) pair with the
+constraint set frozen at the current price each step.
+`solve_qvi_truncated` intersects the constraint sets with balls of growing
+radius and accepts the first radius whose solution stays strictly inside,
+which upgrades to the untruncated problem by the usual convex-combination
+argument.
 
 Residual conventions: every certificate below is a natural-map residual
 evaluated at the fixed gauge step `RESIDUAL_GAUGE` = 1.0, independent of
@@ -20,6 +24,7 @@ whatever internal steps the iterations used.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -41,15 +46,18 @@ from .vi import OperatorHandle, estimate_lipschitz, solve_vi_extragradient, vi_r
 
 #: step at which every natural-map residual certificate is evaluated
 RESIDUAL_GAUGE = 1.0
-#: outer iterations without progress before `solve_qvi` halves its price step
-STALL_WINDOW = 15
+#: first price step of `solve_qvi`; later steps follow the measured ratio
+OUTER_STEP0 = 0.5
+#: fraction of the inverse local Lipschitz ratio of h the price step may reach
+OUTER_STEP_SAFETY = 0.9
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
 class QVIParams:
-    """Knobs for the outer/inner iterations; defaults suit desk-scale runs."""
+    """Tolerances, budgets, seed and start price; both loops adapt their own steps."""
 
-    outer_step: float = 0.5
     outer_tol: float = 1e-7
     inner_tol: float = 1e-8
     max_outer: int = 2000
@@ -204,23 +212,22 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     agent's residual on K_i(d) is <= inner_tol.  An inner solve that fails
     to certify ends the run with converged=False and the best certified
     pair so far (the failing iteration's own pair if none certified yet).
+    Each outer iteration logs one DEBUG record: k, residual, price step,
+    effective inner tolerance and the agents' extragradient iterations.
     """
     params = params or QVIParams()
     if params.max_outer < 1:
         raise ValueError("outer iteration budget must be positive")
     d = params.start_price or PriceCurve.uniform(prob.grid, prob.goods)
     steps = _agent_steps(prob, params)
-    sigma = params.outer_step
+    sigma, theta = OUTER_STEP0, np.inf
 
     history = []
     best = None
     best_res = np.inf
-    last_in_band = 0
-    last_new_best = 0
     prev_res = np.inf
+    prev = None
     starts = None
-    prev_move = None
-    osc_count = 0
     failure = ""
     k = 0
     for k in range(params.max_outer):
@@ -235,6 +242,19 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
         h = prob.outer_map(x)
         res = _outer_residual(d.values, h.values, prob)
         history.append(res)
+        if prev is not None:
+            # skip a repeated price (say, held while the inner tolerance
+            # tightens): its zero ratio would freeze the step for good
+            dd = float(np.linalg.norm(d.values - prev[0]))
+            dh = float(np.linalg.norm(h.values - prev[1]))
+            if dd > 0 and dh > 0:
+                step = min(np.sqrt(1 + theta) * sigma, OUTER_STEP_SAFETY * dd / dh)
+                sigma, theta = step, step / sigma
+        prev = (d.values, h.values)
+        logger.debug(
+            "outer %d: residual %.3e step %.3e inner tol %.1e extragradient iterations %d",
+            k, res, sigma, tol_eff, sum(rep.iterations for rep in reports),
+        )
         failed = np.flatnonzero(inner_res > tol_eff)
         if failed.size:
             failure = (
@@ -247,9 +267,6 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
         if res < best_res:
             best_res = res
             best = (d, x, reports, inner_res, res)
-            last_new_best = k
-        if res <= 1.2 * best_res:
-            last_in_band = k
         if res <= params.outer_tol and tol_eff <= params.inner_tol * (1 + 1e-12):
             return QVISolveReport(
                 price=d,
@@ -261,30 +278,9 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
                 converged=True,
                 residual_history=np.asarray(history),
             )
-        # oscillation shows up as successive price moves pointing against each
-        # other (ping-pong around the fixed point) or residuals bouncing above
-        # the best seen; halving the price step turns it into fast contraction
-        stalled = k - last_in_band >= STALL_WINDOW or k - last_new_best >= 4 * STALL_WINDOW
-        if stalled and sigma > 1e-8:
-            sigma *= 0.5
-            last_in_band = last_new_best = k
-            osc_count = 0
-        d_new = PriceCurve(
+        d = PriceCurve(
             prob.grid, project_values(d.values - sigma * h.values, prob.price_set, prob.grid)
         )
-        move = d_new.values - d.values
-        if prev_move is not None:
-            dot = float(np.sum(move * prev_move))
-            norms = np.linalg.norm(move) * np.linalg.norm(prev_move)
-            if norms > 0 and dot < -0.3 * norms:
-                osc_count += 1
-            else:
-                osc_count = 0
-            if osc_count >= 4 and sigma > 1e-8:
-                sigma *= 0.5
-                osc_count = 0
-        prev_move = move
-        d = d_new
 
     d, x, reports, inner_res, res = best
     return QVISolveReport(
@@ -296,7 +292,8 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
         iterations=k + 1,
         converged=False,
         residual_history=np.asarray(history),
-        message=failure or f"outer iteration budget exhausted (best residual {res:.3e})",
+        message=failure
+        or f"outer iteration budget exhausted (best residual {res:.3e}, final step {sigma:.3e})",
     )
 
 

@@ -124,13 +124,12 @@ class AgentConfig:
 
 
 #: solver keys schema v1 still accepts but drops: no result depended on them
-_RETIRED_SOLVER_KEYS = {"sequential", "product_step", "max_product", "inner_step"}
+_RETIRED_SOLVER_KEYS = {"sequential", "product_step", "max_product", "inner_step", "outer_step"}
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int = 0
-    outer_step: float = 0.5
     outer_tol: float = 1e-7
     inner_tol: float = 1e-8
     max_outer: int = 2000
@@ -206,6 +205,24 @@ def _parse_weights(node, goods: int, path: str) -> tuple:
     return weights
 
 
+def _integer(value, path: str, lowest: int) -> int:
+    # bool is an int subclass, so `true` would otherwise load as 1
+    if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
+        raise ScenarioError(f"{path}: must be an integer >= {lowest}, got {value!r}")
+    return value
+
+
+def _positive_real(value, path: str) -> float:
+    # PyYAML reads `1e-7` (no dot) as a string; float() accepts it
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{path}: expected a number, got {value!r}") from None
+    if isinstance(value, bool) or not (np.isfinite(number) and number > 0):
+        raise ScenarioError(f"{path}: must be a finite positive number, got {value!r}")
+    return number
+
+
 def parse_scenario(mapping: dict) -> Scenario:
     """Validate a parsed YAML mapping and fill defaults."""
     _require_keys(
@@ -214,21 +231,16 @@ def parse_scenario(mapping: dict) -> Scenario:
         {"schema_version", "grid", "goods", "agents"},
         "scenario",
     )
-    if mapping["schema_version"] != SCHEMA_VERSION:
+    version = mapping["schema_version"]
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ScenarioError(
-            f"scenario.schema_version: expected {SCHEMA_VERSION}, got {mapping['schema_version']}"
+            f"scenario.schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
     _require_keys(mapping["grid"], {"horizon", "cells"}, {"horizon", "cells"}, "scenario.grid")
-    horizon = float(mapping["grid"]["horizon"])
-    cells = mapping["grid"]["cells"]
-    if horizon <= 0:
-        raise ScenarioError("scenario.grid.horizon: must be positive")
-    if not isinstance(cells, int) or cells < 1:
-        raise ScenarioError("scenario.grid.cells: must be a positive integer")
-    goods = mapping["goods"]
-    if not isinstance(goods, int) or goods < 1:
-        raise ScenarioError("scenario.goods: must be a positive integer")
-    cap_slack = float(mapping.get("cap_slack", 1.1))
+    horizon = _positive_real(mapping["grid"]["horizon"], "scenario.grid.horizon")
+    cells = _integer(mapping["grid"]["cells"], "scenario.grid.cells", 1)
+    goods = _integer(mapping["goods"], "scenario.goods", 1)
+    cap_slack = _positive_real(mapping.get("cap_slack", 1.1), "scenario.cap_slack")
     if cap_slack < 1.05:
         raise ScenarioError(f"scenario.cap_slack: must be >= 1.05, got {cap_slack}")
 
@@ -250,6 +262,12 @@ def parse_scenario(mapping: dict) -> Scenario:
     solver_fields = {f.name for f in fields(SolverConfig)}
     _require_keys(solver_node, solver_fields | _RETIRED_SOLVER_KEYS, set(), "scenario.solver")
     kwargs = {k: v for k, v in solver_node.items() if k not in _RETIRED_SOLVER_KEYS}
+    for key in ("outer_tol", "inner_tol"):
+        if key in kwargs:
+            kwargs[key] = _positive_real(kwargs[key], f"scenario.solver.{key}")
+    for key, lowest in (("seed", 0), ("max_outer", 1), ("max_inner", 1)):
+        if key in kwargs:
+            _integer(kwargs[key], f"scenario.solver.{key}", lowest)
     if kwargs.get("radius_schedule") is not None:
         sched = kwargs["radius_schedule"]
         if not isinstance(sched, list) or any(
@@ -313,7 +331,6 @@ def solver_params(scn: Scenario, **overrides) -> QVIParams:
     """Translate the scenario's solver section into QVIParams."""
     cfg = scn.solver
     params = QVIParams(
-        outer_step=cfg.outer_step,
         outer_tol=cfg.outer_tol,
         inner_tol=cfg.inner_tol,
         max_outer=cfg.max_outer,

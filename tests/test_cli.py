@@ -186,7 +186,7 @@ def test_echo_scenario_round_trip(scenario_dir, tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "schema_version: 1" in text
-    assert "outer_step: 0.5" in text  # defaults made explicit
+    assert "inner_tol: 1.0e-08" in text  # defaults made explicit
 
     echo_file = tmp_path / "echo.yaml"
     code = run(

@@ -86,13 +86,16 @@ def _scaled(eco, c):
     return Economy(eco.grid, eco.goods, tuple(agents))
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
 @pytest.mark.parametrize("seed", [5, 16])
-def test_scaled_corpus_economy_certifies(seed):
-    # the initial inner step comes from a Lipschitz estimate, so it follows
-    # the operator's scale; a fixed start step would be far off at 1e3
-    eco = _scaled(make_random_economy(seed), 1e3)
+def test_scaled_corpus_economy_certifies(seed, scale):
+    # both step sizes follow measured ratios (the inner one starts from a
+    # Lipschitz estimate), so a change of units costs few extra iterations;
+    # fixed start steps would be far off at either scale
+    eco = _scaled(make_random_economy(seed), scale)
     rep = solve_qvi(assemble_qvi(eco, default_caps(eco, 1.1)), QVIParams(seed=seed))
     assert rep.converged, rep.message
+    assert rep.iterations <= 200
     cert = certify_equilibrium(eco, rep.price, rep.agent_allocations(), tol=1e-6, seed=seed)
     assert cert.verdict, cert.residuals
 

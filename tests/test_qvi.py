@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,22 @@ def test_nonconvergence_reports_best_iterate(oracle_problem, skewed_start):
     assert not rep.converged
     assert rep.message
     assert rep.outer_residual == min(rep.residual_history)
+
+
+@pytest.mark.parametrize("max_outer", [3, 2000])
+def test_each_outer_iteration_logs_its_step(oracle_problem, skewed_start, caplog, max_outer):
+    params = QVIParams(start_price=skewed_start, max_outer=max_outer)
+    with caplog.at_level(logging.DEBUG, logger="qvex.qvi"):
+        rep = solve_qvi(oracle_problem, params)
+    records = [r for r in caplog.records if r.name == "qvex.qvi"]
+    # args: k, outer residual, step, effective inner tolerance, inner work
+    assert [r.args[0] for r in records] == list(range(rep.iterations))
+    assert [r.args[1] for r in records] == list(rep.residual_history)
+    assert all(r.args[2] > 0 and "step" in r.getMessage() for r in records)
+    assert all(r.args[3] >= params.inner_tol and r.args[4] >= 0 for r in records)
+    assert rep.converged == (max_outer == 2000)
+    if not rep.converged:
+        assert f"final step {records[-1].args[2]:.3e}" in rep.message
 
 
 # --- truncated solves ---

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -31,7 +33,6 @@ def test_minimal_scenario_fills_defaults(tmp_path):
     scn = load_scenario(write(tmp_path, MINIMAL))
     assert scn.cap_slack == 1.1
     assert scn.solver.seed == 0
-    assert scn.solver.outer_step == 0.5
     assert scn.solver.outer_tol == 1e-7
     assert scn.solver.radius_schedule is None
     assert scn.agents[0].endowment[0].kind == "constant"
@@ -170,12 +171,74 @@ def test_solver_params_translation(tmp_path):
     assert overridden.seed == 9 and overridden.max_inner == 11
 
     # schema v1 keys that no longer change a run still load, and are dropped
-    retired = {"sequential": False, "product_step": 0.01, "max_product": 5, "inner_step": 0.1}
+    retired = {
+        "sequential": False,
+        "product_step": 0.01,
+        "max_product": 5,
+        "inner_step": 0.1,
+        "outer_step": 0.5,
+    }
     old = {**MINIMAL, "solver": {**mapping["solver"], **retired}}
     old_scn = load_scenario(write(tmp_path, old, name="old.yaml"))
     assert solver_params(old_scn) == params
     echoed = echo_scenario(old_scn)
     assert not any(key in echoed for key in retired)
+
+
+# raw text: yaml.safe_dump writes floats as `1.0e-07`, never the dotless
+# `1e-7` that PyYAML reads back as a string
+RAW_MINIMAL = """\
+schema_version: 1
+grid:
+  horizon: 1.0
+  cells: 2
+goods: 1
+cap_slack: 1.1
+agents:
+  - endowment: [1.0]
+    utility: {family: logshift, weights: [1.0], shift: 1.0}
+solver:
+  seed: 0
+"""
+
+
+def write_raw(tmp_path, old, new):
+    assert old in RAW_MINIMAL
+    path = tmp_path / "raw.yaml"
+    path.write_text(RAW_MINIMAL.replace(old, new), encoding="utf-8")
+    return path
+
+
+def test_dotless_exponent_tolerances_load_as_numbers(tmp_path):
+    scn = load_scenario(write_raw(tmp_path, "  seed: 0", "  outer_tol: 1e-7\n  inner_tol: 1e-9"))
+    params = solver_params(scn)
+    assert params.outer_tol == 1e-7 and params.inner_tol == 1e-9
+
+
+BAD_FIELDS = [
+    ("  seed: 0", "  outer_tol: tight", "scenario.solver.outer_tol"),
+    ("  seed: 0", "  outer_tol: 0", "scenario.solver.outer_tol"),
+    ("  seed: 0", "  inner_tol: -1e-8", "scenario.solver.inner_tol"),
+    ("  seed: 0", "  inner_tol: .inf", "scenario.solver.inner_tol"),
+    ("  seed: 0", "  inner_tol: true", "scenario.solver.inner_tol"),
+    ("  seed: 0", "  seed: -1", "scenario.solver.seed"),
+    ("  seed: 0", "  seed: 1.5", "scenario.solver.seed"),
+    ("  seed: 0", "  max_outer: 2.5", "scenario.solver.max_outer"),
+    ("  seed: 0", "  max_outer: 0", "scenario.solver.max_outer"),
+    ("  seed: 0", "  max_inner: true", "scenario.solver.max_inner"),
+    ("  seed: 0", "  max_inner: '100'", "scenario.solver.max_inner"),
+    ("horizon: 1.0", "horizon: one", "scenario.grid.horizon"),
+    ("cap_slack: 1.1", "cap_slack: .nan", "scenario.cap_slack"),
+    ("cells: 2", "cells: true", "scenario.grid.cells"),
+    ("goods: 1", "goods: true", "scenario.goods"),
+    ("schema_version: 1", "schema_version: true", "scenario.schema_version"),
+]
+
+
+@pytest.mark.parametrize("old, new, path", BAD_FIELDS, ids=[new.strip() for _, new, _ in BAD_FIELDS])
+def test_solver_and_count_fields_checked_on_load(tmp_path, old, new, path):
+    with pytest.raises(ScenarioError, match=re.escape(path)):
+        load_scenario(write_raw(tmp_path, old, new))
 
 
 def test_oracle_fixture_parses(scenario_dir):
