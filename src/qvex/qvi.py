@@ -9,9 +9,13 @@ excess demand is positive).  The price step s starts at `OUTER_STEP0`
 and then follows the rule of Malitsky & Mishchenko (2020),
     s <- min(sqrt(1 + theta) s, OUTER_STEP_SAFETY ||d - d_prev|| / ||h - h_prev||)
 with theta the ratio of the last two steps, so it needs no setting.
+Each inner solve runs to a tolerance tied to the last outer residual and
+split over the agents, since excess demand sums their errors.
 `solve_qvi_product` is an independent cross-check that runs one
 extragradient iteration on the stacked (price, allocation) pair with the
-constraint set frozen at the current price each step.
+constraint set frozen at the current price each step; its step shrinks by
+the same rule as the inner solves (`vi.adaptive_step`), and its steps count
+against `max_outer`.
 `solve_qvi_truncated` intersects the constraint sets with balls of growing
 radius and accepts the first radius whose solution stays strictly inside,
 which upgrades to the untruncated problem by the usual convex-combination
@@ -42,7 +46,13 @@ from .sets import (
     project_values,
     sample_feasible,
 )
-from .vi import OperatorHandle, estimate_lipschitz, solve_vi_extragradient, vi_residual
+from .vi import (
+    OperatorHandle,
+    adaptive_step,
+    estimate_lipschitz,
+    solve_vi_extragradient,
+    vi_residual,
+)
 
 #: step at which every natural-map residual certificate is evaluated
 RESIDUAL_GAUGE = 1.0
@@ -56,13 +66,16 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class QVIParams:
-    """Tolerances, budgets, seed and start price; both loops adapt their own steps."""
+    """Tolerances, budgets, seed and start price; every solver adapts its own steps.
+
+    `max_outer` bounds the price updates of either solver: outer iterations
+    of `solve_qvi`, extragradient steps of `solve_qvi_product`.
+    """
 
     outer_tol: float = 1e-7
     inner_tol: float = 1e-8
     max_outer: int = 2000
     max_inner: int = 20000
-    max_product: int = 60000
     seed: int = 0
     start_price: Optional[PriceCurve] = None
 
@@ -233,7 +246,8 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     for k in range(params.max_outer):
         # loose inner solves while far from the fixed point, exact near it
         if prev_res > 20 * params.outer_tol:
-            tol_eff = float(np.clip(0.05 * prev_res, params.inner_tol, 1e-4))
+            # excess demand sums every agent's inner error, so split the share
+            tol_eff = float(np.clip(0.05 * prev_res / prob.n_agents, params.inner_tol, 1e-4))
         else:
             tol_eff = params.inner_tol
         blocks, reports, inner_res = _best_responses(d, prob, params, tol_eff, steps, starts)
@@ -312,9 +326,8 @@ def default_radius_schedule(prob: QVIProblem, count: int = 6) -> list:
 
 
 def _truncate_set(s: SetDescriptor, r: float) -> SetDescriptor:
-    if isinstance(s, Intersection):
-        return Intersection(s.parts + (Ball(r),), tol=s.tol, max_iter=s.max_iter)
-    return Intersection((s, Ball(r)))
+    parts = s.parts if isinstance(s, Intersection) else (s,)
+    return Intersection(parts + (Ball(r),))
 
 
 def _untruncated_inner_check(report, prob, params, r):
@@ -411,13 +424,17 @@ def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveRep
     """Single-loop extragradient on the stacked (price, allocation) pair.
 
     The moving constraint set is frozen at the current price within each
-    step.  Contraction is not guaranteed for this path; non-convergence is
-    reported, never masked.  On convergence the certificates are identical
-    to `solve_qvi`'s.
+    step.  The step starts at 0.7 / max(sqrt(n), L) and then only shrinks,
+    by `vi.adaptive_step` on the stacked operator (h, F_1, ..., F_n).  Each
+    step moves the price once, so the run counts against `max_outer`.
+    Every 10th iteration checks both certificates and logs one DEBUG record:
+    k, outer residual, worst inner residual and step.  Contraction is not
+    guaranteed for this path; non-convergence is reported, never masked.
+    On convergence the certificates are identical to `solve_qvi`'s.
     """
     params = params or QVIParams()
-    if params.max_product < 1:
-        raise ValueError("product iteration budget must be positive")
+    if params.max_outer < 1:
+        raise ValueError("outer iteration budget must be positive")
     grid = prob.grid
 
     d = params.start_price or PriceCurve.uniform(grid, prob.goods)
@@ -435,9 +452,8 @@ def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveRep
     history = []
     best = None
     best_score = np.inf
-    last_progress = 0
     k = 0
-    for k in range(params.max_product):
+    for k in range(params.max_outer):
         x = stack_components(xs)
         h = prob.outer_map(x)
         fs = [op(x_i) for op, x_i in zip(prob.agent_operators, xs)]
@@ -450,13 +466,16 @@ def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveRep
                     for x_i, op, s in zip(xs, prob.agent_operators, sets)
                 ]
             )
-            score = max(outer_res, float(inner_res.max()))
+            worst_inner = float(inner_res.max())
+            logger.debug(
+                "product %d: residual %.3e worst inner residual %.3e step %.3e",
+                k, outer_res, worst_inner, gamma,
+            )
+            score = max(outer_res, worst_inner)
             history.append(score)
             if score < best_score:
                 best_score = score
                 best = (d, x, outer_res, inner_res)
-            if score < 0.97 * best_score or score <= params.outer_tol:
-                last_progress = k
             if outer_res <= params.outer_tol and np.all(inner_res <= params.inner_tol):
                 return QVISolveReport(
                     price=d,
@@ -469,22 +488,24 @@ def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveRep
                     residual_history=np.asarray(history),
                     message="product-space path",
                 )
-            if k - last_progress >= 40 * check_every and gamma > 1e-8:
-                gamma *= 0.5
-                last_progress = k
 
         # extragradient step with the constraint set frozen at the current price
         ys = [
             x_i.with_values(project_values(x_i.values - gamma * f.values, s, grid))
             for x_i, f, s in zip(xs, fs, sets)
         ]
-        hy = prob.outer_map(stack_components(ys))
+        y = stack_components(ys)
+        hy = prob.outer_map(y)
         fys = [op(y_i) for op, y_i in zip(prob.agent_operators, ys)]
         d = PriceCurve(grid, project_values(d.values - gamma * hy.values, prob.price_set, grid))
         xs = [
             x_i.with_values(project_values(x_i.values - gamma * fy.values, s, grid))
             for x_i, fy, s in zip(xs, fys, sets)
         ]
+        # the stacked operator is G = (h, F_1, ..., F_n), so h's change counts too
+        dF = np.concatenate([f.values - fy.values for f, fy in zip(fs, fys)], axis=1)
+        dG = np.hypot(np.linalg.norm(h.values - hy.values), np.linalg.norm(dF))
+        gamma = adaptive_step(gamma, np.linalg.norm(x.values - y.values), dG)
         sets = prob.constraint_map(d)
 
     d, x, outer_res, inner_res = best
@@ -497,5 +518,8 @@ def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveRep
         iterations=k + 1,
         converged=False,
         residual_history=np.asarray(history),
-        message="product-space path: iteration budget exhausted",
+        message=(
+            "product-space path: iteration budget exhausted "
+            f"(best residual {best_score:.3e}, final step {gamma:.3e})"
+        ),
     )

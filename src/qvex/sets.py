@@ -17,6 +17,10 @@ import numpy as np
 from .errors import DegenerateSet, NonConvergence
 from .grids import GridFunction, PriceCurve, TimeGrid
 
+#: stop test and sweep budget of Dykstra's alternation over `Intersection` parts
+DYKSTRA_TOL = 1e-10
+DYKSTRA_MAX_ITER = 10000
+
 
 class SetDescriptor:
     """Base marker for projectable convex sets."""
@@ -75,8 +79,6 @@ class Intersection(SetDescriptor):
     """Intersection of the listed parts, projected by Dykstra's alternation."""
 
     parts: tuple
-    tol: float = 1e-10
-    max_iter: int = 10000
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -253,14 +255,16 @@ def project_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) -> np.ndarra
     if isinstance(s, Intersection):
         canon = _canonical_parts(s.parts)
         if canon is None:
-            return _dykstra_values(v, s.parts, grid, s.tol, s.max_iter)
+            return _dykstra_values(v, s.parts, grid, DYKSTRA_TOL, DYKSTRA_MAX_ITER)
         budget, capbox, rest = canon
         if not rest:
             return _project_budget_capbox(
                 v, budget.price.values, budget.endowment.values, capbox.caps, dt
             )
         # the exact budget-and-caps pair is one Dykstra part; it dispatches back here
-        return _dykstra_values(v, (Intersection((budget, capbox)), *rest), grid, s.tol, s.max_iter)
+        return _dykstra_values(
+            v, (Intersection((budget, capbox)), *rest), grid, DYKSTRA_TOL, DYKSTRA_MAX_ITER
+        )
     raise TypeError(f"not a projectable set descriptor: {s!r}")
 
 
@@ -356,8 +360,8 @@ def project_cap_box(x: GridFunction, caps: Sequence[float]) -> GridFunction:
 def project_intersection(
     x: GridFunction,
     parts: Sequence[SetDescriptor],
-    tol: float = 1e-10,
-    max_iter: int = 10000,
+    tol: float = DYKSTRA_TOL,
+    max_iter: int = DYKSTRA_MAX_ITER,
 ) -> GridFunction:
     """Dykstra projection onto the intersection of `parts`.
 

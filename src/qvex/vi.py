@@ -8,6 +8,7 @@ starts at 0.9 / L_hat with L_hat a finite-difference Lipschitz estimate and
 adapts after every iteration by the self-adaptive rule of Yang & Liu (2019),
     g <- min(g, STEP_SAFETY * ||x - y|| / ||F(x) - F(y)||),
 so it only ever shrinks, and only where the local Lipschitz ratio demands.
+`adaptive_step` is that rule; the product-space QVI solve uses it too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ from .sets import SetDescriptor, project_values, sample_feasible
 
 #: fraction of the inverse local Lipschitz ratio the adaptive step may reach
 STEP_SAFETY = 0.5
+
+
+def adaptive_step(gamma: float, dx: float, dF: float) -> float:
+    """The Yang & Liu step update from ||x - y|| = dx and ||F(x) - F(y)|| = dF.
+
+    dF = 0 leaves the step as it is: a locally constant operator bounds
+    nothing.
+    """
+    return min(gamma, STEP_SAFETY * dx / dF) if dF > 0 else gamma
 
 
 @dataclass(frozen=True)
@@ -139,9 +149,9 @@ def solve_vi_extragradient(
         if not np.all(np.isfinite(fy)):
             raise NumericFailure("operator returned non-finite values during solve")
         x_next = project_values(x - gamma * fy, C, grid)
-        dF = float(np.linalg.norm(fx - fy))
-        if dF > 0:
-            gamma = min(gamma, STEP_SAFETY * float(np.linalg.norm(x - y)) / dF)
+        gamma = adaptive_step(
+            gamma, float(np.linalg.norm(x - y)), float(np.linalg.norm(fx - fy))
+        )
         x = x_next
 
     return SolveReport(

@@ -150,7 +150,7 @@ def test_criterion_4_truncation_consistency(oracle_problem, skewed_start):
 def test_criterion_5_cross_solver_agreement(corpus_solutions):
     agreements = 0
     for seed, (eco, prob, rep) in corpus_solutions.items():
-        product = solve_qvi_product(prob, QVIParams(seed=seed, max_product=40000))
+        product = solve_qvi_product(prob, QVIParams(seed=seed))
         if not product.converged:
             continue
         gap = norm(product.price - rep.price)

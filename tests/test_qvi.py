@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qvex
+from corpus import make_agent_ladder_economy, make_random_economy
 from qvex import (
     Agent,
     Economy,
@@ -17,6 +18,7 @@ from qvex import (
     Quadratic,
     agent_best_responses,
     assemble_qvi,
+    certify_equilibrium,
     check_truncation_interior,
     default_caps,
     inner_product,
@@ -243,6 +245,16 @@ def test_each_outer_iteration_logs_its_step(oracle_problem, skewed_start, caplog
         assert f"final step {records[-1].args[2]:.3e}" in rep.message
 
 
+def test_many_agents_converge_in_few_outer_iterations():
+    # excess demand sums all 16 agents' inner errors: with an inner tolerance
+    # that ignored the agent count the residual hovered for 92 iterations
+    eco = make_agent_ladder_economy(16)
+    rep = solve_qvi(assemble_qvi(eco, default_caps(eco, 1.1)), QVIParams())
+    assert rep.converged and rep.iterations <= 40
+    cert = certify_equilibrium(eco, rep.price, rep.agent_allocations(), tol=1e-6, seed=0)
+    assert cert.verdict, cert.residuals
+
+
 # --- truncated solves ---
 
 
@@ -338,6 +350,32 @@ def test_product_path_agrees_with_two_level(oracle_problem, skewed_start):
     product = solve_qvi_product(oracle_problem, QVIParams(start_price=skewed_start))
     assert product.converged
     assert np.abs(product.price.values - two_level.price.values).max() <= 1e-4
+
+
+def test_product_path_converges_within_the_outer_budget():
+    eco = make_random_economy(10)
+    prob = assemble_qvi(eco, default_caps(eco, 1.1))
+    rep = solve_qvi_product(prob, QVIParams(seed=10, max_outer=400))
+    assert rep.converged and rep.iterations <= 400
+
+
+@pytest.mark.parametrize("max_outer", [3, 2000])
+def test_each_product_check_logs_its_step(oracle_problem, skewed_start, caplog, max_outer):
+    params = QVIParams(start_price=skewed_start, max_outer=max_outer)
+    with caplog.at_level(logging.DEBUG, logger="qvex.qvi"):
+        rep = solve_qvi_product(oracle_problem, params)
+    records = [r for r in caplog.records if r.name == "qvex.qvi"]
+    # args: k, outer residual, worst inner residual, step; a check every 10th step
+    assert [r.args[0] for r in records] == list(range(0, rep.iterations, 10))
+    assert [max(r.args[1], r.args[2]) for r in records] == list(rep.residual_history)
+    assert all(r.args[3] > 0 and "step" in r.getMessage() for r in records)
+    assert rep.converged == (max_outer == 2000)
+    if not rep.converged:
+        # each product step is one price update, counted against max_outer
+        assert rep.iterations == max_outer
+        assert f"best residual {min(rep.residual_history):.3e}" in rep.message
+        final_step = float(rep.message.rsplit("final step ", 1)[1].rstrip(")"))
+        assert 0 < final_step <= records[-1].args[3]
 
 
 def test_stacked_operator_applies_blocks(oracle_problem):

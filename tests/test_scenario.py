@@ -1,11 +1,14 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import yaml
 
+from qvex.qvi import QVIParams
 from qvex.scenario import (
     ScenarioError,
+    SolverConfig,
     build_economy,
     echo_scenario,
     load_scenario,
@@ -183,6 +186,14 @@ def test_solver_params_translation(tmp_path):
     assert solver_params(old_scn) == params
     echoed = echo_scenario(old_scn)
     assert not any(key in echoed for key in retired)
+
+
+def test_every_solver_setting_is_settable_from_a_scenario():
+    # the start price is API-only and the radius schedule picks the truncated
+    # solve; every other setting must exist on both sides
+    params = {f.name for f in fields(QVIParams)} - {"start_price"}
+    config = {f.name for f in fields(SolverConfig)} - {"radius_schedule"}
+    assert params == config
 
 
 # raw text: yaml.safe_dump writes floats as `1.0e-07`, never the dotless
