@@ -33,7 +33,8 @@ class UtilitySpec:
     """Interface of a per-instant utility family on one grid.
 
     Implementations provide cellwise values/gradients for (cells, m)
-    consumption arrays plus single-cell evaluation for the probes, and
+    consumption arrays, and for (k, cells, m) blocks of them, reducing over
+    the last axis, plus single-cell evaluation for the probes, and
     declare the constants of their linear gradient growth bound.
     """
 
@@ -72,7 +73,9 @@ class Quadratic(UtilitySpec):
 
     def cell_values(self, w):
         q = np.asarray(self.weights)
-        return np.sum(self.bliss.values * w, axis=1) - 0.5 * np.sum(q * w * w, axis=1)
+        # einsum, not np.sum(axis=-1): a sum over a last axis of a few goods
+        # pays numpy's per-row reduction cost once per cell
+        return np.einsum("...m,...m->...", self.bliss.values - 0.5 * q * w, w)
 
     def cell_gradients(self, w):
         return self.bliss.values - np.asarray(self.weights) * w
@@ -106,7 +109,7 @@ class LogShift(UtilitySpec):
 
     def cell_values(self, w):
         self.check_domain(w)
-        return np.sum(np.asarray(self.weights) * np.log(self.shift + w), axis=1)
+        return np.einsum("...m,m->...", np.log(self.shift + w), np.asarray(self.weights))
 
     def cell_gradients(self, w):
         self.check_domain(w)

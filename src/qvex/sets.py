@@ -10,6 +10,7 @@ ones; only integral constraints (budget, caps, ball) see dt explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +21,9 @@ from .grids import GridFunction, PriceCurve, TimeGrid
 #: stop test and sweep budget of Dykstra's alternation over `Intersection` parts
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10000
+#: elements (samples x cells x goods) that `sample_feasible` and the
+#: certificate draw and project as one block; bounds their temporaries
+_SAMPLE_CHUNK = 2**14
 
 
 class SetDescriptor:
@@ -231,6 +235,67 @@ def _project_budget_capbox(v, p, e, caps, dt):
     )
 
 
+# Newton steps the budget-cone kernel may take before it gives up
+_MAX_NEWTON = 100
+
+
+def _spend(Z: np.ndarray, p: np.ndarray, dt: float) -> np.ndarray:
+    """<<p, z>> of every slice z of a (k, cells, m) block.  Each slice is
+    summed on its own, so its spend does not depend on the block it is in."""
+    return dt * np.einsum("kcm,cm->k", Z, p)
+
+
+def _project_budget_cone(V, p, e, dt):
+    """Project every slice of the (k, cells, m) block V onto the uncapped
+    budget set {z >= 0 : <<p, z - e>> <= 0}.
+
+    A slice projects to max(0, v - lam p), where lam >= 0 is the root of
+    the convex, nonincreasing spend map s(lam) = <<p, max(0, v - lam p)>>
+    at the wealth <<p, e>>.  Newton's method from lam = 0, with the slope
+    taken over the components still positive, is Michelot's variable
+    fixing: on a convex map it never passes the root, so it settles after
+    finitely many steps, all slices at once.  It aims at a spend 1e-14 of
+    the wealth below the wealth and takes the first iterate that spends at
+    least half that margin less than the wealth, so no slice overspends
+    however its spend is summed: summing the cells * m terms in another
+    order moves the sum far less.  A step too small to move lam moves it
+    one ulp.  Running out of steps raises `NonConvergence`.
+    """
+    Z = np.maximum(V, 0.0)
+    wealth = dt * float(np.vdot(p, e))
+    spend = _spend(Z, p, dt)
+    todo = np.nonzero(spend > wealth)[0]
+    if todo.size == 0:
+        return Z
+    if wealth <= 1e-300:
+        # worthless endowment: every component with positive price must vanish
+        Z[todo] = np.where(p > 0, 0.0, Z[todo])
+        return Z
+    margin = 1e-14 * wealth
+    p2 = p * p
+    Vt, Zt, st = V[todo], Z[todo], spend[todo]
+    lam = np.zeros(todo.size)
+    for _ in range(_MAX_NEWTON):
+        # np.sign(Zt) is 1 on the components still positive and 0 elsewhere
+        step = (st - wealth + margin) / np.maximum(_spend(np.sign(Zt), p2, dt), 1e-300)
+        lam = np.maximum(lam + step, np.nextafter(lam, np.inf))
+        np.multiply(lam[:, None, None], p, out=Zt)
+        np.subtract(Vt, Zt, out=Zt)
+        np.maximum(Zt, 0.0, out=Zt)
+        st = _spend(Zt, p, dt)
+        done = st <= wealth - 0.5 * margin
+        Z[todo[done]] = Zt[done]
+        if done.all():
+            return Z
+        left = ~done
+        todo, lam, Vt, Zt, st = todo[left], lam[left], Vt[left], Zt[left], st[left]
+    raise NonConvergence(
+        f"budget-cone Newton iteration did not converge in {_MAX_NEWTON} steps",
+        last_iterate=Zt,
+        residuals={"budget_gap": float(np.max(st)) - wealth, "unsettled": int(todo.size)},
+    )
+
+
 def _canonical_parts(parts):
     """Split an intersection into (budget, capbox, rest) when the pattern fits."""
     budget = [p for p in parts if isinstance(p, BudgetHalfspace)]
@@ -373,6 +438,40 @@ def project_intersection(
     return x.with_values(_dykstra_values(x.values, tuple(parts), x.grid, tol, max_iter))
 
 
+def sample_feasible_blocks(
+    s: SetDescriptor,
+    center: np.ndarray,
+    grid: TimeGrid,
+    scale: float,
+    rng: np.random.Generator,
+    count: int,
+):
+    """Yield `count` feasible points as (k, cells, m) blocks: Gaussian noise
+    around the (cells, m) array `center`, drawn a block of at most
+    `_SAMPLE_CHUNK` elements at a time (the generator stream is that of
+    one draw per sample), then projected onto `s`.
+
+    The uncapped budget cone projects a whole block at once
+    (`_project_budget_cone`); every other set projects slice by slice with
+    `project_values`, so those samples are the ones a per-sample loop draws.
+    """
+    per = max(1, _SAMPLE_CHUNK // center.size)
+    budget = None
+    if isinstance(s, Intersection):
+        canon = _canonical_parts(s.parts)
+        if canon and not canon[2] and _cap_budgets(canon[1].caps, grid.dt) is None:
+            budget = canon[0]
+    for start in range(0, count, per):
+        block = rng.normal(0.0, scale, size=(min(per, count - start), *center.shape))
+        block += center
+        if budget is not None:
+            block = _project_budget_cone(block, budget.price.values, budget.endowment.values, grid.dt)
+        else:
+            for k, v in enumerate(block):
+                block[k] = project_values(v, s, grid)
+        yield block
+
+
 def sample_feasible(
     s: SetDescriptor,
     center: GridFunction,
@@ -380,9 +479,18 @@ def sample_feasible(
     rng: np.random.Generator,
     count: int,
 ) -> list[GridFunction]:
-    """Feasible points obtained by projecting Gaussian clouds around `center`."""
-    out = []
-    for _ in range(count):
-        noise = rng.normal(0.0, scale, size=center.values.shape)
-        out.append(project(center.with_values(center.values + noise), s))
-    return out
+    """Feasible points obtained by projecting Gaussian clouds around `center`.
+
+    The noise is drawn in blocks (`sample_feasible_blocks`); on every set
+    but the uncapped budget cone the points are bit for bit those of one
+    draw and one `project` per sample.
+    """
+    if isinstance(s, PointwiseSimplex):
+        wrap = partial(PriceCurve, center.grid)
+    else:
+        wrap = center.with_values
+    return [
+        wrap(y)
+        for block in sample_feasible_blocks(s, center.values, center.grid, scale, rng, count)
+        for y in block
+    ]

@@ -5,6 +5,12 @@ inequalities of a dynamic competitive equilibrium (per-agent optimality on
 the full budget set, market clearing in time integral, budget feasibility)
 from the raw pair (p, x).  Walras' law is reported but never gated, since
 satiated quadratic agents may legitimately leave wealth unspent.
+
+The sampled half of each best-response check works on arrays: the
+samples are drawn as (k, cells, m) blocks of a fixed element count, which
+bounds the memory a check takes, every block is projected onto the
+uncapped budget set at once by variable fixing, and the Minty values and
+utility comparisons are reductions over the block.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .sets import (
     SetDescriptor,
     membership_residual,
     sample_feasible,
+    sample_feasible_blocks,
 )
 from .vi import OperatorHandle, vi_residual
 
@@ -65,26 +72,35 @@ def best_response_residual(
     Combines the natural-map residual on the uncapped budget set with a
     sampled Minty check and direct utility comparisons against sampled
     feasible plans; all three vanish at an optimum, and the max is returned.
+    The samples are Gaussian noise around the plan, drawn in blocks of a
+    fixed element count (`sets._SAMPLE_CHUNK`, which bounds the memory a
+    block takes) and projected a block at a time by variable fixing
+    (`sets._project_budget_cone`); the Minty values and utilities of a
+    block are array reductions, one per sample.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     agent = eco.agents[i]
     M = full_budget_set(agent, p)
     feas = membership_residual(x_i, M)
     if feas > 1e-9:
         raise ValueError(f"candidate plan of agent {i} infeasible (residual {feas:.2e})")
 
-    op = agent_operator(agent)
-    nat = vi_residual(x_i, op, M, 1.0)
+    nat = vi_residual(x_i, agent_operator(agent), M, 1.0)
 
     rng = np.random.default_rng(seed)
     scale = 1.0 + norm(agent.endowment) + norm(x_i)
-    ys = sample_feasible(M, x_i, scale, rng, samples)
-    fx = op(x_i)
+    u, x, dt = agent.utility, x_i.values, x_i.grid.dt
     u_x = utility_value(agent, x_i)
     minty_viol = 0.0
     utility_gain = 0.0
-    for y in ys:
-        minty_viol = max(minty_viol, -inner_product(op(y), y - x_i) - 1e-9)
-        utility_gain = max(utility_gain, utility_value(agent, y) - u_x - 1e-8)
+    for ys in sample_feasible_blocks(M, x, x_i.grid, scale, rng, samples):
+        u.check_domain(ys)
+        # -<<F(y), y - x>> per sample, with F = -grad u the agent's operator
+        minty = dt * np.sum((u.cell_gradients(ys) * (ys - x)).reshape(len(ys), -1), axis=1)
+        gains = dt * np.sum(u.cell_values(ys), axis=1) - u_x
+        minty_viol = max(minty_viol, float(minty.max()) - 1e-9)
+        utility_gain = max(utility_gain, float(gains.max()) - 1e-8)
     return float(max(nat, minty_viol, utility_gain, 0.0))
 
 
@@ -107,6 +123,8 @@ def certify_equilibrium(
     inequalities at the stated tolerance on the sampled directions; no
     finite procedure certifies the continuum claim exactly.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     residuals = {}
     witness = None
 

@@ -10,6 +10,17 @@ import qvex
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def pytest_collection_modifyitems(config, items):
+    """Timing tests (those taking pytest-benchmark's `benchmark` fixture) run
+    only under --benchmark-only."""
+    if config.getoption("benchmark_only", default=False):
+        return
+    skip = pytest.mark.skip(reason="timing test; run with --benchmark-only")
+    for item in items:
+        if "benchmark" in getattr(item, "fixturenames", ()):
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def scenario_dir() -> Path:
     return SCENARIO_DIR

@@ -73,6 +73,26 @@ def test_logshift_utility_values():
         utility_value(a, GridFunction.constant(G, [-0.5]))
 
 
+def test_cell_values_take_blocks_of_plans():
+    g = make_grid(2.0, 5)
+    rng = np.random.default_rng(0)
+    bliss = GridFunction(g, rng.uniform(1.0, 2.0, (5, 3)))
+    specs = [Quadratic(bliss, (0.5, 1.0, 1.5)), LogShift((0.5, 1.0, 2.0), 1.0, 5)]
+    block = rng.uniform(0.0, 2.0, (4, 5, 3))
+    for spec in specs:
+        values = spec.cell_values(block)
+        assert values.shape == (4, 5)
+        for w, v in zip(block, values):
+            np.testing.assert_array_equal(v, spec.cell_values(w))
+    q = np.array([0.5, 1.0, 1.5])
+    expected = np.sum(bliss.values * block - 0.5 * q * block**2, axis=-1)
+    np.testing.assert_allclose(specs[0].cell_values(block), expected, rtol=1e-14)
+    expected = np.sum(np.array([0.5, 1.0, 2.0]) * np.log1p(block), axis=-1)
+    np.testing.assert_allclose(specs[1].cell_values(block), expected, rtol=1e-14)
+    with pytest.raises(DomainViolation):
+        specs[1].cell_values(-block)
+
+
 def test_quadratic_gradients():
     a = quad_agent([1.0])
     np.testing.assert_allclose(

@@ -24,7 +24,7 @@ from qvex import (
     project_pointwise_simplex,
 )
 from qvex.errors import DegenerateSet, NonConvergence
-from qvex.sets import _dykstra_values, _project_budget_capbox
+from qvex.sets import _dykstra_values, _project_budget_capbox, _project_budget_cone, _spend
 
 
 def grid1():
@@ -447,3 +447,96 @@ def test_sample_feasible_returns_members():
         center = project(GridFunction(g, rng.normal(size=(4, 2))), s)
         for y in qvex.sample_feasible(s, center, 2.0, rng, 20):
             assert membership_residual(y, s) <= 1e-9
+
+
+def test_sample_feasible_matches_per_sample_draws(monkeypatch):
+    # block draws give the generator stream of one draw per sample, and every
+    # set but the uncapped budget cone projects each slice as `project` does
+    rng, g, sets = _random_cases(25)
+    p, e = sets[1].price, sets[1].endowment
+    sets += [
+        Intersection((BudgetHalfspace(p, e), CapBox((1.3, 0.9)), Ball(1.5))),
+        Intersection((BudgetHalfspace(p, e), CapBox((np.inf, np.inf)))),
+    ]
+    center = GridFunction(g, rng.normal(size=(4, 2)))
+    for chunk in (qvex.sets._SAMPLE_CHUNK, 1):
+        monkeypatch.setattr(qvex.sets, "_SAMPLE_CHUNK", chunk)
+        for s in sets:
+            batched_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
+            batched = qvex.sample_feasible(s, center, 2.0, batched_rng, 30)
+            noises = [loop_rng.normal(0.0, 2.0, size=(4, 2)) for _ in range(30)]
+            loop = [project(center.with_values(center.values + n), s) for n in noises]
+            assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+            assert [type(y) for y in batched] == [type(y) for y in loop]
+            if s is sets[-1]:
+                for y, ref in zip(batched, loop):
+                    assert norm(y - ref) <= 1e-12 * (1.0 + norm(ref))
+                    assert inner_product(p, y - e) <= 0.0
+            else:
+                assert all(np.array_equal(y.values, ref.values) for y, ref in zip(batched, loop))
+
+
+# --- batched uncapped budget-cone kernel ---
+
+
+@st.composite
+def budget_cone_blocks(draw):
+    """Blocks of points to project onto one uncapped budget set, with zero
+    prices, zero-wealth endowments and magnitudes from 1e-6 to 1e6."""
+    cells = draw(st.sampled_from([1, 2, 16, 1024]))
+    goods = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    zero_prices = draw(st.booleans())
+    zero_wealth = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.random((cells, goods))
+    if zero_prices:
+        keep = np.argmax(p, axis=1)
+        p[rng.random(p.shape) < 0.4] = 0.0
+        p[np.arange(cells), keep] = 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    e = rng.random((cells, goods))
+    if zero_wealth:
+        e[p > 0] = 0.0
+    V = e + rng.normal(0.0, 2.0, size=(5, cells, goods)) + rng.uniform(0.0, 2.0)
+    return scale * V, p, scale * e
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(budget_cone_blocks())
+def test_budget_cone_property_matches_budget_capbox(problem):
+    V, p, e = problem
+    cells, goods = p.shape
+    g = make_grid(1.0, cells)
+    dt = g.dt
+    Z = _project_budget_cone(V, p, e, dt)
+    wealth = dt * float(np.vdot(p, e))
+    budget = BudgetHalfspace(GridFunction(g, p), GridFunction(g, e))
+
+    assert Z.min() >= 0.0
+    assert np.all(_spend(Z, p, dt) <= wealth)
+    rng = np.random.default_rng(0)
+    for v, z in zip(V, Z):
+        assert dt * float(np.vdot(p, z)) <= wealth
+        ref = _project_budget_capbox(v, p, e, (np.inf,) * goods, dt)
+        z_norm = np.sqrt(dt) * np.linalg.norm(z)
+        assert np.sqrt(dt) * np.linalg.norm(z - ref) <= 1e-12 * (1.0 + z_norm)
+        # the VI inequality of the projection at feasible points
+        zf = GridFunction(g, z)
+        s = Intersection((budget, CapBox((np.inf,) * goods)))
+        scale = 1.0 + np.sqrt(dt) * np.linalg.norm(v)
+        for y in [zf * 0.0, *qvex.sample_feasible(s, zf, scale, rng, 5)]:
+            assert inner_product(GridFunction(g, v) - zf, y - zf) <= 1e-9 * scale**2
+
+
+def test_budget_cone_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(qvex.sets, "_MAX_NEWTON", 1)
+    rng = np.random.default_rng(3)
+    p = rng.random((1024, 3))
+    p /= p.sum(axis=1, keepdims=True)
+    e = 0.2 + rng.random((1024, 3))
+    V = e + rng.normal(0.0, 3.0, size=(4, 1024, 3))
+    with pytest.raises(NonConvergence) as err:
+        _project_budget_cone(V, p, e, 1.0 / 1024)
+    assert err.value.last_iterate is not None
+    assert err.value.residuals["budget_gap"] > 0.0

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import qvex
+from corpus import make_planted_pair, make_random_economy
+from oracles import per_sample_best_response
 from qvex import (
     Agent,
     Ball,
@@ -170,6 +172,50 @@ def test_truncation_upgrade_capped_optima_pass_on_full_budget_set(
         for j in range(eco.goods):
             assert qvex.integrate_component(block, j) < caps[j] - 1e-6
         assert best_response_residual(eco, rep.price, block, i, seed=i) <= 1e-6
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_certify_rejects_a_sample_count_below_one(samples):
+    eco = two_agent_economy()
+    p = PriceCurve.uniform(G, 2)
+    plans = [a.endowment for a in eco.agents]
+    with pytest.raises(ValueError, match="at least one sample"):
+        certify_equilibrium(eco, p, plans, samples=samples)
+    with pytest.raises(ValueError, match="at least one sample"):
+        best_response_residual(eco, p, plans[0], 0, samples=samples)
+
+
+def _solved_corpus_pair(seed):
+    eco = make_random_economy(seed)
+    rep = solve_qvi(assemble_qvi(eco, default_caps(eco, 1.1)), QVIParams(seed=seed))
+    assert rep.converged
+    return eco, rep.price, rep.agent_allocations()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["corpus[3]", "corpus[6]", "corpus[9]", "planted-plans", "planted-endowments"],
+)
+def test_certify_matches_per_sample_reference(monkeypatch, case):
+    if case.startswith("corpus"):
+        eco, p, x = _solved_corpus_pair(int(case[7:-1]))
+    else:
+        eco, p, plans, endowments = make_planted_pair(3, 2, 1024, seed=5)
+        x = plans if case == "planted-plans" else endowments
+
+    def certify():
+        return certify_equilibrium(eco, p, x, tol=1e-6, samples=60, seed=11)
+
+    batched = certify()
+    monkeypatch.setattr(qvex.sets, "_SAMPLE_CHUNK", 1)
+    assert certify().residuals == batched.residuals
+    monkeypatch.setattr(qvex.verify, "best_response_residual", per_sample_best_response)
+    reference = certify()
+
+    assert batched.verdict == reference.verdict == (case != "planted-endowments")
+    assert batched.residuals.keys() == reference.residuals.keys()
+    for key, value in batched.residuals.items():
+        assert abs(value - reference.residuals[key]) <= 1e-12, key
 
 
 def test_clearing_walras_identity_when_budgets_bind(oracle_economy, oracle_problem, skewed_start):
