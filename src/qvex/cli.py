@@ -252,6 +252,8 @@ def _parse_radius_schedule(text):
         raise argparse.ArgumentTypeError(f"bad radius schedule {text!r}") from exc
     if not sched:
         raise argparse.ArgumentTypeError("empty radius schedule")
+    if not all(np.isfinite(r) and r > 0 for r in sched):
+        raise argparse.ArgumentTypeError(f"radii must be finite positive numbers, got {text!r}")
     return sched
 
 

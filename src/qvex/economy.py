@@ -12,6 +12,11 @@ as exact cell sums of u(t, x(t)).  Two families are built in:
 
 Raw log utilities (unshifted) violate the growth bound near zero and are
 deliberately not provided.
+
+Both families are separable with invertible gradients, so an agent's best
+response on the capped budget set has an exact KKT solution (`demand`):
+one monotone root for the budget multiplier and one per binding cap, the
+continuous nonlinear resource-allocation problem (Patriksson 2008).
 """
 
 from __future__ import annotations
@@ -21,12 +26,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainViolation
+from .errors import DomainViolation, NonConvergence
 from .grids import GridFunction, PriceCurve, TimeGrid, split_components
 from .qvi import QVIProblem
 from .reports import CertReport
-from .sets import BudgetHalfspace, CapBox, Intersection, PointwiseSimplex
+from .sets import (
+    BudgetHalfspace,
+    CapBox,
+    Intersection,
+    PointwiseSimplex,
+    _cap_budgets,
+    _multiplier_search,
+    _project_budget_capbox,
+)
 from .vi import OperatorHandle
+
+# Newton steps each cap multiplier search of `LogShift.demand` may take
+_MAX_CAP_NEWTON = 100
 
 
 class UtilitySpec:
@@ -35,7 +51,10 @@ class UtilitySpec:
     Implementations provide cellwise values/gradients for (cells, m)
     consumption arrays, and for (k, cells, m) blocks of them, reducing over
     the last axis, plus single-cell evaluation for the probes, and
-    declare the constants of their linear gradient growth bound.
+    declare the constants of their linear gradient growth bound.  A family
+    may also provide `demand`, its exact best response on a capped budget
+    set; `assemble_qvi` hands it to the solver when every agent's family
+    does.
     """
 
     def cell_values(self, w: np.ndarray) -> np.ndarray:
@@ -56,6 +75,13 @@ class UtilitySpec:
 
     def check_domain(self, w: np.ndarray) -> None:
         """Raise DomainViolation when w is outside the family's domain."""
+
+    def demand(self, p: np.ndarray, e: np.ndarray, caps, dt: float) -> np.ndarray:
+        """The maximizer of the time-integrated utility over the capped
+        budget set {x >= 0 : <<p, x - e>> <= 0, dt sum_k x_kj <= caps[j]},
+        as a (cells, m) array that never overspends.  Raises
+        `NonConvergence` when a multiplier search runs out."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -90,6 +116,11 @@ class Quadratic(UtilitySpec):
     def growth_constants(self):
         g = np.linalg.norm(self.bliss.values, axis=1)
         return max(self.weights), g
+
+    def demand(self, p, e, caps, dt):
+        # maximizing <b, x> - 0.5 <x, q x> is projecting b / q in the q-metric
+        q = np.asarray(self.weights)
+        return _project_budget_capbox(self.bliss.values / q, p, e, caps, dt, weights=q)
 
     def check_domain(self, w):
         pass
@@ -127,9 +158,91 @@ class LogShift(UtilitySpec):
         g = np.full(self.cells, sum(self.weights) / self.shift)
         return 0.0, g
 
+    def demand(self, p, e, caps, dt):
+        """x = max(0, a_j / (lam p + mu_j) - shift): lam from the multiplier
+        search of the budget projection, each mu_j from `_logshift_plan`.
+
+        Spend falls as lam grows.  At lam = 0 an uncapped good's demand is
+        unbounded, so with one the search starts instead from the lam at
+        which the uncapped goods alone, clamps ignored, spend the wealth.
+        """
+        a = np.asarray(self.weights)
+        budgets = _cap_budgets(caps, dt)
+        uncapped = np.ones(a.size, bool) if budgets is None else ~np.isfinite(budgets)
+        if np.any((p == 0) & uncapped):
+            raise NonConvergence(
+                "LogShift demand is unbounded: an uncapped good is free in some cell"
+            )
+        wealth = dt * float(np.vdot(p, e))
+        if wealth <= 1e-300:
+            # worthless endowment: every component with positive price must vanish
+            return _logshift_plan(np.where(p > 0, np.inf, 0.0), a, self.shift, budgets)
+        lo = 0.0
+        if uncapped.any():
+            pu = p[:, uncapped]
+            lo = dt * pu.shape[0] * a[uncapped].sum() / (wealth + dt * self.shift * pu.sum())
+        x = _logshift_plan(lo * p, a, self.shift, budgets)
+        spend = dt * float(np.vdot(p, x))
+        if spend <= wealth:
+            return x
+        # first trial: Newton on the spend with the cap multipliers held
+        slope = dt * float(np.vdot(p * p, np.where(x > 0, (x + self.shift) ** 2, 0.0) / a))
+        lam = lo + (spend - wealth) / max(slope, 1e-300)
+        return _multiplier_search(
+            lambda lam: _logshift_plan(lam * p, a, self.shift, budgets),
+            p, dt, wealth, lo, spend, lam,
+        )
+
     def check_domain(self, w):
         if np.min(w) < -1e-9:
             raise DomainViolation("LogShift utilities are defined for nonnegative consumption")
+
+
+def _logshift_plan(c, a, shift, budgets):
+    """The maximizer of sum_kj a_j log(shift + x_kj) - c_kj x_kj over the
+    capped cone, for nonnegative costs c (cells, m), possibly +inf.
+
+    x_kj = max(0, a_j / (c_kj + mu_j) - shift), with mu_j = 0 where the
+    cap of good j is slack.  Where it binds, mu_j is the root of the convex,
+    decreasing column sum S_j(mu) = sum_k x_kj at `budgets[j]`, found by
+    Newton's method from a lower bound, which never passes the root.  It
+    aims 1e-14 of the budget below the budget and takes the first iterate
+    at least half that margin below, so caps hold.  A step too small to
+    move mu moves it one ulp.  Running out of steps raises `NonConvergence`.
+    """
+    x = np.divide(a, c, out=np.full(c.shape, np.inf), where=c > 0)
+    np.maximum(x - shift, 0.0, out=x)
+    if budgets is None:
+        return x
+    idx = np.nonzero(x.sum(axis=0) > budgets)[0]
+    if idx.size == 0:
+        return x
+    C, A, B = c[:, idx], a[idx], budgets[idx]
+    # S_j >= cap at both bounds: every term is at least a / (max c + mu) - shift,
+    # and the zero-cost cells alone reach the cap at the second
+    mu = np.maximum(A / (shift + B / C.shape[0]) - C.max(axis=0), 0.0)
+    free = np.count_nonzero(C == 0, axis=0)
+    mu = np.where(free > 0, np.maximum(mu, A / (shift + B / np.maximum(free, 1))), mu)
+    margin = 1e-14 * B
+    for _ in range(_MAX_CAP_NEWTON):
+        r = A / (C + mu)
+        X = np.maximum(r - shift, 0.0)
+        S = X.sum(axis=0)
+        done = S <= B - 0.5 * margin
+        x[:, idx[done]] = X[:, done]
+        if done.all():
+            return x
+        left = ~done
+        idx, C, A, B, margin = idx[left], C[:, left], A[left], B[left], margin[left]
+        r, X, S, mu = r[:, left], X[:, left], S[left], mu[left]
+        # -S_j'(mu) is the sum over the positive terms of a / (c + mu)^2
+        slope = np.where(X > 0, r * r, 0.0).sum(axis=0) / A
+        mu = np.maximum(mu + (S - B + margin) / np.maximum(slope, 1e-300), np.nextafter(mu, np.inf))
+    raise NonConvergence(
+        f"LogShift cap multiplier search did not converge in {_MAX_CAP_NEWTON} steps",
+        last_iterate=x,
+        residuals={"cap_gap": float(np.max(S - B)), "unsettled": int(idx.size)},
+    )
 
 
 @dataclass(frozen=True)
@@ -221,6 +334,7 @@ def assemble_qvi(eco: Economy, caps: Sequence[float]) -> QVIProblem:
         )
     cap_box = CapBox(tuple(caps))
     endowments = [a.endowment for a in eco.agents]
+    specs = [a.utility for a in eco.agents]
 
     def constraint_map(p: PriceCurve) -> list:
         return [Intersection((BudgetHalfspace(p, e), cap_box)) for e in endowments]
@@ -230,6 +344,11 @@ def assemble_qvi(eco: Economy, caps: Sequence[float]) -> QVIProblem:
         total = sum((e.values - b.values) for e, b in zip(endowments, blocks))
         return GridFunction(eco.grid, total)
 
+    def demand(i: int, p: PriceCurve) -> np.ndarray:
+        return specs[i].demand(p.values, endowments[i].values, caps, eco.grid.dt)
+
+    # a family that keeps the base method has no closed form
+    exact = all(type(s).demand is not UtilitySpec.demand for s in specs)
     return QVIProblem(
         price_set=PointwiseSimplex(),
         constraint_map=constraint_map,
@@ -239,6 +358,7 @@ def assemble_qvi(eco: Economy, caps: Sequence[float]) -> QVIProblem:
         goods=eco.goods,
         warm_starts=endowments,
         caps=tuple(caps),
+        demand=demand if exact else None,
     )
 
 

@@ -5,12 +5,16 @@ outer map f).
 `solve_qvi` follows the reduction of the problem to a price-space VI:
 evaluate the inner best responses x(d) on K(d), then move prices by a
 projected step against h(d) = f(x(d)) (tatonnement: prices rise where
-excess demand is positive).  The price step s starts at `OUTER_STEP0`
-and then follows the rule of Malitsky & Mishchenko (2020),
+excess demand is positive).  A problem with an exact demand map (economies
+of the built-in utility families) takes each best response from it; other
+problems, and every truncated solve, run extragradient on the inner VIs.
+Either way each inner solution is certified by its natural-map residual.
+The price step s starts at `OUTER_STEP0` and then follows the rule of
+Malitsky & Mishchenko (2020),
     s <- min(sqrt(1 + theta) s, OUTER_STEP_SAFETY ||d - d_prev|| / ||h - h_prev||)
 with theta the ratio of the last two steps, so it needs no setting.
-Each inner solve runs to a tolerance tied to the last outer residual and
-split over the agents, since excess demand sums their errors.
+Each inner solution must certify at a tolerance tied to the last outer
+residual and split over the agents, since excess demand sums their errors.
 `solve_qvi_product` is an independent cross-check that runs one
 extragradient iteration on the stacked (price, allocation) pair with the
 constraint set frozen at the current price each step; its step shrinks by
@@ -34,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InnerSolveFailure
+from .errors import InnerSolveFailure, NonConvergence
 from .grids import GridFunction, PriceCurve, TimeGrid, norm, split_components, stack_components
 from .reports import CertReport
 from .sets import (
@@ -88,7 +92,10 @@ class QVIProblem:
     agent; `agent_operators` are the diagonal blocks of the stacked
     operator; `outer_map` sends a stacked allocation to a price-space
     direction.  `warm_starts` must be feasible for every price the map can
-    produce (probed on construction at the uniform price).
+    produce (probed on construction at the uniform price).  `demand`, when
+    given, is an exact inner solver: `demand(i, d)` returns the values of
+    agent i's solution on K_i(d) and raises `NonConvergence` when its
+    search runs out; without it the inner VIs are solved by extragradient.
     """
 
     price_set: SetDescriptor
@@ -99,6 +106,7 @@ class QVIProblem:
     goods: int
     warm_starts: list
     caps: Optional[tuple] = None
+    demand: Optional[Callable[[int, PriceCurve], np.ndarray]] = None
 
     def __post_init__(self):
         if len(self.agent_operators) != len(self.warm_starts):
@@ -167,25 +175,40 @@ def _agent_steps(prob: QVIProblem, params: QVIParams) -> list:
 def _best_responses(d, prob, params, tol, steps=None, starts=None):
     """Solve all inner VIs on K(d); returns (blocks, reports, gauge residuals).
 
+    With an exact demand map each agent's block is its demand, and a demand
+    search that runs out leaves the agent's start with residual inf; the
+    reports are then empty.  Otherwise each block comes from extragradient.
     `starts` overrides the warm starts; the inner operators are strictly
     monotone for the supported utility families, so the certified limit is
     the same from any start and a continuation start only buys speed.
     Residuals above `tol` are returned, not raised: the caller decides.
     """
     sets = prob.constraint_map(d)
-    steps = steps if steps is not None else _agent_steps(prob, params)
     starts = starts if starts is not None else prob.warm_starts
-    reports = [
-        solve_vi_extragradient(op, s, x0, step=step, tol=tol, max_iter=params.max_inner)
-        for op, s, x0, step in zip(prob.agent_operators, sets, starts, steps)
-    ]
+    failed = set()
+    if prob.demand is None:
+        steps = steps if steps is not None else _agent_steps(prob, params)
+        reports = [
+            solve_vi_extragradient(op, s, x0, step=step, tol=tol, max_iter=params.max_inner)
+            for op, s, x0, step in zip(prob.agent_operators, sets, starts, steps)
+        ]
+        blocks = [rep.solution for rep in reports]
+    else:
+        reports, blocks = [], []
+        for i, x0 in enumerate(starts):
+            try:
+                blocks.append(x0.with_values(prob.demand(i, d)))
+            except NonConvergence as exc:
+                logger.debug("demand of agent %d: %s", i, exc)
+                blocks.append(x0)
+                failed.add(i)
     inner_res = np.array(
         [
-            vi_residual(rep.solution, op, s, RESIDUAL_GAUGE)
-            for rep, op, s in zip(reports, prob.agent_operators, sets)
+            np.inf if i in failed else vi_residual(x, op, s, RESIDUAL_GAUGE)
+            for i, (x, op, s) in enumerate(zip(blocks, prob.agent_operators, sets))
         ]
     )
-    return [rep.solution for rep in reports], reports, inner_res
+    return blocks, reports, inner_res
 
 
 def agent_best_responses(d: PriceCurve, prob: QVIProblem, params: QVIParams) -> GridFunction:
@@ -226,13 +249,14 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     to certify ends the run with converged=False and the best certified
     pair so far (the failing iteration's own pair if none certified yet).
     Each outer iteration logs one DEBUG record: k, residual, price step,
-    effective inner tolerance and the agents' extragradient iterations.
+    effective inner tolerance and the agents' extragradient iterations
+    (0 on exact demand).
     """
     params = params or QVIParams()
     if params.max_outer < 1:
         raise ValueError("outer iteration budget must be positive")
     d = params.start_price or PriceCurve.uniform(prob.grid, prob.goods)
-    steps = _agent_steps(prob, params)
+    steps = _agent_steps(prob, params) if prob.demand is None else None
     sigma, theta = OUTER_STEP0, np.inf
 
     history = []
@@ -374,6 +398,9 @@ def solve_qvi_truncated(
     """
     params = params or QVIParams()
     radii = list(radii) if radii is not None else default_radius_schedule(prob)
+    # bool is an int subclass, so `True` would otherwise pass as radius 1
+    if any(isinstance(r, bool) or not (np.isfinite(r) and r > 0) for r in radii):
+        raise ValueError(f"radii must be finite positive numbers, got {radii}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radius schedule must be strictly increasing")
 
@@ -390,7 +417,9 @@ def solve_qvi_truncated(
         for i, s in enumerate(trunc_map(probe_price)):
             if membership_residual(project(warm[i], s), s) > 1e-8:
                 raise ValueError(f"truncated set of agent {i} appears empty at radius {r}")
-        sub = replace(prob, constraint_map=trunc_map, warm_starts=warm)
+        # the exact demand map knows no ball, so the truncated inner VIs run
+        # on extragradient
+        sub = replace(prob, constraint_map=trunc_map, warm_starts=warm, demand=None)
         report = solve_qvi(sub, params)
         last = report
         if report.converged and check_truncation_interior(report, r):

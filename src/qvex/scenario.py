@@ -270,13 +270,14 @@ def parse_scenario(mapping: dict) -> Scenario:
             _integer(kwargs[key], f"scenario.solver.{key}", lowest)
     if kwargs.get("radius_schedule") is not None:
         sched = kwargs["radius_schedule"]
-        if not isinstance(sched, list) or any(
-            not isinstance(r, (int, float)) or r <= 0 for r in sched
-        ):
+        if not isinstance(sched, list):
             raise ScenarioError("scenario.solver.radius_schedule: need a list of positive reals")
+        sched = [
+            _positive_real(r, f"scenario.solver.radius_schedule[{i}]") for i, r in enumerate(sched)
+        ]
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ScenarioError("scenario.solver.radius_schedule: must be strictly increasing")
-        kwargs["radius_schedule"] = tuple(float(r) for r in sched)
+        kwargs["radius_schedule"] = tuple(sched)
     solver = SolverConfig(**kwargs)
 
     return Scenario(

@@ -163,45 +163,35 @@ def _ball_values(v: np.ndarray, radius: float, center: tuple, dt: float) -> np.n
     return c + d * (radius / r)
 
 
-# evaluations the budget multiplier search may spend before it gives up
+# evaluations a budget multiplier search may spend before it gives up
 _MAX_SEARCH = 200
 
 
-def _project_budget_capbox(v, p, e, caps, dt):
-    """Exact projection onto {z in capbox : <<p, z - e>> <= 0}.
+def _multiplier_search(evaluate, p, dt, wealth, lo, spend, lam):
+    """Find the budget multiplier of a family of plans z(lam) = evaluate(lam)
+    whose spend <<p, z(lam)>> does not increase with lam.
 
-    The budget multiplier is the root of the nonincreasing piecewise-linear
-    map g(lam) = <<p, P_capbox(v - lam p) - e>>; each evaluation is one
-    capped-cone projection (`_water_fill`).  The first trial is g(0) over
-    the slope g would have if no cap bound.  Until g changes sign, the next
-    trial is the secant step through the last two points, never more than
-    doubling lam.  Inside the bracket the search runs Illinois regula falsi:
-    when the same end survives two steps in a row, its stored value is
-    halved, so neither end stalls.  The search accepts a point that spends
-    between 1 - 2e-15 and 1 times the wealth, or stops when the bracket is
-    a few ulps wide and takes its upper end, so the result never
-    overspends.  Running out of evaluations raises `NonConvergence`.
+    `lo` is a multiplier that overspends (`spend` is its spend, above the
+    positive `wealth`), and `lam` > `lo` the first trial.  Until the spend
+    crosses the wealth, the next trial is the secant step through the last
+    two points, never more than doubling lam.  Inside the bracket the search
+    runs Illinois regula falsi: when the same end survives two steps in a
+    row, its stored value is halved, so neither end stalls.  The search
+    accepts a plan that spends between 1 - 2e-15 and 1 times the wealth, or
+    stops when the bracket is a few ulps wide and takes its upper end, so
+    the result never overspends.  Running out of evaluations raises
+    `NonConvergence`.
     """
-    budgets = _cap_budgets(caps, dt)
-    z = _water_fill(v, budgets)
-    wealth = dt * float(np.vdot(p, e))
-    spend = dt * float(np.vdot(p, z))
-    if spend <= wealth:
-        return z
-    if wealth <= 1e-300:
-        # worthless endowment: every component with positive price must vanish
-        return _water_fill(np.where(p > 0, np.minimum(v, 0.0), v), budgets)
     # accept a point that spends at most tol less than the wealth; the
     # search aims at the middle of that window, so g below is measured from
     # there, with g(lo) > 0 > g(hi)
     tol = 2e-15 * wealth
     target = wealth - 0.5 * tol
-    lo, glo = 0.0, spend - target
+    glo = spend - target
     hi = ghi = zhi = None
     kept = 0  # +1 when lo survived the last bracket step, -1 when hi did
-    lam = (spend - wealth) / max(dt * float(np.vdot(p * p, z > 0)), 1e-300)
     for _ in range(_MAX_SEARCH):
-        zl = _water_fill(v - lam * p, budgets)
+        zl = evaluate(lam)
         spend = dt * float(np.vdot(p, zl))
         if wealth - tol <= spend <= wealth:
             return zl
@@ -232,6 +222,34 @@ def _project_budget_capbox(v, p, e, caps, dt):
             "budget_gap": spend - wealth,
             "bracket_width": np.inf if hi is None else hi - lo,
         },
+    )
+
+
+def _project_budget_capbox(v, p, e, caps, dt, weights=None):
+    """Exact projection onto {z in capbox : <<p, z - e>> <= 0}.
+
+    With per-good `weights` w the projection is taken in the metric
+    sum_j w_j ||z_j - v_j||^2 instead.  The budget multiplier is the root
+    of the nonincreasing piecewise-linear map
+    g(lam) = <<p, P_capbox(v - lam p / w) - e>>; each evaluation is one
+    capped-cone projection (`_water_fill`; the weights are constant per
+    good, so it ignores them).  The first trial is g(0) over the slope g
+    would have if no cap bound, and `_multiplier_search` finds the root, so
+    the result never overspends.
+    """
+    budgets = _cap_budgets(caps, dt)
+    z = _water_fill(v, budgets)
+    wealth = dt * float(np.vdot(p, e))
+    spend = dt * float(np.vdot(p, z))
+    if spend <= wealth:
+        return z
+    if wealth <= 1e-300:
+        # worthless endowment: every component with positive price must vanish
+        return _water_fill(np.where(p > 0, np.minimum(v, 0.0), v), budgets)
+    d = p if weights is None else p / weights
+    lam = (spend - wealth) / max(dt * float(np.vdot(p * d, z > 0)), 1e-300)
+    return _multiplier_search(
+        lambda lam: _water_fill(v - lam * d, budgets), p, dt, wealth, 0.0, spend, lam
     )
 
 

@@ -1,16 +1,24 @@
-"""Opt-in timing of equilibrium certification with pytest-benchmark.
+"""Opt-in timings with pytest-benchmark: equilibrium certification, and the
+two-level solve of the 32-agent ladder economy on exact demand.
 
-A plain test run skips it (see conftest.py); run it with
+A plain test run skips them (see conftest.py); run them with
 `PYTHONPATH=src python -m pytest tests/test_bench.py --benchmark-only`.
 """
 
 from __future__ import annotations
 
-from corpus import make_planted_pair
-from qvex import certify_equilibrium
+from corpus import make_agent_ladder_economy, make_planted_pair
+from qvex import QVIParams, assemble_qvi, certify_equilibrium, default_caps, solve_qvi
 
 
 def test_bench_certify_planted_8x2x1024(benchmark):
     eco, price, plans, _ = make_planted_pair(8, 2, 1024, seed=0)
     cert = benchmark(certify_equilibrium, eco, price, plans, tol=1e-6, seed=0)
     assert cert.verdict
+
+
+def test_bench_solve_agent_ladder_32(benchmark):
+    eco = make_agent_ladder_economy(32)
+    prob = assemble_qvi(eco, default_caps(eco, 1.1))
+    rep = benchmark(solve_qvi, prob, QVIParams())
+    assert rep.converged

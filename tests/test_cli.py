@@ -1,9 +1,13 @@
+import argparse
 import csv
+from dataclasses import replace
 
 import numpy as np
+import pytest
 import yaml
 
-from qvex.cli import main
+import qvex
+from qvex.cli import _parse_radius_schedule, main
 
 
 def run(args):
@@ -51,7 +55,13 @@ def test_solve_nonconvergent_budget_exits_nonzero(scenario_dir, tmp_path):
     assert (out / "prices.csv").exists()  # best iterate still written
 
 
-def test_solve_inner_failure_still_writes_files(scenario_dir, tmp_path):
+def test_solve_inner_failure_still_writes_files(scenario_dir, tmp_path, monkeypatch):
+    # starve the extragradient inner solves, which run when the problem
+    # carries no exact demand map
+    assemble = qvex.cli.assemble_qvi
+    monkeypatch.setattr(
+        qvex.cli, "assemble_qvi", lambda eco, caps: replace(assemble(eco, caps), demand=None)
+    )
     scn = yaml.safe_load((scenario_dir / "sinusoid_seasonal.yaml").read_text())
     scn["solver"]["max_inner"] = 5
     path = tmp_path / "starved.yaml"
@@ -63,6 +73,18 @@ def test_solve_inner_failure_still_writes_files(scenario_dir, tmp_path):
     report = (out / "report.txt").read_text()
     assert "converged: False" in report
     assert "failed to certify" in report
+
+
+def test_solve_demand_failure_still_writes_files(scenario_dir, tmp_path, monkeypatch):
+    # one Newton step cannot settle the binding LogShift caps at lam = 0
+    monkeypatch.setattr(qvex.economy, "_MAX_CAP_NEWTON", 1)
+    out = tmp_path / "run"
+    assert run(["solve", "--scenario", scenario_dir / "sinusoid_seasonal.yaml", "--out", out]) == 1
+    for name in ("report.txt", "prices.csv", "allocations.csv"):
+        assert (out / name).is_file()
+    report = (out / "report.txt").read_text()
+    assert "converged: False" in report
+    assert "failed to certify" in report and "agents [0, 1]" in report
 
 
 def test_csv_determinism(scenario_dir, tmp_path):
@@ -179,6 +201,29 @@ def test_solve_with_radius_schedule(scenario_dir, tmp_path):
     )
     assert code == 0
     assert "truncation_radius_used: 50.0" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("text", ["nan,50", "10,inf", "-1,2", "0"])
+def test_radius_schedule_option_needs_finite_positive_radii(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="finite positive"):
+        _parse_radius_schedule(text)
+
+
+def test_solve_rejects_a_nan_radius_as_a_usage_error(scenario_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(
+            [
+                "solve",
+                "--scenario",
+                scenario_dir / "oracle_cd_quad.yaml",
+                "--out",
+                tmp_path / "run",
+                "--radius-schedule",
+                "nan,50",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "finite positive" in capsys.readouterr().err
 
 
 def test_echo_scenario_round_trip(scenario_dir, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qvex
 from qvex import (
@@ -15,12 +17,17 @@ from qvex import (
     inner_product,
     make_grid,
     membership_residual,
+    norm,
+    project,
+    solve_vi_extragradient,
     survivability_check,
     utility_gradient,
     utility_value,
+    vi_residual,
 )
-from qvex.economy import UtilitySpec
-from qvex.errors import DomainViolation
+from qvex.economy import UtilitySpec, agent_operator
+from qvex.errors import DomainViolation, NonConvergence
+from qvex.sets import BudgetHalfspace, CapBox, Intersection
 
 G = make_grid(1.0, 1)
 
@@ -259,3 +266,92 @@ def test_economy_validation():
         Economy(g, 1, ())
     with pytest.raises(ValueError):
         Agent(GridFunction.constant(g, [-0.1]), LogShift((1.0,), 1.0, 2))
+
+
+def test_assemble_attaches_demand_only_when_every_family_has_one(oracle_economy):
+    eco, caps = oracle_economy
+    prob = assemble_qvi(eco, caps)
+    d = qvex.PriceCurve.uniform(eco.grid, 2)
+    for i, s in enumerate(prob.constraint_map(d)):
+        x = GridFunction(eco.grid, prob.demand(i, d))
+        assert vi_residual(x, prob.agent_operators[i], s, 1.0) <= 1e-14
+    mixed = Economy(eco.grid, 2, (eco.agents[0], Agent(eco.agents[1].endowment, PowerUtility(2))))
+    assert assemble_qvi(mixed, caps).demand is None
+
+
+@st.composite
+def demand_problems(draw):
+    """An agent of either family on a capped budget set, with zero-price
+    cells, zero and worthless endowments, partly infinite caps and
+    magnitudes from 1e-6 to 1e6 (bliss, weights, shift, endowment and caps
+    all scale, so the demand scales with them)."""
+    cells = draw(st.sampled_from([1, 16, 256]))
+    goods = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    capped = draw(st.lists(st.booleans(), min_size=goods, max_size=goods))
+    zero_prices = draw(st.booleans())
+    endowment = draw(st.sampled_from(["positive", "partly zero", "zero"]))
+    quadratic = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = make_grid(1.0, cells)
+    p = rng.random((cells, goods))
+    if zero_prices:
+        keep = np.argmax(p, axis=1)
+        p[rng.random(p.shape) < 0.4] = 0.0
+        p[np.arange(cells), keep] = 1.0  # each cell stays on the simplex
+    p /= p.sum(axis=1, keepdims=True)
+    e = rng.random((cells, goods))
+    if endowment == "partly zero":
+        e[rng.random(e.shape) < 0.5] = 0.0
+    elif endowment == "zero":
+        e[:] = 0.0
+    caps = tuple(scale * rng.uniform(0.1, 2.0) if c else np.inf for c in capped)
+    if quadratic:
+        q = 0.5 + rng.random(goods)
+        bliss = GridFunction(grid, scale * q * rng.normal(1.0, 1.0, (cells, goods)))
+        spec = Quadratic(bliss, tuple(q))
+    else:
+        a = scale * (0.5 + 1.5 * rng.random(goods))
+        spec = LogShift(tuple(a), scale * 10.0 ** rng.uniform(-1.0, 1.0), cells)
+    return Agent(GridFunction(grid, scale * e), spec), p, caps, scale
+
+
+def _moduli(spec, *plans):
+    """(mu, L): strong monotonicity and Lipschitz moduli of -grad u on the
+    box of the given plans."""
+    if isinstance(spec, Quadratic):
+        return min(spec.weights), max(spec.weights)
+    a = np.asarray(spec.weights)
+    top = max(float(x.values.max()) for x in plans)
+    return float(np.min(a / (spec.shift + top) ** 2)), float(np.max(a / spec.shift**2))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(demand_problems())
+def test_demand_property_matches_extragradient(problem):
+    agent, p, caps, scale = problem
+    e, spec = agent.endowment, agent.utility
+    grid = e.grid
+    if isinstance(spec, LogShift) and np.any((p == 0) & ~np.isfinite(caps)):
+        # an uncapped free good: utility grows without bound, so no demand
+        with pytest.raises(NonConvergence, match="unbounded"):
+            spec.demand(p, e.values, caps, grid.dt)
+        return
+    x = GridFunction(grid, spec.demand(p, e.values, caps, grid.dt))
+    K = Intersection((BudgetHalfspace(GridFunction(grid, p), e), CapBox(caps)))
+    op = agent_operator(agent)
+
+    assert x.values.min() >= 0.0
+    # never overspends, measured as the kernels measure it
+    assert grid.dt * float(np.vdot(p, x.values)) <= grid.dt * float(np.vdot(p, e.values))
+    assert membership_residual(x, CapBox(caps)) <= 1e-12 * scale
+    res = vi_residual(x, op, K, 1.0)
+    assert res <= 1e-10 * (1.0 + norm(x))
+
+    rep = solve_vi_extragradient(op, K, project(e, K), tol=1e-10 * (1.0 + norm(x)), max_iter=300)
+    if not rep.converged:
+        return
+    # the natural-map error bound ||z - x*|| <= (1 + L) / mu ||R(z)|| at unit step
+    mu, lip = _moduli(spec, x, rep.solution)
+    res_eg = vi_residual(rep.solution, op, K, 1.0)
+    assert norm(rep.solution - x) <= 1.01 * (1.0 + lip) / mu * (res_eg + res) + 1e-300

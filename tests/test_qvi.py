@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from qvex import (
     stack_components,
     vi_residual,
 )
-from qvex.errors import InnerSolveFailure
+from qvex.errors import InnerSolveFailure, NonConvergence
 from qvex.qvi import RESIDUAL_GAUGE
 
 
@@ -87,9 +88,10 @@ def test_best_response_rejects_infeasible_price():
 
 
 def test_best_response_inner_failure_lists_agents():
-    # bliss away from the warm start: two iterations cannot reach tolerance
+    # bliss away from the warm start: two extragradient iterations cannot
+    # reach tolerance (without the exact demand map they solve the inner VIs)
     eco = bliss_inside_economy()
-    prob = assemble_qvi(eco, default_caps(eco, 1.1))
+    prob = replace(assemble_qvi(eco, default_caps(eco, 1.1)), demand=None)
     d = PriceCurve.uniform(eco.grid, 2)
     with pytest.raises(InnerSolveFailure) as err:
         agent_best_responses(d, prob, QVIParams(max_inner=2, inner_tol=1e-12))
@@ -206,7 +208,9 @@ def test_solver_determinism(oracle_problem, skewed_start):
 
 
 def test_inner_failure_returns_a_pair_instead_of_raising(oracle_problem, skewed_start):
-    # two inner iterations cannot certify even the first, loose inner solve
+    # without the exact demand map the inner VIs run on extragradient, and
+    # two of its iterations cannot certify even the first, loose inner solve
+    oracle_problem = replace(oracle_problem, demand=None)
     rep = solve_qvi(oracle_problem, QVIParams(start_price=skewed_start, max_inner=2))
     assert not rep.converged and rep.iterations == 1
     assert "failed to certify" in rep.message and "agents [0]" in rep.message
@@ -255,7 +259,79 @@ def test_many_agents_converge_in_few_outer_iterations():
     assert cert.verdict, cert.residuals
 
 
+def test_demand_failure_ends_the_solve_with_the_warm_start_pair(monkeypatch):
+    # one Newton step: at lam = 0 every LogShift cap binds, and the cap
+    # search starts where the spend equals the cap, short of its margin
+    monkeypatch.setattr(qvex.economy, "_MAX_CAP_NEWTON", 1)
+    eco = symmetric_economy()
+    prob = assemble_qvi(eco, default_caps(eco, 1.1))
+    d = PriceCurve.uniform(eco.grid, 2)
+    with pytest.raises(InnerSolveFailure) as err:
+        agent_best_responses(d, prob, QVIParams())
+    assert err.value.failed_agents == (0, 1)
+
+    rep = solve_qvi(prob, QVIParams())
+    assert not rep.converged and rep.iterations == 1
+    assert "failed to certify" in rep.message and "agents [0, 1]" in rep.message
+    assert np.all(np.isinf(rep.inner_residuals))
+    np.testing.assert_array_equal(
+        rep.allocation.values, stack_components(prob.warm_starts).values
+    )
+
+
+def test_demand_failure_keeps_the_best_certified_pair(oracle_problem, skewed_start):
+    # agent 1's demand fails from the fourth outer iteration on
+    calls = []
+
+    def flaky(i, d):
+        calls.append(i)
+        if len(calls) > 6 and i == 1:
+            raise NonConvergence("search budget exhausted")
+        return oracle_problem.demand(i, d)
+
+    rep = solve_qvi(replace(oracle_problem, demand=flaky), QVIParams(start_price=skewed_start))
+    assert not rep.converged and rep.iterations == 4
+    assert "failed to certify" in rep.message and "agents [1]" in rep.message
+    assert rep.outer_residual == rep.residual_history[:-1].min()
+    assert np.all(rep.inner_residuals <= 1e-12)
+
+
+def test_agent_ladder_solves_on_exact_demand_alone(monkeypatch):
+    # every inner VI of an economy is answered by exact demand; on
+    # extragradient this solve takes about 40 s
+    def no_extragradient(*args, **kwargs):
+        raise AssertionError("extragradient called on an economy with exact demand")
+
+    monkeypatch.setattr(qvex.qvi, "solve_vi_extragradient", no_extragradient)
+    eco = make_agent_ladder_economy(32)
+    rep = solve_qvi(assemble_qvi(eco, default_caps(eco, 1.1)), QVIParams())
+    assert rep.converged and rep.iterations <= 40
+    cert = certify_equilibrium(eco, rep.price, rep.agent_allocations(), tol=1e-6, seed=0)
+    assert cert.verdict, cert.residuals
+
+
 # --- truncated solves ---
+
+
+def test_truncated_solve_runs_extragradient(oracle_problem, monkeypatch):
+    # the exact demand map knows nothing of the ball, so the truncated
+    # solve must not use it
+    calls = []
+    solve = qvex.qvi.solve_vi_extragradient
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(qvex.qvi, "solve_vi_extragradient", counting)
+    rep = solve_qvi_truncated(oracle_problem, [50.0, 100.0])
+    assert rep.converged and rep.truncation_radius_used == 50.0 and calls
+
+
+@pytest.mark.parametrize("radii", [[True, 2.0], [float("nan"), 50.0], [50.0, float("inf")]])
+def test_truncation_rejects_radii_that_are_not_finite_positive_numbers(oracle_problem, radii):
+    with pytest.raises(ValueError, match="finite positive"):
+        solve_qvi_truncated(oracle_problem, radii)
 
 
 def test_truncation_exhausted_keeps_inner_failure_message(oracle_problem):

@@ -121,6 +121,15 @@ def test_radius_schedule_validation(tmp_path):
     assert load_scenario(write(tmp_path, ok)).solver.radius_schedule == (1.0, 2.0, 4.0)
 
 
+@pytest.mark.parametrize(
+    "sched", [[True, 2.0], [float("nan"), 50.0], [1.0, float("inf")], [-1.0, 2.0], "5"]
+)
+def test_radius_schedule_entries_must_be_finite_positive_numbers(tmp_path, sched):
+    bad = {**MINIMAL, "solver": {"radius_schedule": sched}}
+    with pytest.raises(ScenarioError, match="radius_schedule"):
+        load_scenario(write(tmp_path, bad))
+
+
 def test_echo_round_trip(tmp_path):
     scn = parse_scenario(MINIMAL)
     echoed = tmp_path / "echo.yaml"
