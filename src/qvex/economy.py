@@ -190,7 +190,8 @@ class LogShift(UtilitySpec):
         lam = lo + (spend - wealth) / max(slope, 1e-300)
         return _multiplier_search(
             lambda lam: _logshift_plan(lam * p, a, self.shift, budgets),
-            p, dt, wealth, lo, spend, lam,
+            lambda x: dt * float(np.vdot(p, x)),
+            wealth, lo, spend, lam,
         )
 
     def check_domain(self, w):

@@ -5,6 +5,8 @@ descriptor kind.  All projections are metric projections in the L2 geometry
 of the grid.  Because the grid is uniform, the dt weight cancels from every
 cellwise projection, so the per-cell rules coincide with plain Euclidean
 ones; only integral constraints (budget, caps, ball) see dt explicitly.
+Every projection `project` takes is exact; Dykstra's alternation
+(`project_intersection`) is the reference the tests check them against.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ import numpy as np
 from .errors import DegenerateSet, NonConvergence
 from .grids import GridFunction, PriceCurve, TimeGrid
 
-#: stop test and sweep budget of Dykstra's alternation over `Intersection` parts
-DYKSTRA_TOL = 1e-10
-DYKSTRA_MAX_ITER = 10000
 #: elements (samples x cells x goods) that `sample_feasible` and the
 #: certificate draw and project as one block; bounds their temporaries
 _SAMPLE_CHUNK = 2**14
@@ -80,7 +79,11 @@ class Ball(SetDescriptor):
 
 @dataclass(frozen=True)
 class Intersection(SetDescriptor):
-    """Intersection of the listed parts, projected by Dykstra's alternation."""
+    """Intersection of the listed parts.
+
+    `project` solves one budget set, one capped cone and at most one ball
+    centered at 0 exactly; `project_intersection` takes any parts.
+    """
 
     parts: tuple
 
@@ -167,35 +170,36 @@ def _ball_values(v: np.ndarray, radius: float, center: tuple, dt: float) -> np.n
 _MAX_SEARCH = 200
 
 
-def _multiplier_search(evaluate, p, dt, wealth, lo, spend, lam):
-    """Find the budget multiplier of a family of plans z(lam) = evaluate(lam)
-    whose spend <<p, z(lam)>> does not increase with lam.
+def _multiplier_search(evaluate, measure, bound, lo, size, lam):
+    """Find the multiplier of a family of points z(lam) = evaluate(lam)
+    whose `measure(z(lam))` does not increase with lam, at the positive
+    `bound`: a budget multiplier (measure the spend, bound the wealth) or a
+    ball multiplier (measure the norm, bound the radius).
 
-    `lo` is a multiplier that overspends (`spend` is its spend, above the
-    positive `wealth`), and `lam` > `lo` the first trial.  Until the spend
-    crosses the wealth, the next trial is the secant step through the last
-    two points, never more than doubling lam.  Inside the bracket the search
-    runs Illinois regula falsi: when the same end survives two steps in a
-    row, its stored value is halved, so neither end stalls.  The search
-    accepts a plan that spends between 1 - 2e-15 and 1 times the wealth, or
-    stops when the bracket is a few ulps wide and takes its upper end, so
-    the result never overspends.  Running out of evaluations raises
-    `NonConvergence`.
+    `lo` is a multiplier whose point measures `size`, above the bound, and
+    `lam` > `lo` the first trial.  Until the measure crosses the bound, the
+    next trial is the secant step through the last two points, never more
+    than doubling lam.  Inside the bracket the search runs Illinois regula
+    falsi: when the same end survives two steps in a row, its stored value
+    is halved, so neither end stalls.  The search accepts a point that
+    measures between 1 - 2e-15 and 1 times the bound, or stops when the
+    bracket is a few ulps wide and takes its upper end, so the result never
+    exceeds the bound.  Running out of evaluations raises `NonConvergence`.
     """
-    # accept a point that spends at most tol less than the wealth; the
+    # accept a point that measures at most tol less than the bound; the
     # search aims at the middle of that window, so g below is measured from
     # there, with g(lo) > 0 > g(hi)
-    tol = 2e-15 * wealth
-    target = wealth - 0.5 * tol
-    glo = spend - target
+    tol = 2e-15 * bound
+    target = bound - 0.5 * tol
+    glo = size - target
     hi = ghi = zhi = None
     kept = 0  # +1 when lo survived the last bracket step, -1 when hi did
     for _ in range(_MAX_SEARCH):
         zl = evaluate(lam)
-        spend = dt * float(np.vdot(p, zl))
-        if wealth - tol <= spend <= wealth:
+        size = measure(zl)
+        if bound - tol <= size <= bound:
             return zl
-        gl = spend - target
+        gl = size - target
         if gl > 0.0:
             if hi is None:
                 step = gl * (lam - lo) / (glo - gl) if glo > gl else lam
@@ -216,12 +220,9 @@ def _multiplier_search(evaluate, p, dt, wealth, lo, spend, lam):
         pad = 2.0 * np.spacing(hi)
         lam = min(max(hi - ghi * (hi - lo) / (ghi - glo), lo + pad), hi - pad)
     raise NonConvergence(
-        f"budget multiplier search did not converge in {_MAX_SEARCH} evaluations",
+        f"multiplier search did not converge in {_MAX_SEARCH} evaluations",
         last_iterate=zl,
-        residuals={
-            "budget_gap": spend - wealth,
-            "bracket_width": np.inf if hi is None else hi - lo,
-        },
+        residuals={"gap": size - bound, "bracket_width": np.inf if hi is None else hi - lo},
     )
 
 
@@ -249,7 +250,28 @@ def _project_budget_capbox(v, p, e, caps, dt, weights=None):
     d = p if weights is None else p / weights
     lam = (spend - wealth) / max(dt * float(np.vdot(p * d, z > 0)), 1e-300)
     return _multiplier_search(
-        lambda lam: _water_fill(v - lam * d, budgets), p, dt, wealth, 0.0, spend, lam
+        lambda lam: _water_fill(v - lam * d, budgets),
+        lambda z: dt * float(np.vdot(p, z)),
+        wealth, 0.0, spend, lam,
+    )
+
+
+def _project_budget_capbox_ball(v, p, e, caps, radius, dt):
+    """Exact projection onto the budget-and-caps set C cut by Ball(0, radius).
+
+    C contains 0, so the projection is P_C(v / (1 + nu)) for the ball
+    multiplier nu >= 0, whose norm does not increase with nu (Bauschke &
+    Combettes, Lagrangian duality for projections).  The norm is measured as
+    `membership_residual_values` measures it, so the result stays in the ball.
+    """
+    z = _project_budget_capbox(v, p, e, caps, dt)
+    size = float(np.sqrt(dt) * np.linalg.norm(z))
+    if size <= radius:
+        return z
+    return _multiplier_search(
+        lambda nu: _project_budget_capbox(v / (1.0 + nu), p, e, caps, dt),
+        lambda z: float(np.sqrt(dt) * np.linalg.norm(z)),
+        radius, 0.0, size, max(size / radius - 1.0, np.spacing(1.0)),
     )
 
 
@@ -315,17 +337,18 @@ def _project_budget_cone(V, p, e, dt):
 
 
 def _canonical_parts(parts):
-    """Split an intersection into (budget, capbox, rest) when the pattern fits."""
+    """Split an intersection of one budget set, one capped cone and at most
+    one ball centered at 0 into (budget, capbox, ball or None), or None."""
     budget = [p for p in parts if isinstance(p, BudgetHalfspace)]
     capbox = [p for p in parts if isinstance(p, CapBox)]
-    rest = [p for p in parts if not isinstance(p, (BudgetHalfspace, CapBox))]
-    if len(budget) == 1 and len(capbox) == 1:
-        return budget[0], capbox[0], rest
+    balls = [p for p in parts if isinstance(p, Ball) and not any(p.center)]
+    if len(budget) == len(capbox) == 1 and len(balls) <= 1 and len(parts) == 2 + len(balls):
+        return budget[0], capbox[0], balls[0] if balls else None
     return None
 
 
 def project_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) -> np.ndarray:
-    """Project raw values onto `s`; used internally by the iterative solvers."""
+    """Project raw values onto `s` exactly; used internally by the solvers."""
     dt = grid.dt
     if isinstance(s, PointwiseSimplex):
         return _simplex_rows(v)
@@ -338,16 +361,12 @@ def project_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) -> np.ndarra
     if isinstance(s, Intersection):
         canon = _canonical_parts(s.parts)
         if canon is None:
-            return _dykstra_values(v, s.parts, grid, DYKSTRA_TOL, DYKSTRA_MAX_ITER)
-        budget, capbox, rest = canon
-        if not rest:
-            return _project_budget_capbox(
-                v, budget.price.values, budget.endowment.values, capbox.caps, dt
-            )
-        # the exact budget-and-caps pair is one Dykstra part; it dispatches back here
-        return _dykstra_values(
-            v, (Intersection((budget, capbox)), *rest), grid, DYKSTRA_TOL, DYKSTRA_MAX_ITER
-        )
+            raise TypeError(f"no exact projection; use project_intersection for {s!r}")
+        budget, capbox, ball = canon
+        args = (v, budget.price.values, budget.endowment.values, capbox.caps)
+        if ball is None:
+            return _project_budget_capbox(*args, dt)
+        return _project_budget_capbox_ball(*args, ball.radius, dt)
     raise TypeError(f"not a projectable set descriptor: {s!r}")
 
 
@@ -441,17 +460,14 @@ def project_cap_box(x: GridFunction, caps: Sequence[float]) -> GridFunction:
 
 
 def project_intersection(
-    x: GridFunction,
-    parts: Sequence[SetDescriptor],
-    tol: float = DYKSTRA_TOL,
-    max_iter: int = DYKSTRA_MAX_ITER,
+    x: GridFunction, parts: Sequence[SetDescriptor], tol: float = 1e-10, max_iter: int = 10000
 ) -> GridFunction:
     """Dykstra projection onto the intersection of `parts`.
 
-    Always runs the general alternating scheme; `project` with an
-    `Intersection` descriptor additionally recognizes the budget-and-caps
-    pattern and solves it exactly, which the tests cross-check against
-    this path.
+    The reference for the exact kernels: it projects onto any parts by the
+    general alternating scheme, with `tol` its stop test and `max_iter` its
+    sweep budget, while `project` takes only the intersections it can
+    solve exactly.  The tests cross-check the two.
     """
     return x.with_values(_dykstra_values(x.values, tuple(parts), x.grid, tol, max_iter))
 
@@ -477,7 +493,7 @@ def sample_feasible_blocks(
     budget = None
     if isinstance(s, Intersection):
         canon = _canonical_parts(s.parts)
-        if canon and not canon[2] and _cap_budgets(canon[1].caps, grid.dt) is None:
+        if canon and canon[2] is None and _cap_budgets(canon[1].caps, grid.dt) is None:
             budget = canon[0]
     for start in range(0, count, per):
         block = rng.normal(0.0, scale, size=(min(per, count - start), *center.shape))

@@ -1,5 +1,6 @@
-"""Opt-in timings with pytest-benchmark: equilibrium certification, and the
-two-level solve of the 32-agent ladder economy on exact demand.
+"""Opt-in timings with pytest-benchmark: equilibrium certification, the
+two-level solve of the 32-agent ladder economy on exact demand, and the
+truncated solve of the oracle economy on the exact ball-cut projection.
 
 A plain test run skips them (see conftest.py); run them with
 `PYTHONPATH=src python -m pytest tests/test_bench.py --benchmark-only`.
@@ -8,7 +9,14 @@ A plain test run skips them (see conftest.py); run them with
 from __future__ import annotations
 
 from corpus import make_agent_ladder_economy, make_planted_pair
-from qvex import QVIParams, assemble_qvi, certify_equilibrium, default_caps, solve_qvi
+from qvex import (
+    QVIParams,
+    assemble_qvi,
+    certify_equilibrium,
+    default_caps,
+    solve_qvi,
+    solve_qvi_truncated,
+)
 
 
 def test_bench_certify_planted_8x2x1024(benchmark):
@@ -22,3 +30,8 @@ def test_bench_solve_agent_ladder_32(benchmark):
     prob = assemble_qvi(eco, default_caps(eco, 1.1))
     rep = benchmark(solve_qvi, prob, QVIParams())
     assert rep.converged
+
+
+def test_bench_truncated_solve_oracle(benchmark, oracle_problem):
+    rep = benchmark(solve_qvi_truncated, oracle_problem, [50.0, 100.0])
+    assert rep.converged and rep.truncation_radius_used == 50.0

@@ -379,6 +379,35 @@ def test_truncation_rejects_non_increasing_schedule(oracle_problem):
         solve_qvi_truncated(oracle_problem, [2.0, 2.0], QVIParams())
 
 
+def test_truncated_solve_never_reaches_dykstra(oracle_problem, monkeypatch):
+    def no_dykstra(*args, **kwargs):
+        raise AssertionError("Dykstra reached from a solver path")
+
+    monkeypatch.setattr(qvex.sets, "_dykstra_values", no_dykstra)
+    sol_norm = norm(solve_qvi(oracle_problem).allocation)
+    radii = [0.5 * sol_norm, 4.0 * sol_norm]
+    rep = solve_qvi_truncated(oracle_problem, radii)
+    assert rep.converged and rep.truncation_radius_used == radii[1]
+
+
+def test_untruncated_check_names_the_worst_agent(oracle_problem, skewed_start):
+    # the endowments lie inside any ball larger than their norm, but at the
+    # skewed price neither agent's endowment is its best response
+    from qvex.qvi import _untruncated_inner_check
+
+    blocks = oracle_problem.warm_starts
+    sets = oracle_problem.constraint_map(skewed_start)
+    res = [
+        vi_residual(x, op, s, RESIDUAL_GAUGE)
+        for x, op, s in zip(blocks, oracle_problem.agent_operators, sets)
+    ]
+    check = _untruncated_inner_check(skewed_start, blocks, oracle_problem, 1e-8)
+    assert not check.verdict
+    assert check.witness == int(np.argmax(res))
+    assert check.residuals == {f"untruncated_residual[{i}]": r for i, r in enumerate(res)}
+    assert min(res) > 1e-8
+
+
 def test_check_truncation_interior_rules(oracle_problem, skewed_start):
     rep = solve_qvi(oracle_problem, QVIParams(start_price=skewed_start))
     r = norm(rep.allocation)

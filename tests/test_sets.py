@@ -317,6 +317,82 @@ def test_budget_capbox_property_matches_dykstra(problem):
         assert inner_product(unit_x - unit_z, y - unit_z) <= 1e-9 * (1.0 + norm(unit_x)) ** 2
 
 
+# --- exact budget-and-caps kernel cut by a ball ---
+
+
+@pytest.mark.parametrize("caps", [(np.inf,), (1.0,)])
+def test_budget_capbox_ball_where_dykstra_ran_out(caps):
+    # budget and ball both bind on one good: z <= 0.005 and sqrt(2) z <= 0.0057;
+    # Dykstra's alternation between them ran out of sweeps here
+    g = make_grid(2.0, 1)
+    p = PriceCurve(g, np.array([[1.0]]))
+    s = Intersection((BudgetHalfspace(p, gf(g, [[0.005]])), CapBox(caps), Ball(0.0057)))
+    z = project(gf(g, [[24.0]]), s)
+    assert z.values[0, 0] == pytest.approx(0.0057 / np.sqrt(2.0), rel=1e-14)
+    assert membership_residual(z, s) == 0.0
+
+
+@st.composite
+def budget_caps_ball_problems(draw):
+    """Budget-and-caps problems, some with zero wealth, cut by a ball
+    centered at 0 that binds or stays slack."""
+    v, p, e, caps, scale = draw(budget_caps_problems())
+    if draw(st.booleans()):
+        e = np.where(p > 0, 0.0, e)
+    binding = draw(st.booleans())
+    frac = draw(st.floats(0.05, 0.95))
+    g = make_grid(1.0, v.shape[0])
+    size = np.sqrt(g.dt) * np.linalg.norm(_project_budget_capbox(v, p, e, caps, g.dt))
+    radius = frac * size if binding and size > 0.0 else (1.0 + frac) * size + frac
+    return v, p, e, caps, radius, scale
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(budget_caps_ball_problems())
+def test_budget_capbox_ball_property_matches_dykstra(problem):
+    v, p, e, caps, radius, scale = problem
+    x, parts = _budget_caps(scale * v, p, scale * e, tuple(scale * c for c in caps))
+    ball = Ball(scale * radius)
+    z = project(x, Intersection((*parts, ball)))
+    unit_x, unit_parts = _budget_caps(v, p, e, caps)
+    unit_parts = (*unit_parts, Ball(radius))
+    unit_z = z * (1.0 / scale)
+    dt = x.grid.dt
+
+    assert membership_residual(z, ball) == 0.0
+    assert z.values.min() >= 0.0
+    assert membership_residual(unit_z, unit_parts[1]) <= 1e-12
+    assert dt * float(np.vdot(p, z.values)) <= dt * float(np.vdot(p, scale * e))
+
+    try:
+        dyk = project_intersection(unit_x, unit_parts, tol=1e-12, max_iter=5000)
+    except NonConvergence:
+        dyk = None  # the reference crawls where the set is nearly a point
+    if dyk is not None:
+        assert abs(norm(unit_z - unit_x) - norm(dyk - unit_x)) <= 1e-9 * (1.0 + norm(unit_x))
+
+    rng = np.random.default_rng(0)
+    feasible = qvex.sample_feasible(Intersection(unit_parts), unit_z, 1.0 + norm(unit_x), rng, 10)
+    for y in [unit_z * 0.0, *feasible]:
+        assert inner_product(unit_x - unit_z, y - unit_z) <= 1e-9 * (1.0 + norm(unit_x)) ** 2
+
+
+def test_project_takes_only_the_intersections_it_solves_exactly():
+    g = grid1()
+    p = PriceCurve(g, np.array([[1.0]]))
+    budget = BudgetHalfspace(p, gf(g, [[0.5]]))
+    x = gf(g, [[3.0]])
+    no_budget = (Ball(1.0), CapBox((2.0,)))
+    centered = (budget, CapBox((2.0,)), Ball(1.0, center=(0.2,)))
+    for parts in (no_budget, centered):
+        with pytest.raises(TypeError, match="project_intersection"):
+            project(x, Intersection(parts))
+        out = project_intersection(x, parts, tol=1e-12)
+        assert membership_residual(out, Intersection(parts)) <= 1e-12
+    np.testing.assert_allclose(project_intersection(x, no_budget).values, [[1.0]], atol=1e-9)
+    np.testing.assert_allclose(project_intersection(x, centered).values, [[0.5]], atol=1e-9)
+
+
 def _search_input(rng, cells, goods, capped):
     """Prices on the per-cell simplex and endowments on (0.2, 1.2).  Capped:
     demand one to three times the endowment, caps within 30 % of its
