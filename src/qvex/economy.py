@@ -51,7 +51,9 @@ class UtilitySpec:
     Implementations provide cellwise values/gradients for (cells, m)
     consumption arrays, and for (k, cells, m) blocks of them, reducing over
     the last axis, plus single-cell evaluation for the probes, and
-    declare the constants of their linear gradient growth bound.  A family
+    declare the constants of their linear gradient growth bound.
+    `block_sums` reduces a block to the two sums the certificate compares,
+    and a family may override it with a faster reduction.  A family
     may also provide `demand`, its exact best response on a capped budget
     set; `assemble_qvi` hands it to the solver when every agent's family
     does.
@@ -75,6 +77,16 @@ class UtilitySpec:
 
     def check_domain(self, w: np.ndarray) -> None:
         """Raise DomainViolation when w is outside the family's domain."""
+
+    def block_sums(self, ys: np.ndarray, x: np.ndarray) -> tuple:
+        """For each slice y of the (k, cells, m) block `ys`, the sum of u(y)
+        over cells and the sum of grad u(y) . (y - x) over cells and goods,
+        with x a (cells, m) plan: two (k,) arrays.  Raises DomainViolation
+        when a slice is outside the family's domain."""
+        self.check_domain(ys)
+        values = np.sum(self.cell_values(ys), axis=1)
+        slopes = np.sum((self.cell_gradients(ys) * (ys - x)).reshape(len(ys), -1), axis=1)
+        return values, slopes
 
     def demand(self, p: np.ndarray, e: np.ndarray, caps, dt: float) -> np.ndarray:
         """The maximizer of the time-integrated utility over the capped
@@ -105,6 +117,18 @@ class Quadratic(UtilitySpec):
 
     def cell_gradients(self, w):
         return self.bliss.values - np.asarray(self.weights) * w
+
+    def block_sums(self, ys, x):
+        # the weights laid out per cell, so every product and sum below runs
+        # over a slice's cells * m values at once, not m at a time
+        q = np.full(ys.shape[1:], self.weights)
+        b = self.bliss.values
+        qy = ys * q
+        half = 0.5 * qy
+        values = np.einsum("kcm,kcm->k", np.subtract(b, half, out=half), ys)
+        gradients = np.subtract(b, qy, out=qy)
+        slopes = np.einsum("kcm,kcm->k", gradients, np.subtract(ys, x, out=half))
+        return values, slopes
 
     def value_at(self, cell, w):
         q = np.asarray(self.weights)
@@ -145,6 +169,17 @@ class LogShift(UtilitySpec):
     def cell_gradients(self, w):
         self.check_domain(w)
         return np.asarray(self.weights) / (self.shift + w)
+
+    def block_sums(self, ys, x):
+        self.check_domain(ys)
+        # the weights laid out per cell, as in `Quadratic.block_sums`
+        a = np.full(ys.shape[1:], self.weights)
+        shifted = self.shift + ys
+        # grad u(y) . (y - x) = a (y - x) / (shift + y): one division pass
+        steps = ys - x
+        slopes = np.einsum("kcm,cm->k", np.divide(steps, shifted, out=steps), a)
+        values = np.einsum("kcm,cm->k", np.log(shifted, out=shifted), a)
+        return values, slopes
 
     def value_at(self, cell, w):
         self.check_domain(np.asarray(w))

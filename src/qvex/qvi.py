@@ -387,6 +387,8 @@ def solve_qvi_truncated(
     """
     params = params or QVIParams()
     radii = list(radii) if radii is not None else default_radius_schedule(prob)
+    if not radii:
+        raise ValueError("radius schedule must hold at least one radius")
     # bool is an int subclass, so `True` would otherwise pass as radius 1
     if any(isinstance(r, bool) or not (np.isfinite(r) and r > 0) for r in radii):
         raise ValueError(f"radii must be finite positive numbers, got {radii}")

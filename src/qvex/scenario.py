@@ -290,11 +290,16 @@ def parse_scenario(mapping: dict) -> Scenario:
     )
 
 
+#: libyaml's safe loader where PyYAML was built with it: the same mappings,
+#: about ten times faster than the pure-Python one
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            mapping = yaml.safe_load(fh)
+            mapping = yaml.load(fh, Loader=_SAFE_LOADER)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: not parseable YAML: {exc}") from exc
     if not isinstance(mapping, dict):

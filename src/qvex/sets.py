@@ -299,40 +299,43 @@ def _project_budget_cone(V, p, e, dt):
     least half that margin less than the wealth, so no slice overspends
     however its spend is summed: summing the cells * m terms in another
     order moves the sum far less.  A step too small to move lam moves it
-    one ulp.  Running out of steps raises `NonConvergence`.
+    one ulp.  Settled slices stay in the block with their lam frozen, so
+    each step recomputes their points unchanged instead of copying the
+    live slices out and back.  Running out of steps raises
+    `NonConvergence`.
     """
     Z = np.maximum(V, 0.0)
     wealth = dt * float(np.vdot(p, e))
     spend = _spend(Z, p, dt)
-    todo = np.nonzero(spend > wealth)[0]
-    if todo.size == 0:
+    live = spend > wealth
+    if not live.any():
         return Z
     if wealth <= 1e-300:
         # worthless endowment: every component with positive price must vanish
-        Z[todo] = np.where(p > 0, 0.0, Z[todo])
+        Z[live] = np.where(p > 0, 0.0, Z[live])
         return Z
     margin = 1e-14 * wealth
     p2 = p * p
-    Vt, Zt, st = V[todo], Z[todo], spend[todo]
-    lam = np.zeros(todo.size)
+    lam = np.zeros(len(V))
+    step = np.zeros(len(V))
+    positive = np.empty_like(Z)
     for _ in range(_MAX_NEWTON):
-        # np.sign(Zt) is 1 on the components still positive and 0 elsewhere
-        step = (st - wealth + margin) / np.maximum(_spend(np.sign(Zt), p2, dt), 1e-300)
-        lam = np.maximum(lam + step, np.nextafter(lam, np.inf))
-        np.multiply(lam[:, None, None], p, out=Zt)
-        np.subtract(Vt, Zt, out=Zt)
-        np.maximum(Zt, 0.0, out=Zt)
-        st = _spend(Zt, p, dt)
-        done = st <= wealth - 0.5 * margin
-        Z[todo[done]] = Zt[done]
-        if done.all():
+        # np.sign(Z) is 1 on the components still positive and 0 elsewhere;
+        # settled slices take no step, so their lam stays frozen
+        slope = np.maximum(_spend(np.sign(Z, out=positive), p2, dt), 1e-300)
+        np.divide(spend - wealth + margin, slope, out=step, where=live)
+        lam = np.where(live, np.maximum(lam + step, np.nextafter(lam, np.inf)), lam)
+        np.multiply(lam[:, None, None], p, out=Z)
+        np.subtract(V, Z, out=Z)
+        np.maximum(Z, 0.0, out=Z)
+        spend = _spend(Z, p, dt)
+        live[spend <= wealth - 0.5 * margin] = False
+        if not live.any():
             return Z
-        left = ~done
-        todo, lam, Vt, Zt, st = todo[left], lam[left], Vt[left], Zt[left], st[left]
     raise NonConvergence(
         f"budget-cone Newton iteration did not converge in {_MAX_NEWTON} steps",
-        last_iterate=Zt,
-        residuals={"budget_gap": float(np.max(st)) - wealth, "unsettled": int(todo.size)},
+        last_iterate=Z[live],
+        residuals={"budget_gap": float(np.max(spend[live])) - wealth, "unsettled": int(live.sum())},
     )
 
 
@@ -496,7 +499,9 @@ def sample_feasible_blocks(
         if canon and canon[2] is None and _cap_budgets(canon[1].caps, grid.dt) is None:
             budget = canon[0]
     for start in range(0, count, per):
-        block = rng.normal(0.0, scale, size=(min(per, count - start), *center.shape))
+        # normal(0, scale) is 0 + scale * z with z standard normal: the same bits
+        block = rng.standard_normal(size=(min(per, count - start), *center.shape))
+        block *= scale
         block += center
         if budget is not None:
             block = _project_budget_cone(block, budget.price.values, budget.endowment.values, grid.dt)

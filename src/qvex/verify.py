@@ -9,8 +9,10 @@ satiated quadratic agents may legitimately leave wealth unspent.
 The sampled half of each best-response check works on arrays: the
 samples are drawn as (k, cells, m) blocks of a fixed element count, which
 bounds the memory a check takes, every block is projected onto the
-uncapped budget set at once by variable fixing, and the Minty values and
-utility comparisons are reductions over the block.
+uncapped budget set at once by variable fixing, whose settled slices stay
+in the block with their multipliers frozen, and the utility family reduces
+each block to per-sample utility and Minty sums in one pass
+(`UtilitySpec.block_sums`).
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ def best_response_residual(
     The samples are Gaussian noise around the plan, drawn in blocks of a
     fixed element count (`sets._SAMPLE_CHUNK`, which bounds the memory a
     block takes) and projected a block at a time by variable fixing
-    (`sets._project_budget_cone`); the Minty values and utilities of a
-    block are array reductions, one per sample.
+    (`sets._project_budget_cone`); the utility family's `block_sums` gives
+    the Minty values and utilities of a block, one per sample.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -95,10 +97,10 @@ def best_response_residual(
     minty_viol = 0.0
     utility_gain = 0.0
     for ys in sample_feasible_blocks(M, x, x_i.grid, scale, rng, samples):
-        u.check_domain(ys)
+        values, slopes = u.block_sums(ys, x)
         # -<<F(y), y - x>> per sample, with F = -grad u the agent's operator
-        minty = dt * np.sum((u.cell_gradients(ys) * (ys - x)).reshape(len(ys), -1), axis=1)
-        gains = dt * np.sum(u.cell_values(ys), axis=1) - u_x
+        minty = dt * slopes
+        gains = dt * values - u_x
         minty_viol = max(minty_viol, float(minty.max()) - 1e-9)
         utility_gain = max(utility_gain, float(gains.max()) - 1e-8)
     return float(max(nat, minty_viol, utility_gain, 0.0))

@@ -4,7 +4,8 @@ Nothing in here may call the solver paths it checks: projections are
 verified against dense-grid minimization, VI solves against a long-run
 projected-gradient fixed point, and the two-agent quadratic equilibrium
 against closed-form KKT demands plus a grid-and-bisection price search,
-and the batched certificate against the per-sample loop it replaced.
+the batched certificate against the per-sample loop it replaced, and the
+budget-cone kernel against the compacting loop it replaced.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from qvex import (
     utility_value,
     vi_residual,
 )
+from qvex.errors import NonConvergence
 
 
 def brute_force_project(v: np.ndarray, feasible, lows, highs, coarse=2e-3, fine=1e-5):
@@ -196,3 +198,46 @@ def per_sample_best_response(eco, p, x_i, i, samples=200, seed=0):
         minty_viol = max(minty_viol, -inner_product(op(y), y - x_i) - 1e-9)
         utility_gain = max(utility_gain, utility_value(agent, y) - u_x - 1e-8)
     return float(max(nat, minty_viol, utility_gain, 0.0))
+
+
+def compacting_budget_cone(V, p, e, dt, max_newton=100):
+    """`qvex.sets._project_budget_cone` as it was first written: after each
+    Newton step the settled slices are written back into the block and the
+    live ones copied out, so each step works on the live slices alone.
+
+    The reference the in-place kernel must match bit for bit, including the
+    `NonConvergence` it raises after `max_newton` steps.
+    """
+
+    def spend(Z):
+        return dt * np.einsum("kcm,cm->k", Z, p)
+
+    Z = np.maximum(V, 0.0)
+    wealth = dt * float(np.vdot(p, e))
+    st = spend(Z)
+    todo = np.nonzero(st > wealth)[0]
+    if todo.size == 0:
+        return Z
+    if wealth <= 1e-300:
+        Z[todo] = np.where(p > 0, 0.0, Z[todo])
+        return Z
+    margin = 1e-14 * wealth
+    Vt, Zt, st = V[todo], Z[todo], st[todo]
+    lam = np.zeros(todo.size)
+    for _ in range(max_newton):
+        slope = dt * np.einsum("kcm,cm->k", np.sign(Zt), p * p)
+        step = (st - wealth + margin) / np.maximum(slope, 1e-300)
+        lam = np.maximum(lam + step, np.nextafter(lam, np.inf))
+        Zt = np.maximum(Vt - lam[:, None, None] * p, 0.0)
+        st = spend(Zt)
+        done = st <= wealth - 0.5 * margin
+        Z[todo[done]] = Zt[done]
+        if done.all():
+            return Z
+        left = ~done
+        todo, lam, Vt, Zt, st = todo[left], lam[left], Vt[left], Zt[left], st[left]
+    raise NonConvergence(
+        f"budget-cone Newton iteration did not converge in {max_newton} steps",
+        last_iterate=Zt,
+        residuals={"budget_gap": float(np.max(st)) - wealth, "unsettled": int(todo.size)},
+    )

@@ -1,6 +1,7 @@
-"""Opt-in timings with pytest-benchmark: equilibrium certification, the
-two-level solve of the 32-agent ladder economy on exact demand, and the
-truncated solve of the oracle economy on the exact ball-cut projection.
+"""Opt-in timings with pytest-benchmark: equilibrium certification of two
+planted pairs, the two-level solve of the 32-agent ladder economy on exact
+demand, and the truncated solve of the oracle economy on the exact ball-cut
+projection.
 
 A plain test run skips them (see conftest.py); run them with
 `PYTHONPATH=src python -m pytest tests/test_bench.py --benchmark-only`.
@@ -21,6 +22,13 @@ from qvex import (
 
 def test_bench_certify_planted_8x2x1024(benchmark):
     eco, price, plans, _ = make_planted_pair(8, 2, 1024, seed=0)
+    cert = benchmark(certify_equilibrium, eco, price, plans, tol=1e-6, seed=0)
+    assert cert.verdict
+
+
+def test_bench_certify_planted_8x3x512(benchmark):
+    # four LogShift and four quadratic agents: each family's block reduction
+    eco, price, plans, _ = make_planted_pair(8, 3, 512, seed=0)
     cert = benchmark(certify_equilibrium, eco, price, plans, tol=1e-6, seed=0)
     assert cert.verdict
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,56 @@ def test_cell_values_take_blocks_of_plans():
     np.testing.assert_allclose(specs[1].cell_values(block), expected, rtol=1e-14)
     with pytest.raises(DomainViolation):
         specs[1].cell_values(-block)
+
+
+@st.composite
+def utility_blocks(draw):
+    """A utility of either family with a (k, cells, m) block of plans and a
+    reference plan, some of them zero, at magnitudes from 1e-6 to 1e6."""
+    cells = draw(st.sampled_from([1, 16, 256]))
+    goods = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = make_grid(1.0, cells)
+    weights = tuple(rng.uniform(0.1, 2.0, goods))
+    if draw(st.booleans()):
+        spec = Quadratic(GridFunction(g, scale * rng.uniform(0.5, 1.5, (cells, goods))), weights)
+    else:
+        spec = LogShift(weights, scale * rng.uniform(0.1, 2.0), cells)
+    ys = scale * rng.uniform(0.0, 2.0, (k, cells, goods))
+    x = scale * rng.uniform(0.0, 2.0, (cells, goods))
+    zeros = draw(st.sampled_from(["none", "entries", "slice", "plan"]))
+    if zeros == "entries":
+        ys[rng.random(ys.shape) < 0.3] = 0.0
+    elif zeros == "slice":
+        ys[0] = 0.0
+    elif zeros == "plan":
+        x[:] = 0.0
+    return spec, ys, x
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(utility_blocks())
+def test_block_sums_match_the_cellwise_reductions(problem):
+    spec, ys, x = problem
+    # the family's own reduction and the base class's generic one
+    for values, slopes in (spec.block_sums(ys, x), UtilitySpec.block_sums(spec, ys, x)):
+        assert values.shape == slopes.shape == (len(ys),)
+        for y, value, slope in zip(ys, values, slopes):
+            ref_value = np.sum(spec.cell_values(y))
+            ref_slope = np.sum(spec.cell_gradients(y) * (y - x))
+            assert abs(value - ref_value) <= 1e-12 * (1.0 + abs(ref_value))
+            assert abs(slope - ref_slope) <= 1e-12 * (1.0 + abs(ref_slope))
+
+
+def test_block_sums_reject_negative_consumption():
+    spec = LogShift((0.5, 1.0), 1.0, 4)
+    ys = np.ones((3, 4, 2))
+    ys[2, 1, 0] = -0.5
+    for block_sums in (spec.block_sums, partial(UtilitySpec.block_sums, spec)):
+        with pytest.raises(DomainViolation):
+            block_sums(ys, np.ones((4, 2)))
 
 
 def test_quadratic_gradients():

@@ -334,6 +334,11 @@ def test_truncation_rejects_radii_that_are_not_finite_positive_numbers(oracle_pr
         solve_qvi_truncated(oracle_problem, radii)
 
 
+def test_truncation_rejects_an_empty_schedule(oracle_problem):
+    with pytest.raises(ValueError, match="at least one radius"):
+        solve_qvi_truncated(oracle_problem, [])
+
+
 def test_truncation_exhausted_keeps_inner_failure_message(oracle_problem):
     # the radius advice must not hide that the last solve's inner VIs failed
     rep = solve_qvi_truncated(oracle_problem, [50.0, 100.0], QVIParams(max_inner=2))

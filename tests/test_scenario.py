@@ -113,6 +113,24 @@ def test_parse_error_carries_path(tmp_path):
         load_scenario(write(tmp_path, bad))
 
 
+def test_libyaml_loader_reads_every_scenario_as_the_python_loader_does(scenario_dir):
+    files = sorted(scenario_dir.glob("*.yaml"))
+    assert len(files) >= 4
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        mapping = yaml.load(text, Loader=yaml.SafeLoader)
+        assert yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)) == mapping
+        assert load_scenario(path) == parse_scenario(mapping), path.name
+
+
+@pytest.mark.parametrize("text", ["grid: [1, 2", "goods: 1\n  agents: x\n", "a: {b: 1\n", "\t- 1"])
+def test_malformed_yaml_names_the_file(tmp_path, text):
+    path = tmp_path / "broken.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}: not parseable YAML")):
+        load_scenario(path)
+
+
 def test_radius_schedule_validation(tmp_path):
     bad = {**MINIMAL, "solver": {"radius_schedule": [2.0, 1.0]}}
     with pytest.raises(ScenarioError, match="increasing"):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qvex
-from oracles import brute_force_project
+from oracles import brute_force_project, compacting_budget_cone
 from qvex import (
     Ball,
     BudgetHalfspace,
@@ -556,11 +556,11 @@ def test_sample_feasible_matches_per_sample_draws(monkeypatch):
 
 
 @st.composite
-def budget_cone_blocks(draw):
+def budget_cone_blocks(draw, cells=None, goods=None, count=5):
     """Blocks of points to project onto one uncapped budget set, with zero
     prices, zero-wealth endowments and magnitudes from 1e-6 to 1e6."""
-    cells = draw(st.sampled_from([1, 2, 16, 1024]))
-    goods = draw(st.integers(1, 3))
+    cells = cells or draw(st.sampled_from([1, 2, 16, 1024]))
+    goods = goods or draw(st.integers(1, 3))
     scale = 10.0 ** draw(st.integers(-6, 6))
     zero_prices = draw(st.booleans())
     zero_wealth = draw(st.booleans())
@@ -574,7 +574,7 @@ def budget_cone_blocks(draw):
     e = rng.random((cells, goods))
     if zero_wealth:
         e[p > 0] = 0.0
-    V = e + rng.normal(0.0, 2.0, size=(5, cells, goods)) + rng.uniform(0.0, 2.0)
+    V = e + rng.normal(0.0, 2.0, size=(count, cells, goods)) + rng.uniform(0.0, 2.0)
     return scale * V, p, scale * e
 
 
@@ -605,6 +605,40 @@ def test_budget_cone_property_matches_budget_capbox(problem):
             assert inner_product(GridFunction(g, v) - zf, y - zf) <= 1e-9 * scale**2
 
 
+@st.composite
+def mixed_budget_cone_blocks(draw):
+    """Blocks of 1 to 64 slices on 1, 16 or 1024 cells that mix slices
+    inside the budget with overspending ones, with zero prices, zero-wealth
+    endowments and magnitudes from 1e-6 to 1e6."""
+    cells = draw(st.sampled_from([1, 16, 1024]))
+    goods = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 64))
+    V, p, e = draw(budget_cone_blocks(cells=cells, goods=goods, count=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inside = rng.random(k) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    # a slice between 0 and the endowment spends at most the wealth
+    V[inside] = rng.random((int(inside.sum()), cells, goods)) * e
+    return V, p, e, 1.0 / cells
+
+
+# a slice that spends the wealth exactly is settled from the start, while
+# one Newton step would still move it: it aims below the wealth
+_EXACT_SPEND = np.stack([np.full((16, 2), 1.0), np.full((16, 2), 3.0)])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mixed_budget_cone_blocks())
+@example((_EXACT_SPEND, np.full((16, 2), 0.5), np.full((16, 2), 1.0), 1.0 / 16))
+def test_budget_cone_matches_the_compacting_loop_and_single_slices_bit_for_bit(problem):
+    V, p, e, dt = problem
+    before = V.copy()
+    Z = _project_budget_cone(V, p, e, dt)
+    assert V.tobytes() == before.tobytes()
+    assert Z.tobytes() == compacting_budget_cone(V, p, e, dt).tobytes()
+    for v, z in zip(V, Z):
+        assert _project_budget_cone(v[None], p, e, dt).tobytes() == z.tobytes()
+
+
 def test_budget_cone_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(qvex.sets, "_MAX_NEWTON", 1)
     rng = np.random.default_rng(3)
@@ -616,3 +650,21 @@ def test_budget_cone_exhaustion_raises(monkeypatch):
         _project_budget_cone(V, p, e, 1.0 / 1024)
     assert err.value.last_iterate is not None
     assert err.value.residuals["budget_gap"] > 0.0
+
+
+def test_budget_cone_exhaustion_reports_only_the_unsettled_slices(monkeypatch):
+    monkeypatch.setattr(qvex.sets, "_MAX_NEWTON", 1)
+    rng = np.random.default_rng(3)
+    p = rng.random((1024, 3))
+    p /= p.sum(axis=1, keepdims=True)
+    e = 0.2 + rng.random((1024, 3))
+    V = e + rng.normal(0.0, 3.0, size=(6, 1024, 3))
+    # two slices inside the budget, which settle before the first step
+    V[[1, 4]] = 0.5 * e
+    with pytest.raises(NonConvergence) as err:
+        _project_budget_cone(V, p, e, 1.0 / 1024)
+    with pytest.raises(NonConvergence) as ref:
+        compacting_budget_cone(V, p, e, 1.0 / 1024, max_newton=1)
+    assert err.value.last_iterate.tobytes() == ref.value.last_iterate.tobytes()
+    assert err.value.residuals == ref.value.residuals
+    assert 1 <= err.value.residuals["unsettled"] == len(err.value.last_iterate) <= 4
