@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .economy import (
 )
 from .grids import GridFunction, PriceCurve, make_grid
 from .qvi import QVIParams, solve_qvi, solve_qvi_truncated
-from .scenario import Scenario, build_economy, echo_scenario, load_scenario, solver_params
+from .scenario import Scenario, build_economy, echo_scenario, load_scenario
 from .verify import (
     budget_residuals,
     certify_equilibrium,
@@ -60,6 +60,8 @@ def _read_series_csv(path: Path) -> dict:
     out = {}
     for name, pairs in series.items():
         pairs.sort()
+        if [k for k, _ in pairs] != list(range(len(pairs))):
+            raise ValueError(f"{path}: series {name} must list cells 0, 1, ... once each")
         out[name] = np.array([v for _, v in pairs])
     return out
 
@@ -120,13 +122,14 @@ def _solve_report_text(scn_path, scn: Scenario, eco: Economy, caps, params, repo
     return "\n".join(lines) + "\n"
 
 
-def run_solve(scn_path: str, out_dir: str, **overrides) -> int:
+def run_solve(scn_path: str, out_dir: str, radius_schedule=None, **overrides) -> int:
+    """Solve a scenario, with `overrides` replacing its `QVIParams` fields."""
     scn = load_scenario(scn_path)
+    params = replace(scn.solver, **overrides)
+    radius_schedule = radius_schedule or scn.radius_schedule
     eco = build_economy(scn)
     caps = default_caps(eco, scn.cap_slack)
     prob = assemble_qvi(eco, caps)
-    radius_schedule = overrides.pop("radius_schedule", None) or scn.solver.radius_schedule
-    params = solver_params(scn, **overrides)
 
     if radius_schedule:
         report = solve_qvi_truncated(prob, radius_schedule, params)
@@ -243,17 +246,22 @@ def run_probes(scn_path: str, out_dir: str, seed: int) -> int:
     return 0 if all(r.verdict for r in reports) else 1
 
 
+def _parse_positive_real(text):
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _parse_radius_schedule(text):
     if text is None:
         return None
-    try:
-        sched = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad radius schedule {text!r}") from exc
+    sched = tuple(_parse_positive_real(tok) for tok in text.split(",") if tok.strip())
     if not sched:
         raise argparse.ArgumentTypeError("empty radius schedule")
-    if not all(np.isfinite(r) and r > 0 for r in sched):
-        raise argparse.ArgumentTypeError(f"radii must be finite positive numbers, got {text!r}")
     return sched
 
 
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--price", required=True, help="candidate prices CSV")
     p_verify.add_argument("--allocation", required=True, help="candidate allocations CSV")
-    p_verify.add_argument("--tol", type=float, default=1e-6)
+    p_verify.add_argument("--tol", type=_parse_positive_real, default=1e-6)
 
     p_probes = sub.add_parser("probes", help="run the structural probes on a scenario")
     common(p_probes)

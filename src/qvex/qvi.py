@@ -34,6 +34,7 @@ whatever internal steps the iterations used.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -64,24 +65,55 @@ RESIDUAL_GAUGE = 1.0
 OUTER_STEP0 = 0.5
 #: fraction of the inverse local Lipschitz ratio of h the price step may reach
 OUTER_STEP_SAFETY = 0.9
+#: extragradient iteration budget of each inner solve; economy solves take
+#: exact demand, so only truncated solves and problems without a demand map
+#: spend it
+MAX_INNER = 20000
+#: radii in `default_radius_schedule`, each twice the last
+RADIUS_COUNT = 6
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+def require_positive_real(name: str, value) -> None:
+    """Raise ValueError, starting with `name`, unless value is a finite real > 0."""
+    # bool is an int subclass, so `True` would otherwise pass as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        np.isfinite(value) and value > 0
+    ):
+        raise ValueError(f"{name}: must be a finite positive number, got {value!r}")
+
+
+def require_integer(name: str, value, lowest: int) -> None:
+    """Raise ValueError, starting with `name`, unless value is an integer >= lowest."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
+        raise ValueError(f"{name}: must be an integer >= {lowest}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class QVIParams:
-    """Tolerances, budgets, seed and start price; every solver adapts its own steps.
+    """Tolerances, outer budget, seed and start price; every solver adapts
+    its own steps.
 
     `max_outer` bounds the price updates of either solver: outer iterations
-    of `solve_qvi`, extragradient steps of `solve_qvi_product`.
+    of `solve_qvi`, extragradient steps of `solve_qvi_product`.  Every
+    field but `start_price` is checked on construction (also through
+    `dataclasses.replace`): the tolerances must be finite and positive,
+    `max_outer` an integer >= 1 and `seed` an integer >= 0; a ValueError
+    names the field first.  Scenario files set the same fields.
     """
 
     outer_tol: float = 1e-7
     inner_tol: float = 1e-8
     max_outer: int = 2000
-    max_inner: int = 20000
     seed: int = 0
     start_price: Optional[PriceCurve] = None
+
+    def __post_init__(self):
+        require_positive_real("outer_tol", self.outer_tol)
+        require_positive_real("inner_tol", self.inner_tol)
+        require_integer("max_outer", self.max_outer, 1)
+        require_integer("seed", self.seed, 0)
 
 
 @dataclass
@@ -190,7 +222,7 @@ def _best_responses(d, prob, params, tol, steps=None, starts=None):
     if prob.demand is None:
         steps = steps if steps is not None else _agent_steps(prob, params)
         reports = [
-            solve_vi_extragradient(op, s, x0, step=step, tol=tol, max_iter=params.max_inner)
+            solve_vi_extragradient(op, s, x0, step=step, tol=tol, max_iter=MAX_INNER)
             for op, s, x0, step in zip(prob.agent_operators, sets, starts, steps)
         ]
         blocks = [rep.solution for rep in reports]
@@ -260,8 +292,6 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     (0 on exact demand).
     """
     params = params or QVIParams()
-    if params.max_outer < 1:
-        raise ValueError("outer iteration budget must be positive")
     d = params.start_price or PriceCurve.uniform(prob.grid, prob.goods)
     steps = _agent_steps(prob, params) if prob.demand is None else None
     sigma, theta = OUTER_STEP0, np.inf
@@ -345,13 +375,14 @@ def check_truncation_interior(report: QVISolveReport, r: float) -> bool:
     return norm(report.allocation) < r - 1e-9
 
 
-def default_radius_schedule(prob: QVIProblem, count: int = 6) -> list:
-    """Doubling radii from 1 + sum of finite caps (caps bound the feasible set)."""
+def default_radius_schedule(prob: QVIProblem) -> list:
+    """`RADIUS_COUNT` doubling radii from 1 + sum of finite caps (caps bound
+    the feasible set)."""
     if prob.caps is not None:
         base = 1.0 + float(sum(c for c in prob.caps if np.isfinite(c)))
     else:
         base = 1.0 + 4.0 * max(norm(w) for w in prob.warm_starts)
-    return [base * 2.0**k for k in range(count)]
+    return [base * 2.0**k for k in range(RADIUS_COUNT)]
 
 
 def _untruncated_inner_check(price, blocks, prob, tol):
@@ -452,8 +483,6 @@ def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveRep
     On convergence the certificates are identical to `solve_qvi`'s.
     """
     params = params or QVIParams()
-    if params.max_outer < 1:
-        raise ValueError("outer iteration budget must be positive")
     grid = prob.grid
 
     d = params.start_price or PriceCurve.uniform(grid, prob.goods)

@@ -2,14 +2,17 @@
 
 A scenario fully describes one run: grid, goods, agents (endowment curves
 as closed forms sampled at cell midpoints, utility family + coefficients),
-solver parameters and the cap slack.  The schema is strict: unknown fields
-are rejected so acceptance fixtures stay reproducible.  See README for the
-documented schema.
+the cap slack, the solver parameters and an optional radius schedule.  The
+schema is strict: unknown fields are rejected so acceptance fixtures stay
+reproducible.  The solver section loads straight into `QVIParams`, which
+checks its own fields; this module adds only what YAML needs (dotless
+exponents, unknown and retired keys, the radius list) and prefixes each
+error with its path.  See README for the documented schema.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -123,23 +126,13 @@ class AgentConfig:
         }
 
 
-#: solver keys schema v1 still accepts but drops: no result depended on them
-_RETIRED_SOLVER_KEYS = {"sequential", "product_step", "max_product", "inner_step", "outer_step"}
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    seed: int = 0
-    outer_tol: float = 1e-7
-    inner_tol: float = 1e-8
-    max_outer: int = 2000
-    max_inner: int = 20000
-    radius_schedule: Optional[tuple] = None
-
-    def to_mapping(self) -> dict:
-        out = asdict(self)
-        out["radius_schedule"] = list(self.radius_schedule) if self.radius_schedule else None
-        return out
+#: solver keys schema v1 still accepts but drops: no bundled scenario set
+#: them, and they no longer change a run
+_RETIRED_SOLVER_KEYS = {
+    "sequential", "product_step", "max_product", "inner_step", "outer_step", "max_inner"
+}
+#: the `QVIParams` fields a scenario sets; the start price is API-only
+_SOLVER_FIELDS = tuple(f.name for f in fields(QVIParams) if f.name != "start_price")
 
 
 @dataclass(frozen=True)
@@ -149,17 +142,19 @@ class Scenario:
     goods: int
     agents: tuple
     cap_slack: float = 1.1
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    schema_version: int = SCHEMA_VERSION
+    solver: QVIParams = field(default_factory=QVIParams)
+    radius_schedule: Optional[tuple] = None
 
     def to_mapping(self) -> dict:
+        solver = {name: getattr(self.solver, name) for name in _SOLVER_FIELDS}
+        solver["radius_schedule"] = list(self.radius_schedule) if self.radius_schedule else None
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "grid": {"horizon": self.horizon, "cells": self.cells},
             "goods": self.goods,
             "cap_slack": self.cap_slack,
             "agents": [a.to_mapping() for a in self.agents],
-            "solver": self.solver.to_mapping(),
+            "solver": solver,
         }
 
 
@@ -212,6 +207,15 @@ def _integer(value, path: str, lowest: int) -> int:
     return value
 
 
+def _dotless_exponent(text: str):
+    """PyYAML reads `1e-7` (no dot) as a string; float() reads it as meant.
+    Other text is returned as is, for the caller's check to name."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _positive_real(value, path: str) -> float:
     # PyYAML reads `1e-7` (no dot) as a string; float() accepts it
     try:
@@ -259,26 +263,29 @@ def parse_scenario(mapping: dict) -> Scenario:
         agents.append(AgentConfig(endowment=curves, utility=utility))
 
     solver_node = mapping.get("solver", {}) or {}
-    solver_fields = {f.name for f in fields(SolverConfig)}
-    _require_keys(solver_node, solver_fields | _RETIRED_SOLVER_KEYS, set(), "scenario.solver")
-    kwargs = {k: v for k, v in solver_node.items() if k not in _RETIRED_SOLVER_KEYS}
+    _require_keys(
+        solver_node,
+        {*_SOLVER_FIELDS, "radius_schedule", *_RETIRED_SOLVER_KEYS},
+        set(),
+        "scenario.solver",
+    )
+    kwargs = {k: v for k, v in solver_node.items() if k in _SOLVER_FIELDS}
     for key in ("outer_tol", "inner_tol"):
-        if key in kwargs:
-            kwargs[key] = _positive_real(kwargs[key], f"scenario.solver.{key}")
-    for key, lowest in (("seed", 0), ("max_outer", 1), ("max_inner", 1)):
-        if key in kwargs:
-            _integer(kwargs[key], f"scenario.solver.{key}", lowest)
-    if kwargs.get("radius_schedule") is not None:
-        sched = kwargs["radius_schedule"]
+        if isinstance(kwargs.get(key), str):
+            kwargs[key] = _dotless_exponent(kwargs[key])
+    try:
+        solver = QVIParams(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"scenario.solver.{exc}") from None
+    sched = solver_node.get("radius_schedule")
+    if sched is not None:
         if not isinstance(sched, list):
             raise ScenarioError("scenario.solver.radius_schedule: need a list of positive reals")
-        sched = [
+        sched = tuple(
             _positive_real(r, f"scenario.solver.radius_schedule[{i}]") for i, r in enumerate(sched)
-        ]
+        )
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ScenarioError("scenario.solver.radius_schedule: must be strictly increasing")
-        kwargs["radius_schedule"] = tuple(sched)
-    solver = SolverConfig(**kwargs)
 
     return Scenario(
         horizon=horizon,
@@ -287,6 +294,7 @@ def parse_scenario(mapping: dict) -> Scenario:
         agents=tuple(agents),
         cap_slack=cap_slack,
         solver=solver,
+        radius_schedule=sched,
     )
 
 
@@ -332,15 +340,3 @@ def build_economy(scn: Scenario) -> Economy:
         agents.append(Agent(endowment, spec))
     return Economy(grid, scn.goods, tuple(agents))
 
-
-def solver_params(scn: Scenario, **overrides) -> QVIParams:
-    """Translate the scenario's solver section into QVIParams."""
-    cfg = scn.solver
-    params = QVIParams(
-        outer_tol=cfg.outer_tol,
-        inner_tol=cfg.inner_tol,
-        max_outer=cfg.max_outer,
-        max_inner=cfg.max_inner,
-        seed=cfg.seed,
-    )
-    return replace(params, **overrides) if overrides else params

@@ -24,7 +24,7 @@ import numpy as np
 from .economy import Agent, Economy, agent_operator, utility_value
 from .errors import SamplingFailure
 from .grids import GridFunction, PriceCurve, inner_product, norm
-from .qvi import QVIProblem
+from .qvi import QVIProblem, require_integer, require_positive_real
 from .reports import CertReport
 from .sets import (
     BudgetHalfspace,
@@ -124,9 +124,14 @@ def certify_equilibrium(
     evaluations with sampled checks, so a pass certifies the equilibrium
     inequalities at the stated tolerance on the sampled directions; no
     finite procedure certifies the continuum claim exactly.
+
+    Raises ValueError unless `tol` is finite and positive, `samples` >= 1
+    and `seed` an integer >= 0.
     """
+    require_positive_real("tol", tol)
     if samples < 1:
         raise ValueError("need at least one sample")
+    require_integer("seed", seed, 0)
     residuals = {}
     witness = None
 

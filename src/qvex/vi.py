@@ -25,6 +25,8 @@ from .sets import SetDescriptor, project_values, sample_feasible
 
 #: fraction of the inverse local Lipschitz ratio the adaptive step may reach
 STEP_SAFETY = 0.5
+#: feasible point pairs `estimate_lipschitz` differences
+LIPSCHITZ_PROBES = 8
 
 
 def adaptive_step(gamma: float, dx: float, dF: float) -> float:
@@ -84,19 +86,17 @@ def estimate_lipschitz(
     C: SetDescriptor,
     around: GridFunction,
     seed: int = 0,
-    probes: int = 8,
-    scale: Optional[float] = None,
 ) -> float:
-    """Finite-difference Lipschitz estimate from random feasible probe pairs.
+    """Finite-difference Lipschitz estimate from `LIPSCHITZ_PROBES` random
+    feasible probe pairs.
 
-    The default probe scale is local to `around`; an optimistic (small)
-    estimate gives a long step and relies on the solver's adaptive step
-    rule to shrink it where needed, which beats a globally safe but tiny
-    step.
+    The probe scale is local to `around`; an optimistic (small) estimate
+    gives a long step and relies on the solver's adaptive step rule to
+    shrink it where needed, which beats a globally safe but tiny step.
     """
     rng = np.random.default_rng(seed)
-    scale = scale if scale is not None else 0.25 * (1.0 + norm(around))
-    pts = sample_feasible(C, around, scale, rng, 2 * probes)
+    scale = 0.25 * (1.0 + norm(around))
+    pts = sample_feasible(C, around, scale, rng, 2 * LIPSCHITZ_PROBES)
     best = 0.0
     for a, b in zip(pts[::2], pts[1::2]):
         gap = norm(a - b)

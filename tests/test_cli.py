@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import yaml
 
 import qvex
 from qvex.cli import _parse_radius_schedule, main
@@ -62,17 +61,48 @@ def test_solve_inner_failure_still_writes_files(scenario_dir, tmp_path, monkeypa
     monkeypatch.setattr(
         qvex.cli, "assemble_qvi", lambda eco, caps: replace(assemble(eco, caps), demand=None)
     )
-    scn = yaml.safe_load((scenario_dir / "sinusoid_seasonal.yaml").read_text())
-    scn["solver"]["max_inner"] = 5
-    path = tmp_path / "starved.yaml"
-    path.write_text(yaml.safe_dump(scn), encoding="utf-8")
+    monkeypatch.setattr(qvex.qvi, "MAX_INNER", 5)
     out = tmp_path / "run"
-    assert run(["solve", "--scenario", path, "--out", out]) == 1
+    assert run(["solve", "--scenario", scenario_dir / "sinusoid_seasonal.yaml", "--out", out]) == 1
     for name in ("report.txt", "prices.csv", "allocations.csv"):
         assert (out / name).is_file()
     report = (out / "report.txt").read_text()
     assert "converged: False" in report
     assert "failed to certify" in report
+
+
+def test_solve_overrides_replace_the_scenario_settings(scenario_dir, tmp_path):
+    out = tmp_path / "run"
+    scn = scenario_dir / "oracle_cd_quad.yaml"
+    args = ["--tol", "1e-6", "--max-iter", "1", "--seed", "4"]
+    assert run(["solve", "--scenario", scn, "--out", out, *args]) == 1
+    report = (out / "report.txt").read_text()
+    for line in ("outer_tol: 1e-06", "inner_tol: 1e-08", "max_outer: 1", "seed: 4"):
+        assert f"\n  {line}\n" in report
+    assert "iterations: 1\n" in report
+
+
+@pytest.mark.parametrize(
+    "flag, field",
+    [
+        ("--tol=nan", "outer_tol"),
+        ("--tol=-1e-7", "outer_tol"),
+        ("--tol=0", "outer_tol"),
+        ("--seed=-1", "seed"),
+        ("--max-iter=0", "max_outer"),
+    ],
+)
+def test_solve_rejects_a_bad_override_before_solving(
+    scenario_dir, tmp_path, capsys, monkeypatch, flag, field
+):
+    solves = []
+    solve = qvex.cli.solve_qvi
+    monkeypatch.setattr(qvex.cli, "solve_qvi", lambda *a: solves.append(a) or solve(*a))
+    out = tmp_path / "run"
+    code = run(["solve", "--scenario", scenario_dir / "sinusoid_seasonal.yaml", "--out", out, flag])
+    assert code == 2
+    assert f"qvex: error: {field}: " in capsys.readouterr().err
+    assert not solves and not out.exists()
 
 
 def test_solve_demand_failure_still_writes_files(scenario_dir, tmp_path, monkeypatch):
@@ -175,6 +205,47 @@ def test_verify_shape_mismatch_diagnostic(scenario_dir, tmp_path, capsys):
     )
     assert code == 2
     assert "missing series" in capsys.readouterr().err
+
+
+def _verify_args(scn, out, *extra):
+    return [
+        "verify",
+        "--scenario",
+        scn,
+        "--price",
+        out / "prices.csv",
+        "--allocation",
+        out / "allocations.csv",
+        "--out",
+        out,
+        *extra,
+    ]
+
+
+def test_verify_rejects_a_series_with_a_repeated_or_missing_cell(scenario_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    scn = scenario_dir / "symmetric_no_trade.yaml"
+    assert run(["solve", "--scenario", scn, "--out", out]) == 0
+    # list cell 0 twice and omit cell 3: the count still matches the grid
+    rows = (out / "prices.csv").read_text().splitlines()
+    patched = [r.replace("3,price[", "0,price[", 1) if r.startswith("3,") else r for r in rows]
+    assert patched != rows
+    (out / "prices.csv").write_text("\n".join(patched) + "\n")
+    assert run(_verify_args(scn, out)) == 2
+    assert "candidate rejected" in capsys.readouterr().err
+    assert not (out / "certification.txt").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5", "tight"])
+def test_verify_rejects_a_bad_tolerance_as_a_usage_error(scenario_dir, tmp_path, capsys, tol):
+    out = tmp_path / "run"
+    scn = scenario_dir / "oracle_cd_quad.yaml"
+    assert run(["solve", "--scenario", scn, "--out", out]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(_verify_args(scn, out, "--tol", tol))
+    assert exc.value.code == 2
+    assert "argument --tol" in capsys.readouterr().err
+    assert not (out / "certification.txt").exists()
 
 
 def test_probes_pass_on_supported_scenario(scenario_dir, tmp_path):

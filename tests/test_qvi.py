@@ -87,14 +87,15 @@ def test_best_response_rejects_infeasible_price():
         agent_best_responses(bad, prob, QVIParams())  # type: ignore[arg-type]
 
 
-def test_best_response_inner_failure_lists_agents():
+def test_best_response_inner_failure_lists_agents(monkeypatch):
     # bliss away from the warm start: two extragradient iterations cannot
     # reach tolerance (without the exact demand map they solve the inner VIs)
+    monkeypatch.setattr(qvex.qvi, "MAX_INNER", 2)
     eco = bliss_inside_economy()
     prob = replace(assemble_qvi(eco, default_caps(eco, 1.1)), demand=None)
     d = PriceCurve.uniform(eco.grid, 2)
     with pytest.raises(InnerSolveFailure) as err:
-        agent_best_responses(d, prob, QVIParams(max_inner=2, inner_tol=1e-12))
+        agent_best_responses(d, prob, QVIParams(inner_tol=1e-12))
     assert err.value.failed_agents
 
 
@@ -207,23 +208,57 @@ def test_solver_determinism(oracle_problem, skewed_start):
     np.testing.assert_array_equal(rep1.allocation.values, rep2.allocation.values)
 
 
-def test_inner_failure_returns_a_pair_instead_of_raising(oracle_problem, skewed_start):
+def test_inner_failure_returns_a_pair_instead_of_raising(
+    oracle_problem, skewed_start, monkeypatch
+):
     # without the exact demand map the inner VIs run on extragradient, and
     # two of its iterations cannot certify even the first, loose inner solve
     oracle_problem = replace(oracle_problem, demand=None)
-    rep = solve_qvi(oracle_problem, QVIParams(start_price=skewed_start, max_inner=2))
+    monkeypatch.setattr(qvex.qvi, "MAX_INNER", 2)
+    rep = solve_qvi(oracle_problem, QVIParams(start_price=skewed_start))
     assert not rep.converged and rep.iterations == 1
     assert "failed to certify" in rep.message and "agents [0]" in rep.message
     assert rep.outer_residual == rep.residual_history[0]
 
     # loose early inner solves certify; the tight ones near the fixed point
     # fail, since 1e-17 is below what double precision can certify
-    params = QVIParams(start_price=skewed_start, max_inner=100, inner_tol=1e-17)
+    monkeypatch.setattr(qvex.qvi, "MAX_INNER", 100)
+    params = QVIParams(start_price=skewed_start, inner_tol=1e-17)
     rep = solve_qvi(oracle_problem, params)
     assert not rep.converged and rep.iterations > 1
     assert "failed to certify at tol=1e-17" in rep.message
     # the best certified pair, not the failing iterate
     assert rep.outer_residual == rep.residual_history[:-1].min()
+
+
+BAD_PARAMS = [
+    ("outer_tol", float("nan")),
+    ("outer_tol", -1e-7),
+    ("outer_tol", 0.0),
+    ("outer_tol", True),
+    ("inner_tol", float("inf")),
+    ("inner_tol", "1e-8"),
+    ("inner_tol", False),
+    ("max_outer", 0),
+    ("max_outer", 2.0),
+    ("max_outer", True),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("seed", True),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_PARAMS, ids=[f"{n}={v!r}" for n, v in BAD_PARAMS])
+def test_params_reject_each_bad_field_on_construction_and_replace(name, value):
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        QVIParams(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        replace(QVIParams(), **{name: value})
+
+
+def test_params_are_frozen():
+    with pytest.raises(AttributeError):
+        QVIParams().seed = 3
 
 
 def test_nonconvergence_reports_best_iterate(oracle_problem, skewed_start):
@@ -339,9 +374,10 @@ def test_truncation_rejects_an_empty_schedule(oracle_problem):
         solve_qvi_truncated(oracle_problem, [])
 
 
-def test_truncation_exhausted_keeps_inner_failure_message(oracle_problem):
+def test_truncation_exhausted_keeps_inner_failure_message(oracle_problem, monkeypatch):
     # the radius advice must not hide that the last solve's inner VIs failed
-    rep = solve_qvi_truncated(oracle_problem, [50.0, 100.0], QVIParams(max_inner=2))
+    monkeypatch.setattr(qvex.qvi, "MAX_INNER", 2)
+    rep = solve_qvi_truncated(oracle_problem, [50.0, 100.0], QVIParams())
     assert not rep.converged and rep.truncation_radius_used is None
     assert "radius" in rep.message and "failed to certify" in rep.message
 

@@ -1,20 +1,22 @@
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from qvex.cli import run_solve
 from qvex.qvi import QVIParams
 from qvex.scenario import (
     ScenarioError,
-    SolverConfig,
     build_economy,
     echo_scenario,
     load_scenario,
     parse_scenario,
-    solver_params,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL = {
     "schema_version": 1,
@@ -37,7 +39,7 @@ def test_minimal_scenario_fills_defaults(tmp_path):
     assert scn.cap_slack == 1.1
     assert scn.solver.seed == 0
     assert scn.solver.outer_tol == 1e-7
-    assert scn.solver.radius_schedule is None
+    assert scn.radius_schedule is None
     assert scn.agents[0].endowment[0].kind == "constant"
 
 
@@ -136,7 +138,7 @@ def test_radius_schedule_validation(tmp_path):
     with pytest.raises(ScenarioError, match="increasing"):
         load_scenario(write(tmp_path, bad))
     ok = {**MINIMAL, "solver": {"radius_schedule": [1.0, 2.0, 4.0]}}
-    assert load_scenario(write(tmp_path, ok)).solver.radius_schedule == (1.0, 2.0, 4.0)
+    assert load_scenario(write(tmp_path, ok)).radius_schedule == (1.0, 2.0, 4.0)
 
 
 @pytest.mark.parametrize(
@@ -190,37 +192,50 @@ def test_negative_sampled_endowment_rejected(tmp_path):
         build_economy(load_scenario(write(tmp_path, bad)))
 
 
-def test_solver_params_translation(tmp_path):
-    mapping = {**MINIMAL, "solver": {"seed": 5, "outer_tol": 1e-6, "max_outer": 77}}
+def test_every_solver_setting_is_settable_from_a_scenario(tmp_path):
+    # the start price is API-only; every other QVIParams field is a key
+    solver = {"outer_tol": 1e-6, "inner_tol": 1e-9, "max_outer": 77, "seed": 5}
+    assert set(solver) == {f.name for f in fields(QVIParams)} - {"start_price"}
+    mapping = {**MINIMAL, "solver": {**solver, "radius_schedule": [3.0, 6.0]}}
     scn = load_scenario(write(tmp_path, mapping))
-    params = solver_params(scn)
-    assert params.seed == 5
-    assert params.outer_tol == 1e-6
-    assert params.max_outer == 77
-    overridden = solver_params(scn, seed=9, max_inner=11)
-    assert overridden.seed == 9 and overridden.max_inner == 11
+    assert scn.solver == QVIParams(**solver)
+    assert scn.radius_schedule == (3.0, 6.0)
+    assert yaml.safe_load(echo_scenario(scn))["solver"] == mapping["solver"]
 
-    # schema v1 keys that no longer change a run still load, and are dropped
+
+def test_retired_solver_keys_load_and_drop(scenario_dir, tmp_path):
+    # schema v1 keys that no longer change a run still load, are dropped,
+    # and the scenario solves as it does without them
     retired = {
         "sequential": False,
         "product_step": 0.01,
         "max_product": 5,
         "inner_step": 0.1,
         "outer_step": 0.5,
+        "max_inner": 3,
     }
-    old = {**MINIMAL, "solver": {**mapping["solver"], **retired}}
-    old_scn = load_scenario(write(tmp_path, old, name="old.yaml"))
-    assert solver_params(old_scn) == params
+    plain = scenario_dir / "oracle_cd_quad.yaml"
+    mapping = yaml.safe_load(plain.read_text())
+    mapping["solver"].update(retired)
+    old = write(tmp_path, mapping, name="old.yaml")
+    old_scn = load_scenario(old)
+    assert old_scn == load_scenario(plain)
     echoed = echo_scenario(old_scn)
     assert not any(key in echoed for key in retired)
 
+    assert run_solve(str(plain), str(tmp_path / "plain")) == 0
+    assert run_solve(str(old), str(tmp_path / "old")) == 0
+    for name in ("prices.csv", "allocations.csv"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
-def test_every_solver_setting_is_settable_from_a_scenario():
-    # the start price is API-only and the radius schedule picks the truncated
-    # solve; every other setting must exist on both sides
-    params = {f.name for f in fields(QVIParams)} - {"start_price"}
-    config = {f.name for f in fields(SolverConfig)} - {"radius_schedule"}
-    assert params == config
+
+def test_readme_schema_block_parses_with_the_echoed_solver_keys():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Scenario schema"):]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    mapping = yaml.safe_load(block)
+    scn = parse_scenario(mapping)
+    assert list(mapping["solver"]) == list(yaml.safe_load(echo_scenario(scn))["solver"])
 
 
 # raw text: yaml.safe_dump writes floats as `1.0e-07`, never the dotless
@@ -249,7 +264,7 @@ def write_raw(tmp_path, old, new):
 
 def test_dotless_exponent_tolerances_load_as_numbers(tmp_path):
     scn = load_scenario(write_raw(tmp_path, "  seed: 0", "  outer_tol: 1e-7\n  inner_tol: 1e-9"))
-    params = solver_params(scn)
+    params = scn.solver
     assert params.outer_tol == 1e-7 and params.inner_tol == 1e-9
 
 
@@ -263,8 +278,6 @@ BAD_FIELDS = [
     ("  seed: 0", "  seed: 1.5", "scenario.solver.seed"),
     ("  seed: 0", "  max_outer: 2.5", "scenario.solver.max_outer"),
     ("  seed: 0", "  max_outer: 0", "scenario.solver.max_outer"),
-    ("  seed: 0", "  max_inner: true", "scenario.solver.max_inner"),
-    ("  seed: 0", "  max_inner: '100'", "scenario.solver.max_inner"),
     ("horizon: 1.0", "horizon: one", "scenario.grid.horizon"),
     ("cap_slack: 1.1", "cap_slack: .nan", "scenario.cap_slack"),
     ("cells: 2", "cells: true", "scenario.grid.cells"),

@@ -185,6 +185,28 @@ def test_certify_rejects_a_sample_count_below_one(samples):
         best_response_residual(eco, p, plans[0], 0, samples=samples)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1e-6}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+    ],
+)
+def test_certify_rejects_a_bad_tolerance_or_seed(kwargs, field):
+    # a negative seed used to fail every best response with inf, and a nan
+    # tolerance to fail every gate, instead of raising
+    eco = two_agent_economy()
+    p = PriceCurve.uniform(G, 2)
+    plans = [a.endowment for a in eco.agents]
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        certify_equilibrium(eco, p, plans, **kwargs)
+
+
 def _solved_corpus_pair(seed):
     eco = make_random_economy(seed)
     rep = solve_qvi(assemble_qvi(eco, default_caps(eco, 1.1)), QVIParams(seed=seed))
