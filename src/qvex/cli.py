@@ -25,7 +25,7 @@ from .economy import (
     survivability_check,
 )
 from .grids import GridFunction, PriceCurve, make_grid
-from .qvi import QVIParams, solve_qvi, solve_qvi_truncated
+from .qvi import QVIParams, require_integer, solve_qvi, solve_qvi_truncated
 from .scenario import Scenario, build_economy, echo_scenario, load_scenario
 from .verify import (
     budget_residuals,
@@ -212,6 +212,7 @@ def run_verify(scn_path: str, price_path: str, alloc_path: str, out_dir: str, to
 
 
 def run_probes(scn_path: str, out_dir: str, seed: int) -> int:
+    require_integer("seed", seed, 0)
     scn = load_scenario(scn_path)
     eco = build_economy(scn)
     caps = default_caps(eco, scn.cap_slack)
@@ -256,6 +257,16 @@ def _parse_positive_real(text):
     return value
 
 
+def _parse_seed(text):
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _parse_radius_schedule(text):
     if text is None:
         return None
@@ -293,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_probes = sub.add_parser("probes", help="run the structural probes on a scenario")
     common(p_probes)
-    p_probes.add_argument("--seed", type=int, default=None)
+    p_probes.add_argument("--seed", type=_parse_seed, default=None)
 
     p_echo = sub.add_parser("echo-scenario", help="print the scenario with defaults filled")
     p_echo.add_argument("--scenario", required=True)

@@ -184,9 +184,7 @@ def _parse_utility(node, goods: int, path: str) -> UtilityConfig:
     if family == "logshift":
         _require_keys(node, {"family", "weights", "shift"}, {"family", "weights"}, path)
         weights = _parse_weights(node["weights"], goods, f"{path}.weights")
-        shift = float(node.get("shift", 1.0))
-        if shift <= 0:
-            raise ScenarioError(f"{path}.shift: must be positive, got {shift}")
+        shift = _positive_real(node.get("shift", 1.0), f"{path}.shift")
         return UtilityConfig(family="logshift", weights=weights, shift=shift)
     raise ScenarioError(f"{path}.family: must be 'quadratic' or 'logshift', got {family!r}")
 
@@ -194,10 +192,7 @@ def _parse_utility(node, goods: int, path: str) -> UtilityConfig:
 def _parse_weights(node, goods: int, path: str) -> tuple:
     if not isinstance(node, list) or len(node) != goods:
         raise ScenarioError(f"{path}: need one weight per good ({goods})")
-    weights = tuple(float(w) for w in node)
-    if any(w <= 0 for w in weights):
-        raise ScenarioError(f"{path}: weights must be strictly positive")
-    return weights
+    return tuple(_positive_real(w, f"{path}[{j}]") for j, w in enumerate(node))
 
 
 def _integer(value, path: str, lowest: int) -> int:

@@ -4,8 +4,9 @@ Nothing in here may call the solver paths it checks: projections are
 verified against dense-grid minimization, VI solves against a long-run
 projected-gradient fixed point, and the two-agent quadratic equilibrium
 against closed-form KKT demands plus a grid-and-bisection price search,
-the batched certificate against the per-sample loop it replaced, and the
-budget-cone kernel against the compacting loop it replaced.
+the batched certificate against the per-sample loop it replaced, the
+budget-cone kernel against the compacting loop it replaced, and the
+LogShift demand against the search start it replaced.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from qvex import (
     utility_value,
     vi_residual,
 )
+from qvex.economy import _logshift_plan
 from qvex.errors import NonConvergence
+from qvex.sets import _cap_budgets, _multiplier_search
 
 
 def brute_force_project(v: np.ndarray, feasible, lows, highs, coarse=2e-3, fine=1e-5):
@@ -240,4 +243,38 @@ def compacting_budget_cone(V, p, e, dt, max_newton=100):
         f"budget-cone Newton iteration did not converge in {max_newton} steps",
         last_iterate=Zt,
         residuals={"budget_gap": float(np.max(st)) - wealth, "unsettled": int(todo.size)},
+    )
+
+
+def newton_started_logshift_demand(spec, p, e, caps, dt):
+    """`qvex.LogShift.demand` as it was first written: the budget multiplier
+    search starts from one Newton step on the spend, with the cap
+    multipliers held at the plan of the lower bound.
+
+    It shares `_logshift_plan` and `_multiplier_search` with the kernel,
+    which starts the same search from the breakpoint root instead; the two
+    must agree to rounding.
+    """
+    a = np.asarray(spec.weights)
+    budgets = _cap_budgets(caps, dt)
+    uncapped = np.ones(a.size, bool) if budgets is None else ~np.isfinite(budgets)
+    if np.any((p == 0) & uncapped):
+        raise NonConvergence("LogShift demand is unbounded: an uncapped good is free in some cell")
+    wealth = dt * float(np.vdot(p, e))
+    if wealth <= 1e-300:
+        return _logshift_plan(np.where(p > 0, np.inf, 0.0), a, spec.shift, budgets)
+    lo = 0.0
+    if uncapped.any():
+        pu = p[:, uncapped]
+        lo = dt * pu.shape[0] * a[uncapped].sum() / (wealth + dt * spec.shift * pu.sum())
+    x = _logshift_plan(lo * p, a, spec.shift, budgets)
+    spend = dt * float(np.vdot(p, x))
+    if spend <= wealth:
+        return x
+    slope = dt * float(np.vdot(p * p, np.where(x > 0, (x + spec.shift) ** 2, 0.0) / a))
+    lam = lo + (spend - wealth) / max(slope, 1e-300)
+    return _multiplier_search(
+        lambda lam: _logshift_plan(lam * p, a, spec.shift, budgets),
+        lambda x: dt * float(np.vdot(p, x)),
+        wealth, lo, spend, lam,
     )

@@ -1,7 +1,7 @@
 """Opt-in timings with pytest-benchmark: equilibrium certification of two
-planted pairs, the two-level solve of the 32-agent ladder economy on exact
-demand, and the truncated solve of the oracle economy on the exact ball-cut
-projection.
+planted pairs, the two-level solves of the seasonal scenario and of the
+32- and 128-agent ladder economies on exact demand, and the truncated solve
+of the oracle economy on the exact ball-cut projection.
 
 A plain test run skips them (see conftest.py); run them with
 `PYTHONPATH=src python -m pytest tests/test_bench.py --benchmark-only`.
@@ -18,6 +18,7 @@ from qvex import (
     solve_qvi,
     solve_qvi_truncated,
 )
+from qvex.scenario import build_economy, load_scenario
 
 
 def test_bench_certify_planted_8x2x1024(benchmark):
@@ -37,6 +38,21 @@ def test_bench_solve_agent_ladder_32(benchmark):
     eco = make_agent_ladder_economy(32)
     prob = assemble_qvi(eco, default_caps(eco, 1.1))
     rep = benchmark(solve_qvi, prob, QVIParams())
+    assert rep.converged
+
+
+def test_bench_solve_agent_ladder_128(benchmark):
+    eco = make_agent_ladder_economy(128)
+    prob = assemble_qvi(eco, default_caps(eco, 1.1))
+    rep = benchmark(solve_qvi, prob, QVIParams())
+    assert rep.converged
+
+
+def test_bench_solve_sinusoid_seasonal(benchmark, scenario_dir):
+    scn = load_scenario(scenario_dir / "sinusoid_seasonal.yaml")
+    eco = build_economy(scn)
+    prob = assemble_qvi(eco, default_caps(eco, scn.cap_slack))
+    rep = benchmark(solve_qvi, prob, scn.solver)
     assert rep.converged
 
 

@@ -257,6 +257,36 @@ def test_probes_pass_on_supported_scenario(scenario_dir, tmp_path):
     assert "growth[0]: pass" in text and "concavity[1]: pass" in text
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_probes_rejects_a_bad_seed_as_a_usage_error(scenario_dir, tmp_path, capsys, seed):
+    out = tmp_path / "probes"
+    with pytest.raises(SystemExit) as exc:
+        run(["probes", "--scenario", scenario_dir / "oracle_cd_quad.yaml", "--out", out, "--seed", seed])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_probes_checks_its_seed(scenario_dir, tmp_path):
+    with pytest.raises(ValueError, match="seed: must be an integer >= 0"):
+        qvex.cli.run_probes(scenario_dir / "oracle_cd_quad.yaml", tmp_path / "probes", -1)
+    assert not (tmp_path / "probes").exists()
+
+
+@pytest.mark.parametrize("utility", ["{family: logshift, weights: [.nan], shift: .inf}",
+                                     "{family: logshift, weights: [1.0], shift: .inf}"])
+def test_solve_rejects_non_finite_utility_parameters(tmp_path, capsys, utility):
+    scn = tmp_path / "scn.yaml"
+    scn.write_text(
+        "schema_version: 1\ngrid: {horizon: 1.0, cells: 2}\ngoods: 1\n"
+        f"agents:\n  - endowment: [1.0]\n    utility: {utility}\n",
+        encoding="utf-8",
+    )
+    assert run(["solve", "--scenario", scn, "--out", tmp_path / "run"]) == 2
+    assert "agents[0].utility." in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_solve_with_radius_schedule(scenario_dir, tmp_path):
     out = tmp_path / "run"
     code = run(

@@ -2,8 +2,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from corpus import make_agent_ladder_economy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import newton_started_logshift_demand
 
 import qvex
 from qvex import (
@@ -27,9 +29,10 @@ from qvex import (
     utility_value,
     vi_residual,
 )
-from qvex.economy import UtilitySpec, agent_operator
+from qvex.economy import UtilitySpec, _logshift_plan, _logshift_root, agent_operator
 from qvex.errors import DomainViolation, NonConvergence
-from qvex.sets import BudgetHalfspace, CapBox, Intersection
+from qvex.scenario import build_economy, load_scenario
+from qvex.sets import BudgetHalfspace, CapBox, Intersection, _cap_budgets
 
 G = make_grid(1.0, 1)
 
@@ -320,6 +323,22 @@ def test_economy_validation():
         Agent(GridFunction.constant(g, [-0.1]), LogShift((1.0,), 1.0, 2))
 
 
+@pytest.mark.parametrize(
+    "weights, shift",
+    [((np.nan,), np.inf), ((1.0,), np.inf), ((1.0,), np.nan), ((np.inf,), 1.0), ((1.0, -np.inf), 1.0)],
+)
+def test_logshift_needs_finite_positive_parameters(weights, shift):
+    with pytest.raises(ValueError, match="finite positive"):
+        LogShift(weights, shift, 2)
+
+
+@pytest.mark.parametrize("weights", [(np.nan,), (np.inf,), (1.0, 0.0)])
+def test_quadratic_needs_finite_positive_weights(weights):
+    bliss = GridFunction.constant(G, [1.0] * len(weights))
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        Quadratic(bliss, weights)
+
+
 def test_assemble_attaches_demand_only_when_every_family_has_one(oracle_economy):
     eco, caps = oracle_economy
     prob = assemble_qvi(eco, caps)
@@ -407,3 +426,153 @@ def test_demand_property_matches_extragradient(problem):
     mu, lip = _moduli(spec, x, rep.solution)
     res_eg = vi_residual(rep.solution, op, K, 1.0)
     assert norm(rep.solution - x) <= 1.01 * (1.0 + lip) / mu * (res_eg + res) + 1e-300
+
+
+def _check_against_search_start(spec, p, e, caps, dt):
+    """The demand agrees with the search-started reference, never
+    overspends and keeps every cap, each as the kernels measure it."""
+    x = spec.demand(p, e, caps, dt)
+    ref = newton_started_logshift_demand(spec, p, e, caps, dt)
+    size = np.sqrt(dt) * np.linalg.norm(x)
+    assert np.sqrt(dt) * np.linalg.norm(x - ref) <= 1e-12 * (1.0 + size)
+    assert x.min() >= 0.0
+    assert dt * float(np.vdot(p, x)) <= dt * float(np.vdot(p, e))
+    budgets = _cap_budgets(caps, dt)
+    if budgets is not None:
+        assert np.all(x.sum(axis=0) <= budgets)
+    return x
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(demand_problems())
+def test_logshift_demand_matches_the_search_started_reference(problem):
+    agent, p, caps, _ = problem
+    spec, e = agent.utility, agent.endowment
+    assume(isinstance(spec, LogShift))
+    if np.any((p == 0) & ~np.isfinite(caps)):
+        for demand in (spec.demand, partial(newton_started_logshift_demand, spec)):
+            with pytest.raises(NonConvergence, match="unbounded"):
+                demand(p, e.values, caps, e.grid.dt)
+        return
+    _check_against_search_start(spec, p, e.values, caps, e.grid.dt)
+
+
+def _uncapped_plan_at_root(spec, p, e):
+    a = np.asarray(spec.weights)
+    lam = _logshift_root(p, a, spec.shift, float(np.vdot(p, e)) * (1.0 - 1e-15))
+    return _logshift_plan(lam * p, a, spec.shift, None)
+
+
+def _logshift_case(name):
+    """(spec, p, e, caps, dt) of one hand-built demand, each showing one
+    shape of the breakpoint root."""
+    rng = np.random.default_rng(7)
+    cells, dt = 8, 0.125
+    p = rng.uniform(0.2, 1.0, (cells, 2))
+    p /= p.sum(axis=1, keepdims=True)
+    e = np.full((cells, 2), 1.0)
+    spec = LogShift((3.0, 1.0), 1.0, cells)
+    caps = (np.inf, np.inf)
+    if name == "cap binds at the root":
+        caps = (0.5 * dt * _uncapped_plan_at_root(spec, p, e)[:, 0].sum(), np.inf)
+    elif name == "zero-price capped good":
+        p[::2, 1] = 0.0
+        p[::2, 0] = 1.0
+        caps = (np.inf, 4.0)
+    elif name == "one active entry":
+        spec = LogShift((1.0, 1.0), 10.0, cells)
+        e = np.full((cells, 2), 1e-3)
+    elif name == "all entries active":
+        spec = LogShift((1.0, 1.0), 0.01, cells)
+        e = np.full((cells, 2), 100.0)
+    elif name == "worthless endowment":
+        e = np.zeros((cells, 2))
+        caps = (2.0, 3.0)
+    elif name == "root rounds onto the lower end":
+        # one uncapped entry with a large shift: the search's lower end
+        # 1 / (1e-3 + 1e3) already spends the wealth up to rounding
+        spec, p, e, caps, dt = LogShift((1.0,), 1e3, 1), np.ones((1, 1)), np.full((1, 1), 1e-3), (np.inf,), 1.0
+    return spec, p, e, caps, dt
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "cap binds at the root",
+        "zero-price capped good",
+        "one active entry",
+        "all entries active",
+        "worthless endowment",
+        "root rounds onto the lower end",
+    ],
+)
+def test_logshift_demand_matches_the_reference_on_hand_built_cases(name):
+    spec, p, e, caps, dt = _logshift_case(name)
+    x = _check_against_search_start(spec, p, e, caps, dt)
+    if name == "cap binds at the root":
+        assert _uncapped_plan_at_root(spec, p, e)[:, 0].sum() > caps[0] / dt
+        assert dt * x[:, 0].sum() >= caps[0] * (1 - 1e-13)
+    elif name == "zero-price capped good":
+        assert np.all(x[::2, 1] > 0.0)
+    elif name == "one active entry":
+        assert np.count_nonzero(_uncapped_plan_at_root(spec, p, e)) == 1
+    elif name == "all entries active":
+        assert np.all(_uncapped_plan_at_root(spec, p, e) > 0.0)
+    elif name == "worthless endowment":
+        np.testing.assert_array_equal(x, 0.0)
+    elif name == "root rounds onto the lower end":
+        lo = 1.0 / (1e-3 + 1e3)
+        assert _logshift_plan(lo * p, np.ones(1), 1e3, None)[0, 0] > 1e-3
+        assert _logshift_root(p, np.ones(1), 1e3, 1e-3 * (1.0 - 1e-15)) <= lo
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_logshift_root_spends_the_target(seed, scale):
+    rng = np.random.default_rng(seed)
+    cells, goods = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+    p = rng.random((cells, goods))
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[0, 0] = 1.0
+    a = scale * (0.5 + rng.random(goods))
+    shift = scale * 10.0 ** rng.uniform(-1.0, 1.0)
+    target = scale * 10.0 ** rng.uniform(-3.0, 2.0)
+    lam = _logshift_root(p, a, shift, target)
+    # the piecewise spend, term by term, with no sorting
+    live = p > 0
+    x = np.maximum(a / (lam * np.where(live, p, 1.0)) - shift, 0.0)
+    spend = float(np.sum(np.where(live, p * x, 0.0)))
+    assert abs(spend - target) <= 1e-12 * (target + shift * p.sum())
+
+
+def _seasonal(scenario_dir):
+    scn = load_scenario(scenario_dir / "sinusoid_seasonal.yaml")
+    eco = build_economy(scn)
+    return eco, default_caps(eco, scn.cap_slack), scn.solver
+
+
+def _ladder_64(scenario_dir):
+    eco = make_agent_ladder_economy(64)
+    return eco, default_caps(eco, 1.1), qvex.QVIParams()
+
+
+@pytest.mark.parametrize("build, outer", [(_seasonal, 10), (_ladder_64, 18)], ids=["seasonal", "ladder-64"])
+def test_logshift_demand_takes_few_plan_evaluations(monkeypatch, scenario_dir, build, outer):
+    calls = {"plan": 0, "demand": 0}
+    plan, demand = qvex.economy._logshift_plan, LogShift.demand
+
+    def counted_plan(*args):
+        calls["plan"] += 1
+        return plan(*args)
+
+    def counted_demand(self, *args):
+        calls["demand"] += 1
+        return demand(self, *args)
+
+    monkeypatch.setattr(qvex.economy, "_logshift_plan", counted_plan)
+    monkeypatch.setattr(LogShift, "demand", counted_demand)
+    eco, caps, params = build(scenario_dir)
+    rep = qvex.solve_qvi(assemble_qvi(eco, caps), params)
+    assert rep.converged and rep.iterations == outer
+    # the search started by one Newton step took 11.2 and 17.0 per demand here
+    assert calls["demand"] > 0 and calls["plan"] <= 4 * calls["demand"]

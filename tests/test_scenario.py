@@ -283,6 +283,12 @@ BAD_FIELDS = [
     ("cells: 2", "cells: true", "scenario.grid.cells"),
     ("goods: 1", "goods: true", "scenario.goods"),
     ("schema_version: 1", "schema_version: true", "scenario.schema_version"),
+    ("weights: [1.0]", "weights: [.nan]", "scenario.agents[0].utility.weights"),
+    ("weights: [1.0]", "weights: [.inf]", "scenario.agents[0].utility.weights"),
+    ("weights: [1.0]", "weights: [-1.0]", "scenario.agents[0].utility.weights"),
+    ("shift: 1.0", "shift: .inf", "scenario.agents[0].utility.shift"),
+    ("shift: 1.0", "shift: .nan", "scenario.agents[0].utility.shift"),
+    ("shift: 1.0", "shift: 0", "scenario.agents[0].utility.shift"),
 ]
 
 
