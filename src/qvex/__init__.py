@@ -48,10 +48,7 @@ from .sets import (
     SetDescriptor,
     membership_residual,
     project,
-    project_budget_halfspace,
-    project_cap_box,
     project_intersection,
-    project_pointwise_simplex,
     sample_feasible,
 )
 from .vi import (

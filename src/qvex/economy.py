@@ -34,6 +34,7 @@ from .grids import GridFunction, PriceCurve, TimeGrid, split_components
 from .qvi import QVIProblem
 from .reports import CertReport
 from .sets import (
+    _SEARCH_WINDOW,
     BudgetHalfspace,
     CapBox,
     Intersection,
@@ -53,8 +54,8 @@ class UtilitySpec:
 
     Implementations provide cellwise values/gradients for (cells, m)
     consumption arrays, and for (k, cells, m) blocks of them, reducing over
-    the last axis, plus single-cell evaluation for the probes, and
-    declare the constants of their linear gradient growth bound.
+    the last axis, and declare the constants of their linear gradient
+    growth bound.
     `block_sums` reduces a block to the two sums the certificate compares,
     and a family may override it with a faster reduction.  A family
     may also provide `demand`, its exact best response on a capped budget
@@ -66,12 +67,6 @@ class UtilitySpec:
         raise NotImplementedError
 
     def cell_gradients(self, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def value_at(self, cell: int, w: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient_at(self, cell: int, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def growth_constants(self) -> tuple:
@@ -133,13 +128,6 @@ class Quadratic(UtilitySpec):
         slopes = np.einsum("kcm,kcm->k", gradients, np.subtract(ys, x, out=half))
         return values, slopes
 
-    def value_at(self, cell, w):
-        q = np.asarray(self.weights)
-        return float(self.bliss.values[cell] @ w - 0.5 * np.sum(q * w * w))
-
-    def gradient_at(self, cell, w):
-        return self.bliss.values[cell] - np.asarray(self.weights) * w
-
     def growth_constants(self):
         g = np.linalg.norm(self.bliss.values, axis=1)
         return max(self.weights), g
@@ -184,14 +172,6 @@ class LogShift(UtilitySpec):
         values = np.einsum("kcm,cm->k", np.log(shifted, out=shifted), a)
         return values, slopes
 
-    def value_at(self, cell, w):
-        self.check_domain(np.asarray(w))
-        return float(np.sum(np.asarray(self.weights) * np.log(self.shift + np.asarray(w))))
-
-    def gradient_at(self, cell, w):
-        self.check_domain(np.asarray(w))
-        return np.asarray(self.weights) / (self.shift + np.asarray(w))
-
     def growth_constants(self):
         g = np.full(self.cells, sum(self.weights) / self.shift)
         return 0.0, g
@@ -231,7 +211,7 @@ class LogShift(UtilitySpec):
             return x
         # first trial: the root with every cap ignored, aimed at the middle
         # of the search's acceptance window; a rounding onto lo moves it one ulp
-        lam = _logshift_root(p, a, self.shift, wealth * (1.0 - 1e-15) / dt)
+        lam = _logshift_root(p, a, self.shift, wealth * (1.0 - 0.5 * _SEARCH_WINDOW) / dt)
         return _multiplier_search(
             lambda lam: _logshift_plan(lam * p, a, self.shift, budgets),
             lambda x: dt * float(np.vdot(p, x)),
@@ -379,7 +359,7 @@ def default_caps(eco: Economy, slack: float = 1.1) -> np.ndarray:
     The strict inequality cap > integral is what lets optimality on the
     capped budget set extend to the uncapped one at equilibrium.
     """
-    if slack < 1.05:
+    if not slack >= 1.05:
         raise ValueError(f"cap slack must be >= 1.05, got {slack}")
     totals = aggregate_endowment_integrals(eco)
     if np.any(totals <= 0):
@@ -399,7 +379,7 @@ def assemble_qvi(eco: Economy, caps: Sequence[float]) -> QVIProblem:
     if caps.shape != (eco.goods,):
         raise ValueError(f"need one cap per good, got shape {caps.shape}")
     totals = aggregate_endowment_integrals(eco)
-    if np.any(caps <= totals):
+    if not np.all(caps > totals):
         raise ValueError(
             "caps must strictly exceed the aggregate endowment integral per good: "
             f"caps={caps.tolist()}, integrals={totals.tolist()}"
@@ -439,63 +419,67 @@ def survivability_check(eco: Economy) -> list:
     return [a.survivable for a in eco.agents]
 
 
+def _cell_at(f, w, k, shape):
+    """The cellwise formula `f` of a family at consumption w in cell k of a
+    plan of the given shape."""
+    return f(np.broadcast_to(w, shape))[k]
+
+
+def _sampled_margin(agent, samples, seed, decades, points, margin, tolerance, name):
+    """Worst `margin(k, *ws)` over `samples` draws of a cell k and `points`
+    consumption vectors |N(0, I)| times one scale, log-uniform over
+    `decades`.  A NaN margin is the worst: it fails at once, with its
+    sample as the witness."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    cells, m = agent.endowment.values.shape
+    worst_margin, witness = np.inf, None
+    for used in range(1, samples + 1):
+        k = int(rng.integers(cells))
+        scale = 10.0 ** rng.uniform(*decades)
+        ws = [scale * np.abs(rng.normal(size=m)) for _ in range(points)]
+        value = float(margin(k, *ws))
+        if value < worst_margin or np.isnan(value):
+            worst_margin, witness = value, (k, *ws)
+            if np.isnan(value):
+                break
+    ok = worst_margin >= 0
+    return CertReport(
+        verdict=ok,
+        residuals={"worst_margin": worst_margin},
+        witness=None if ok else witness,
+        tolerance=tolerance,
+        samples_used=used,
+        seed=seed,
+        name=name,
+    )
+
+
 def check_growth_condition(agent: Agent, samples: int = 200, seed: int = 0) -> CertReport:
     """Sampled check of the declared gradient growth bound on the cone.
 
     Magnitudes are drawn log-uniformly over several decades so families with
     superlinear gradients fail at large consumption, where they must.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    C, g = agent.utility.growth_constants()
-    g = np.broadcast_to(np.asarray(g, dtype=float), (agent.endowment.grid.cells,))
-    m = agent.endowment.components
-    worst_margin, witness = np.inf, None
-    for _ in range(samples):
-        k = int(rng.integers(agent.endowment.grid.cells))
-        scale = 10.0 ** rng.uniform(-2, 3)
-        w = scale * np.abs(rng.normal(size=m))
-        lhs = float(np.linalg.norm(agent.utility.gradient_at(k, w)))
-        margin = C * float(np.linalg.norm(w)) + g[k] + 1e-9 - lhs
-        if margin < worst_margin:
-            worst_margin, witness = margin, (k, w)
-    ok = worst_margin >= 0
-    return CertReport(
-        verdict=ok,
-        residuals={"worst_margin": worst_margin},
-        witness=None if ok else witness,
-        tolerance=1e-9,
-        samples_used=samples,
-        seed=seed,
-        name="growth-condition",
-    )
+    u, shape = agent.utility, agent.endowment.values.shape
+    C, g = u.growth_constants()
+    g = np.broadcast_to(np.asarray(g, dtype=float), shape[:1])
+
+    def margin(k, w):
+        lhs = float(np.linalg.norm(_cell_at(u.cell_gradients, w, k, shape)))
+        return C * float(np.linalg.norm(w)) + g[k] + 1e-9 - lhs
+
+    return _sampled_margin(agent, samples, seed, (-2, 3), 1, margin, 1e-9, "growth-condition")
 
 
 def check_concavity(agent: Agent, samples: int = 200, seed: int = 0) -> CertReport:
     """Sampled midpoint-concavity check of the instantaneous utility."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    m = agent.endowment.components
-    worst_margin, witness = np.inf, None
-    for _ in range(samples):
-        k = int(rng.integers(agent.endowment.grid.cells))
-        scale = 10.0 ** rng.uniform(-1, 2)
-        w1 = scale * np.abs(rng.normal(size=m))
-        w2 = scale * np.abs(rng.normal(size=m))
-        mid = agent.utility.value_at(k, 0.5 * (w1 + w2))
-        avg = 0.5 * (agent.utility.value_at(k, w1) + agent.utility.value_at(k, w2))
-        margin = mid - avg + 1e-10
-        if margin < worst_margin:
-            worst_margin, witness = margin, (k, w1, w2)
-    ok = worst_margin >= 0
-    return CertReport(
-        verdict=ok,
-        residuals={"worst_margin": worst_margin},
-        witness=None if ok else witness,
-        tolerance=1e-10,
-        samples_used=samples,
-        seed=seed,
-        name="concavity",
-    )
+    u, shape = agent.utility, agent.endowment.values.shape
+
+    def margin(k, w1, w2):
+        mid = _cell_at(u.cell_values, 0.5 * (w1 + w2), k, shape)
+        avg = 0.5 * (_cell_at(u.cell_values, w1, k, shape) + _cell_at(u.cell_values, w2, k, shape))
+        return mid - avg + 1e-10
+
+    return _sampled_margin(agent, samples, seed, (-1, 2), 2, margin, 1e-10, "concavity")

@@ -1,10 +1,11 @@
 """Convex constraint sets and their metric projections.
 
-Set descriptors are small immutable records; `project` dispatches on the
-descriptor kind.  All projections are metric projections in the L2 geometry
-of the grid.  Because the grid is uniform, the dt weight cancels from every
-cellwise projection, so the per-cell rules coincide with plain Euclidean
-ones; only integral constraints (budget, caps, ball) see dt explicitly.
+Set descriptors are small immutable records; `project` is the one entry
+point and dispatches on the descriptor kind.  All projections are metric
+projections in the L2 geometry of the grid.  Because the grid is uniform,
+the dt weight cancels from every cellwise projection, so the per-cell
+rules coincide with plain Euclidean ones; only integral constraints
+(budget, caps, ball) see dt explicitly.
 Every projection `project` takes is exact; Dykstra's alternation
 (`project_intersection`) is the reference the tests check them against.
 """
@@ -59,8 +60,8 @@ class CapBox(SetDescriptor):
 
     def __post_init__(self):
         caps = tuple(float(c) for c in self.caps)
-        if any(c <= 0 for c in caps):
-            raise ValueError(f"caps must be strictly positive, got {caps}")
+        if not all(c > 0 for c in caps):
+            raise ValueError(f"caps must be strictly positive or +inf, got {caps}")
         object.__setattr__(self, "caps", caps)
 
 
@@ -97,17 +98,22 @@ class Intersection(SetDescriptor):
 # --- array-level projection kernels (hot path; values shaped (cells, m)) ---
 
 
+def _thresholds(V: np.ndarray, budgets) -> np.ndarray:
+    """For each column j of V, the tau_j with sum_k max(0, V_kj - tau_j) =
+    budgets[j] > 0, by sort-and-threshold (Held, Wolfe & Crowder 1974;
+    Duchi et al. 2008): tau_j is (sum of the top k entries - budget) / k at
+    the largest k whose k-th entry exceeds it.  Ties give the same tau."""
+    U = np.sort(V, axis=0)[::-1]
+    css = np.cumsum(U, axis=0)
+    ks = np.arange(1, V.shape[0] + 1)[:, None]
+    taus = (css - budgets) / ks
+    rho = V.shape[0] - 1 - np.argmax((U > taus)[::-1], axis=0)
+    return taus[rho, np.arange(V.shape[1])]
+
+
 def _simplex_rows(v: np.ndarray) -> np.ndarray:
-    """Project each row of v onto the unit simplex (sort-and-threshold)."""
-    n = v.shape[1]
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    ks = np.arange(1, n + 1)
-    # largest k with u_k > (sum of top k - 1)/k; ties give the same projection
-    cond = u * ks > css - 1.0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = (css[np.arange(v.shape[0]), rho] - 1.0) / (rho + 1.0)
-    out = np.maximum(v - theta[:, None], 0.0)
+    """Project each row of v onto the unit simplex."""
+    out = np.maximum(v - _thresholds(v.T, 1.0)[:, None], 0.0)
     # renormalize so the constraint holds exactly, not just to threshold error
     return out / out.sum(axis=1, keepdims=True)
 
@@ -138,22 +144,17 @@ def _water_fill(v: np.ndarray, budgets) -> np.ndarray:
         return out
     idx = np.nonzero(need)[0]
     V = v[:, idx]
-    U = np.sort(V, axis=0)[::-1]
-    css = np.cumsum(U, axis=0)
-    ks = np.arange(1, V.shape[0] + 1)[:, None]
-    taus = (css - budgets[idx][None, :]) / ks
-    rho = V.shape[0] - 1 - np.argmax((U > taus)[::-1], axis=0)
-    out[:, idx] = np.maximum(V - taus[rho, np.arange(idx.size)][None, :], 0.0)
+    out[:, idx] = np.maximum(V - _thresholds(V, budgets[idx]), 0.0)
     return out
 
 
 def _halfspace_values(v: np.ndarray, p: np.ndarray, e: np.ndarray, dt: float) -> np.ndarray:
-    gap = dt * np.sum(p * (v - e))
-    if gap <= 0.0:
-        return v
     pnorm2 = dt * np.sum(p * p)
     if pnorm2 <= 1e-300:
         raise DegenerateSet("cannot project onto a budget set with zero price curve")
+    gap = dt * np.sum(p * (v - e))
+    if gap <= 0.0:
+        return v
     return v - (gap / pnorm2) * p
 
 
@@ -168,6 +169,9 @@ def _ball_values(v: np.ndarray, radius: float, center: tuple, dt: float) -> np.n
 
 # evaluations a budget multiplier search may spend before it gives up
 _MAX_SEARCH = 200
+# width, relative to the bound, of the window below the bound in which a
+# multiplier search accepts a point; it aims at the window's middle
+_SEARCH_WINDOW = 2e-15
 
 
 def _multiplier_search(evaluate, measure, bound, lo, size, lam):
@@ -182,14 +186,15 @@ def _multiplier_search(evaluate, measure, bound, lo, size, lam):
     than doubling lam.  Inside the bracket the search runs Illinois regula
     falsi: when the same end survives two steps in a row, its stored value
     is halved, so neither end stalls.  The search accepts a point that
-    measures between 1 - 2e-15 and 1 times the bound, or stops when the
-    bracket is a few ulps wide and takes its upper end, so the result never
-    exceeds the bound.  Running out of evaluations raises `NonConvergence`.
+    measures between 1 - `_SEARCH_WINDOW` and 1 times the bound, or stops
+    when the bracket is a few ulps wide and takes its upper end, so the
+    result never exceeds the bound.  Running out of evaluations raises
+    `NonConvergence`.
     """
     # accept a point that measures at most tol less than the bound; the
     # search aims at the middle of that window, so g below is measured from
     # there, with g(lo) > 0 > g(hi)
-    tol = 2e-15 * bound
+    tol = _SEARCH_WINDOW * bound
     target = bound - 0.5 * tol
     glo = size - target
     hi = ghi = zhi = None
@@ -434,32 +439,17 @@ def membership_residual_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) 
 
 
 def project(x: GridFunction, s: SetDescriptor) -> GridFunction:
-    """Metric projection of `x` onto the set described by `s`."""
+    """Metric projection of `x` onto the set described by `s`; a
+    `PriceCurve` when `s` is the `PointwiseSimplex`."""
+    values = project_values(x.values, s, x.grid)
     if isinstance(s, PointwiseSimplex):
-        return project_pointwise_simplex(x)
-    return x.with_values(project_values(x.values, s, x.grid))
+        return PriceCurve(x.grid, values)
+    return x.with_values(values)
 
 
 def membership_residual(x: GridFunction, s: SetDescriptor) -> float:
     """Maximum constraint violation of `x` against `s`, in natural units."""
     return membership_residual_values(x.values, s, x.grid)
-
-
-def project_pointwise_simplex(q: GridFunction) -> PriceCurve:
-    """Cell-by-cell projection onto the unit simplex of price space."""
-    return PriceCurve(q.grid, _simplex_rows(q.values))
-
-
-def project_budget_halfspace(x: GridFunction, p: GridFunction, e: GridFunction) -> GridFunction:
-    """Closed-form projection onto {z : <<p, z - e>> <= 0}."""
-    if x.grid.dt * np.sum(p.values**2) <= 1e-300:
-        raise DegenerateSet("cannot project onto a budget set with zero price curve")
-    return x.with_values(_halfspace_values(x.values, p.values, e.values, x.grid.dt))
-
-
-def project_cap_box(x: GridFunction, caps: Sequence[float]) -> GridFunction:
-    """Projection onto the nonnegative cone with per-component integral caps."""
-    return x.with_values(project_values(x.values, CapBox(tuple(caps)), x.grid))
 
 
 def project_intersection(

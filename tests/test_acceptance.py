@@ -242,7 +242,7 @@ def test_criterion_7_probe_soundness(oracle_problem):
 def test_criterion_8_projection_suite():
     rng = np.random.default_rng(88)
     g = make_grid(1.0, 4)
-    p = qvex.project_pointwise_simplex(GridFunction(g, rng.random((4, 2))))
+    p = qvex.project(GridFunction(g, rng.random((4, 2))), PointwiseSimplex())
     e = GridFunction(g, 0.2 + rng.random((4, 2)))
     sets = [
         PointwiseSimplex(),

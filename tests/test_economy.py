@@ -32,7 +32,14 @@ from qvex import (
 from qvex.economy import UtilitySpec, _logshift_plan, _logshift_root, agent_operator
 from qvex.errors import DomainViolation, NonConvergence
 from qvex.scenario import build_economy, load_scenario
-from qvex.sets import BudgetHalfspace, CapBox, Intersection, _cap_budgets
+from qvex.sets import (
+    _SEARCH_WINDOW,
+    BudgetHalfspace,
+    CapBox,
+    Intersection,
+    PointwiseSimplex,
+    _cap_budgets,
+)
 
 G = make_grid(1.0, 1)
 
@@ -59,17 +66,27 @@ class PowerUtility(UtilitySpec):
     def cell_gradients(self, w):
         return self.sign * self.power * w ** (self.power - 1)
 
-    def value_at(self, cell, w):
-        return float(self.sign * np.sum(np.asarray(w) ** self.power))
-
-    def gradient_at(self, cell, w):
-        return self.sign * self.power * np.asarray(w) ** (self.power - 1)
-
     def growth_constants(self):
         return 1.0, np.ones(self.cells)  # claims linear growth
 
     def check_domain(self, w):
         pass
+
+
+class NaNUtility(UtilitySpec):
+    """Test fixture whose cell formulas return NaN everywhere."""
+
+    def __init__(self, cells=1):
+        self.cells = cells
+
+    def cell_values(self, w):
+        return np.full(w.shape[:-1], np.nan)
+
+    def cell_gradients(self, w):
+        return np.full(w.shape, np.nan)
+
+    def growth_constants(self):
+        return 1.0, np.ones(self.cells)
 
 
 def test_quadratic_utility_values():
@@ -253,13 +270,22 @@ def test_assemble_rejects_non_strict_caps():
     assemble_qvi(eco, [1.0 + 1e-6])
 
 
+def test_nan_caps_and_slack_are_rejected_by_value(oracle_economy):
+    eco, caps = oracle_economy
+    for bad in ([np.nan, np.nan], [np.nan, caps[1]]):
+        with pytest.raises(ValueError, match="nan"):
+            assemble_qvi(eco, bad)
+    with pytest.raises(ValueError, match="nan"):
+        default_caps(eco, np.nan)
+
+
 def test_endowments_feasible_at_random_prices(oracle_economy):
     eco, caps = oracle_economy
     prob = assemble_qvi(eco, caps)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        p = qvex.project_pointwise_simplex(
-            GridFunction(eco.grid, rng.random((eco.grid.cells, eco.goods)))
+        p = qvex.project(
+            GridFunction(eco.grid, rng.random((eco.grid.cells, eco.goods))), PointwiseSimplex()
         )
         for agent, s in zip(eco.agents, prob.constraint_map(p)):
             assert membership_residual(agent.endowment, s) <= 1e-12
@@ -302,6 +328,20 @@ def test_concavity_fails_on_convex_fixture():
     rep = check_concavity(bad, samples=400, seed=1)
     assert not rep.verdict
     assert rep.witness is not None
+
+
+@pytest.mark.parametrize("check", [check_growth_condition, check_concavity])
+def test_probes_fail_on_a_nan_family_with_its_sample_as_witness(check):
+    g = make_grid(1.0, 2)
+    agent = Agent(GridFunction.constant(g, [1.0, 1.0]), NaNUtility(cells=2))
+    rep = check(agent, samples=50, seed=0)
+    assert not rep.verdict
+    assert np.isnan(rep.residuals["worst_margin"])
+    # the first sample is already NaN, so it is the witness
+    assert rep.samples_used == 1
+    k, *ws = rep.witness
+    assert 0 <= k < 2
+    assert all(w.shape == (2,) and np.all(w >= 0.0) for w in ws)
 
 
 def test_survivability_check():
@@ -459,7 +499,7 @@ def test_logshift_demand_matches_the_search_started_reference(problem):
 
 def _uncapped_plan_at_root(spec, p, e):
     a = np.asarray(spec.weights)
-    lam = _logshift_root(p, a, spec.shift, float(np.vdot(p, e)) * (1.0 - 1e-15))
+    lam = _logshift_root(p, a, spec.shift, float(np.vdot(p, e)) * (1.0 - 0.5 * _SEARCH_WINDOW))
     return _logshift_plan(lam * p, a, spec.shift, None)
 
 
@@ -523,7 +563,7 @@ def test_logshift_demand_matches_the_reference_on_hand_built_cases(name):
     elif name == "root rounds onto the lower end":
         lo = 1.0 / (1e-3 + 1e3)
         assert _logshift_plan(lo * p, np.ones(1), 1e3, None)[0, 0] > 1e-3
-        assert _logshift_root(p, np.ones(1), 1e3, 1e-3 * (1.0 - 1e-15)) <= lo
+        assert _logshift_root(p, np.ones(1), 1e3, 1e-3 * (1.0 - 0.5 * _SEARCH_WINDOW)) <= lo
 
 
 @pytest.mark.parametrize("seed", range(6))

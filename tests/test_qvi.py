@@ -165,7 +165,7 @@ def test_converged_report_recertifies_independently(oracle_problem, skewed_start
     sets = oracle_problem.constraint_map(rep.price)
     blocks = rep.agent_allocations()
     h = oracle_problem.outer_map(rep.allocation)
-    proj = qvex.project_pointwise_simplex(rep.price - RESIDUAL_GAUGE * h)
+    proj = qvex.project(rep.price - RESIDUAL_GAUGE * h, PointwiseSimplex())
     assert norm(rep.price - proj) <= params.outer_tol
     for block, op, s in zip(blocks, oracle_problem.agent_operators, sets):
         assert vi_residual(block, op, s, RESIDUAL_GAUGE) <= params.inner_tol
@@ -189,8 +189,8 @@ def test_theorem_reduction_combined_inequality(oracle_problem, skewed_start):
 
     worst = np.inf
     for _ in range(1000):
-        d = qvex.project_pointwise_simplex(
-            GridFunction(grid, rng.normal(0.5, 0.5, size=(grid.cells, 2)))
+        d = qvex.project(
+            GridFunction(grid, rng.normal(0.5, 0.5, size=(grid.cells, 2))), PointwiseSimplex()
         )
         total = inner_product(fx, d - rep.price)
         for block, f, s in zip(blocks, fvals, sets):

@@ -18,10 +18,7 @@ from qvex import (
     membership_residual,
     norm,
     project,
-    project_budget_halfspace,
-    project_cap_box,
     project_intersection,
-    project_pointwise_simplex,
 )
 from qvex.errors import DegenerateSet, NonConvergence
 from qvex.sets import _dykstra_values, _project_budget_capbox, _project_budget_cone, _spend
@@ -41,12 +38,12 @@ def gf(g, rows):
 def test_simplex_projection_idempotent_on_members():
     g = make_grid(1.0, 3)
     p = PriceCurve(g, np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]]))
-    out = project_pointwise_simplex(p)
+    out = project(p, PointwiseSimplex())
     np.testing.assert_allclose(out.values, p.values, atol=1e-15)
 
 
 def test_simplex_projection_vertex():
-    out = project_pointwise_simplex(gf(grid1(), [[2.0, 0.0]]))
+    out = project(gf(grid1(), [[2.0, 0.0]]), PointwiseSimplex())
     np.testing.assert_allclose(out.values, [[1.0, 0.0]], atol=1e-15)
     # normal-cone check at the vertex: <q - p, z - p> <= 0 for simplex z
     q = np.array([2.0, 0.0])
@@ -56,7 +53,7 @@ def test_simplex_projection_vertex():
 
 
 def test_simplex_projection_interior_point_matches_brute_force():
-    out = project_pointwise_simplex(gf(grid1(), [[0.8, 0.6]]))
+    out = project(gf(grid1(), [[0.8, 0.6]]), PointwiseSimplex())
     np.testing.assert_allclose(out.values, [[0.6, 0.4]], atol=1e-12)
     thetas = np.arange(0.0, 1.0 + 1e-4, 1e-4)
     cand = np.column_stack([thetas, 1.0 - thetas])
@@ -67,9 +64,43 @@ def test_simplex_projection_interior_point_matches_brute_force():
 def test_simplex_rows_sum_exactly_one():
     rng = np.random.default_rng(3)
     g = make_grid(1.0, 10)
-    out = project_pointwise_simplex(GridFunction(g, rng.normal(size=(10, 4))))
+    out = project(GridFunction(g, rng.normal(size=(10, 4))), PointwiseSimplex())
     np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-15)
     assert out.values.min() >= 0.0
+
+
+@st.composite
+def simplex_inputs(draw):
+    """Rows with tied entries, all-equal rows, one good, large negative
+    entries and magnitudes from 1e-6 to 1e6."""
+    cells = draw(st.integers(1, 4))
+    goods = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    # a few shared levels make ties likely; -1e6 times the scale is far below the rest
+    entry = st.one_of(st.sampled_from([-1e6, -1.0, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0))
+    v = np.array(draw(st.lists(entry, min_size=cells * goods, max_size=cells * goods)))
+    v = scale * v.reshape(cells, goods)
+    if draw(st.booleans()):
+        v[0] = v[0, 0]
+    return v
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(simplex_inputs())
+@example(np.full((2, 3), 1e6))
+@example(np.array([[1e-6, 1e-6, -1e6], [-1e6, -1e6, -1e6]]))
+@example(np.array([[-1e12], [1e6]]))
+def test_simplex_projection_property(v):
+    out = project(GridFunction(make_grid(1.0, len(v)), v), PointwiseSimplex())
+    pv = out.values
+    assert isinstance(out, PriceCurve)
+    assert pv.min() >= 0.0
+    np.testing.assert_allclose(pv.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    # <v - Pv, y - Pv> is linear in y, so the simplex's vertices are the
+    # sampled points at which it is largest
+    for row, prow in zip(v, pv):
+        slack = (row - prow)[:, None] * (np.eye(row.size) - prow[:, None])
+        assert np.max(slack.sum(axis=0)) <= 1e-12 * (1.0 + np.linalg.norm(row))
 
 
 # --- budget halfspace ---
@@ -79,16 +110,16 @@ def test_budget_projection_fixed_points():
     g = grid1()
     p = PriceCurve(g, np.array([[0.5, 0.5]]))
     e = gf(g, [[1.0, 1.0]])
-    np.testing.assert_allclose(project_budget_halfspace(e, p, e).values, e.values)
+    np.testing.assert_allclose(project(e, BudgetHalfspace(p, e)).values, e.values)
     interior = gf(g, [[0.5, 0.5]])
-    np.testing.assert_allclose(project_budget_halfspace(interior, p, e).values, interior.values)
+    np.testing.assert_allclose(project(interior, BudgetHalfspace(p, e)).values, interior.values)
 
 
 def test_budget_projection_closed_form():
     g = grid1()
     p = PriceCurve(g, np.array([[1.0]]))
     e = gf(g, [[1.0]])
-    out = project_budget_halfspace(gf(g, [[3.0]]), p, e)
+    out = project(gf(g, [[3.0]]), BudgetHalfspace(p, e))
     np.testing.assert_allclose(out.values, [[1.0]], atol=1e-14)
     assert inner_product(p, out - e) <= 1e-12
 
@@ -97,7 +128,7 @@ def test_budget_projection_rejects_zero_price():
     g = grid1()
     zero_p = gf(g, [[0.0]])
     with pytest.raises(DegenerateSet):
-        project_budget_halfspace(gf(g, [[3.0]]), zero_p, gf(g, [[1.0]]))
+        project(gf(g, [[3.0]]), BudgetHalfspace(zero_p, gf(g, [[1.0]])))
 
 
 # --- cap box ---
@@ -105,18 +136,28 @@ def test_budget_projection_rejects_zero_price():
 
 def test_cap_box_examples():
     g = grid1()
-    np.testing.assert_allclose(project_cap_box(gf(g, [[0.0]]), [2.0]).values, [[0.0]])
+    np.testing.assert_allclose(project(gf(g, [[0.0]]), CapBox((2.0,))).values, [[0.0]])
     member = gf(g, [[1.5]])
-    np.testing.assert_allclose(project_cap_box(member, [2.0]).values, member.values)
-    np.testing.assert_allclose(project_cap_box(gf(g, [[5.0]]), [2.0]).values, [[2.0]])
+    np.testing.assert_allclose(project(member, CapBox((2.0,))).values, member.values)
+    np.testing.assert_allclose(project(gf(g, [[5.0]]), CapBox((2.0,))).values, [[2.0]])
     with pytest.raises(ValueError):
         CapBox((0.0,))
+
+
+@pytest.mark.parametrize("caps", [(np.nan, 1.0), (1.0, np.nan), (np.nan,)])
+def test_cap_box_rejects_nan_caps_by_value(caps):
+    with pytest.raises(ValueError, match="nan"):
+        CapBox(caps)
+
+
+def test_cap_box_keeps_infinite_caps_as_uncapped():
+    assert CapBox((np.inf, 1.0)).caps == (np.inf, 1.0)
 
 
 def test_cap_box_water_filling_matches_brute_force():
     g = make_grid(1.0, 2)
     x = gf(g, [[2.0], [0.5]])
-    out = project_cap_box(x, [1.0])
+    out = project(x, CapBox((1.0,)))
 
     def feasible(c):
         return (c >= 0).all(axis=1) & (0.5 * c.sum(axis=1) <= 1.0 + 1e-12)
@@ -128,7 +169,7 @@ def test_cap_box_water_filling_matches_brute_force():
 def test_cap_box_infinite_caps_is_plain_cone():
     g = make_grid(1.0, 3)
     x = gf(g, [[-1.0, 2.0], [0.5, -0.2], [3.0, 0.0]])
-    out = project_cap_box(x, [np.inf, np.inf])
+    out = project(x, CapBox((np.inf, np.inf)))
     np.testing.assert_allclose(out.values, np.maximum(x.values, 0.0))
 
 
@@ -162,7 +203,7 @@ def test_intersection_fixed_point_and_single_part():
     x = gf(g, [[3.0]])
     only_half = project_intersection(x, [half])
     np.testing.assert_allclose(
-        only_half.values, project_budget_halfspace(x, p, e).values, atol=1e-12
+        only_half.values, project(x, BudgetHalfspace(p, e)).values, atol=1e-12
     )
     member = gf(g, [[0.2]])
     out = project_intersection(member, [half, CapBox((1.0,))])
@@ -204,7 +245,7 @@ def test_general_dykstra_matches_exact_dual_path():
     # budget multiplier root-find used on the canonical pattern
     rng = np.random.default_rng(12)
     g = make_grid(1.0, 5)
-    p = qvex.project_pointwise_simplex(GridFunction(g, rng.random((5, 2))))
+    p = qvex.project(GridFunction(g, rng.random((5, 2))), PointwiseSimplex())
     e = GridFunction(g, 0.1 + rng.random((5, 2)))
     parts = (BudgetHalfspace(p, e), CapBox((1.4, 1.1)))
     S = Intersection(parts)
@@ -450,7 +491,7 @@ def test_dykstra_waits_for_the_corrections_to_settle():
     caps = (np.inf, 0.13068587597538248, 0.4038495931413112)
     x = gf(g, [[-0.10293392144739533, -0.4867560704684546, 2.846366103254284],
                [0.1788141143439772, 2.3120364024720708, 3.9648186452233736]])
-    capped = project_cap_box(x, caps)
+    capped = project(x, CapBox(caps))
     assert inner_product(p, capped - e) < 0.0
     out = project_intersection(x, [BudgetHalfspace(p, e), CapBox(caps)], tol=1e-12)
     assert norm(out - capped) <= 1e-10
@@ -472,7 +513,7 @@ def test_membership_residual_examples():
 def _random_cases(seed):
     rng = np.random.default_rng(seed)
     g = make_grid(1.0, 4)
-    p = qvex.project_pointwise_simplex(GridFunction(g, rng.random((4, 2))))
+    p = qvex.project(GridFunction(g, rng.random((4, 2))), PointwiseSimplex())
     e = GridFunction(g, 0.2 + rng.random((4, 2)))
     sets = [
         PointwiseSimplex(),
