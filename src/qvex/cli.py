@@ -24,8 +24,9 @@ from .economy import (
     default_caps,
     survivability_check,
 )
+from .errors import require_integer, require_positive_real
 from .grids import GridFunction, PriceCurve, make_grid
-from .qvi import QVIParams, require_integer, solve_qvi, solve_qvi_truncated
+from .qvi import QVIParams, require_radius_schedule, solve_qvi, solve_qvi_truncated
 from .scenario import Scenario, build_economy, echo_scenario, load_scenario
 from .verify import (
     budget_residuals,
@@ -247,33 +248,23 @@ def run_probes(scn_path: str, out_dir: str, seed: int) -> int:
     return 0 if all(r.verdict for r in reports) else 1
 
 
-def _parse_positive_real(text):
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return value
+def _option(name, convert, check, *args):
+    """An argparse `type`: `check(name, convert(text), *args)`, with its
+    ValueError a usage error, which argparse reports under the flag."""
+
+    def parse(text):
+        try:
+            return check(name, convert(text), *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _parse_seed(text):
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
-
-
-def _parse_radius_schedule(text):
-    if text is None:
-        return None
-    sched = tuple(_parse_positive_real(tok) for tok in text.split(",") if tok.strip())
-    if not sched:
-        raise argparse.ArgumentTypeError("empty radius schedule")
-    return sched
+_parse_radius_schedule = _option(
+    "radius_schedule", lambda text: [float(t) for t in text.split(",") if t.strip()],
+    require_radius_schedule,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--price", required=True, help="candidate prices CSV")
     p_verify.add_argument("--allocation", required=True, help="candidate allocations CSV")
-    p_verify.add_argument("--tol", type=_parse_positive_real, default=1e-6)
+    p_verify.add_argument("--tol", type=_option("tol", float, require_positive_real), default=1e-6)
 
     p_probes = sub.add_parser("probes", help="run the structural probes on a scenario")
     common(p_probes)
-    p_probes.add_argument("--seed", type=_parse_seed, default=None)
+    p_probes.add_argument("--seed", type=_option("seed", int, require_integer, 0), default=None)
 
     p_echo = sub.add_parser("echo-scenario", help="print the scenario with defaults filled")
     p_echo.add_argument("--scenario", required=True)

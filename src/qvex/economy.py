@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainViolation, NonConvergence
+from .errors import DomainViolation, NonConvergence, require_integer, require_positive_real
 from .grids import GridFunction, PriceCurve, TimeGrid, split_components
 from .qvi import QVIProblem
 from .reports import CertReport
@@ -47,6 +47,8 @@ from .vi import OperatorHandle
 
 # Newton steps each cap multiplier search of `LogShift.demand` may take
 _MAX_CAP_NEWTON = 100
+#: least factor by which `default_caps` may exceed the aggregate endowment
+MIN_CAP_SLACK = 1.05
 
 
 class UtilitySpec:
@@ -100,12 +102,9 @@ class Quadratic(UtilitySpec):
     weights: tuple
 
     def __post_init__(self):
-        weights = tuple(float(q) for q in self.weights)
-        if len(weights) != self.bliss.components:
+        if len(self.weights) != self.bliss.components:
             raise ValueError("one weight per good is required")
-        if not all(0 < q < np.inf for q in weights):
-            raise ValueError("quadratic weights must be finite and strictly positive")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", _weights(self.weights))
 
     def cell_values(self, w):
         q = np.asarray(self.weights)
@@ -148,10 +147,8 @@ class LogShift(UtilitySpec):
     cells: int
 
     def __post_init__(self):
-        weights = tuple(float(a) for a in self.weights)
-        if not all(0 < a < np.inf for a in (*weights, self.shift)):
-            raise ValueError("LogShift needs finite positive weights and a finite positive shift")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", _weights(self.weights))
+        require_positive_real("shift", self.shift)
 
     def cell_values(self, w):
         self.check_domain(w)
@@ -221,6 +218,10 @@ class LogShift(UtilitySpec):
     def check_domain(self, w):
         if np.min(w) < -1e-9:
             raise DomainViolation("LogShift utilities are defined for nonnegative consumption")
+
+
+def _weights(weights) -> tuple:
+    return tuple(require_positive_real(f"weights[{j}]", w) for j, w in enumerate(weights))
 
 
 def _logshift_root(p, a, shift, target):
@@ -353,14 +354,20 @@ def aggregate_endowment_integrals(eco: Economy) -> np.ndarray:
     return eco.grid.dt * total.sum(axis=0)
 
 
+def require_cap_slack(name: str, slack) -> float:
+    """`slack` as a float; ValueError, naming it, unless finite and >= `MIN_CAP_SLACK`."""
+    if require_positive_real(name, slack) < MIN_CAP_SLACK:
+        raise ValueError(f"{name}: must be >= {MIN_CAP_SLACK}, got {slack!r}")
+    return float(slack)
+
+
 def default_caps(eco: Economy, slack: float = 1.1) -> np.ndarray:
     """Per-good consumption caps: slack times the aggregate endowment integral.
 
     The strict inequality cap > integral is what lets optimality on the
     capped budget set extend to the uncapped one at equilibrium.
     """
-    if not slack >= 1.05:
-        raise ValueError(f"cap slack must be >= 1.05, got {slack}")
+    require_cap_slack("slack", slack)
     totals = aggregate_endowment_integrals(eco)
     if np.any(totals <= 0):
         raise ValueError("degenerate economy: a good has zero aggregate endowment")
@@ -430,8 +437,7 @@ def _sampled_margin(agent, samples, seed, decades, points, margin, tolerance, na
     consumption vectors |N(0, I)| times one scale, log-uniform over
     `decades`.  A NaN margin is the worst: it fails at once, with its
     sample as the witness."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    require_integer("samples", samples, 1)
     rng = np.random.default_rng(seed)
     cells, m = agent.endowment.values.shape
     worst_margin, witness = np.inf, None

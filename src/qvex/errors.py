@@ -1,6 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two checks that
+every number from outside passes: each raises a ValueError that starts
+with the argument's name, which scenario paths and CLI flags prefix."""
 
 from __future__ import annotations
+
+import math
+import numbers
+
+
+def require_positive_real(name: str, value) -> float:
+    """`value` as a float; ValueError, naming it, unless a finite real > 0."""
+    # bool is an int subclass, so `True` would otherwise pass as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name}: must be a finite positive number, got {value!r}")
+    return float(value)
+
+
+def require_integer(name: str, value, lowest: int):
+    """`value`; ValueError, naming it, unless an integer >= lowest."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
+        raise ValueError(f"{name}: must be an integer >= {lowest}, got {value!r}")
+    return value
 
 
 class ShapeMismatch(ValueError):
@@ -16,7 +36,8 @@ class DomainViolation(ValueError):
 
 
 class NumericFailure(ArithmeticError):
-    """An operator evaluation produced non-finite values."""
+    """An operator changed the shape of its argument (non-finite values
+    fail in the constructor of the `GridFunction` it returns)."""
 
 
 class SamplingFailure(RuntimeError):

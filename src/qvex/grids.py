@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, require_integer, require_positive_real
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,8 @@ class TimeGrid:
     cells: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if not (isinstance(self.cells, (int, np.integer)) and self.cells >= 1):
-            raise ValueError(f"cells must be a positive integer, got {self.cells}")
+        object.__setattr__(self, "horizon", require_positive_real("horizon", self.horizon))
+        object.__setattr__(self, "cells", int(require_integer("cells", self.cells, 1)))
 
     @property
     def dt(self) -> float:
@@ -39,7 +37,7 @@ class TimeGrid:
 
 def make_grid(horizon: float, cells: int) -> TimeGrid:
     """Validate and build a uniform grid over [0, horizon]."""
-    return TimeGrid(float(horizon), int(cells))
+    return TimeGrid(horizon, cells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +89,9 @@ class GridFunction:
 
     def refine(self, factor: int) -> "GridFunction":
         """The same step function represented on a grid with `factor` x cells."""
-        if factor < 1:
-            raise ValueError("refinement factor must be >= 1")
-        fine = TimeGrid(self.grid.horizon, self.grid.cells * int(factor))
-        return GridFunction(fine, np.repeat(self.values, int(factor), axis=0))
+        require_integer("factor", factor, 1)
+        fine = TimeGrid(self.grid.horizon, self.grid.cells * factor)
+        return GridFunction(fine, np.repeat(self.values, factor, axis=0))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         _check_same_shape(self, other)

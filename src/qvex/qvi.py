@@ -34,13 +34,12 @@ whatever internal steps the iterations used.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InnerSolveFailure, NonConvergence
+from .errors import InnerSolveFailure, NonConvergence, require_integer, require_positive_real
 from .grids import GridFunction, PriceCurve, TimeGrid, norm, split_components, stack_components
 from .reports import CertReport
 from .sets import (
@@ -75,19 +74,15 @@ RADIUS_COUNT = 6
 logger = logging.getLogger(__name__)
 
 
-def require_positive_real(name: str, value) -> None:
-    """Raise ValueError, starting with `name`, unless value is a finite real > 0."""
-    # bool is an int subclass, so `True` would otherwise pass as 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        np.isfinite(value) and value > 0
-    ):
-        raise ValueError(f"{name}: must be a finite positive number, got {value!r}")
-
-
-def require_integer(name: str, value, lowest: int) -> None:
-    """Raise ValueError, starting with `name`, unless value is an integer >= lowest."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
-        raise ValueError(f"{name}: must be an integer >= {lowest}, got {value!r}")
+def require_radius_schedule(name: str, radii) -> tuple:
+    """`radii` as a tuple of floats; ValueError, naming it, unless they are
+    finite positive numbers, at least one, strictly increasing."""
+    radii = tuple(require_positive_real(f"{name}[{i}]", r) for i, r in enumerate(radii))
+    if not radii:
+        raise ValueError(f"{name}: must hold at least one radius")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"{name}: must be strictly increasing, got {list(radii)}")
+    return radii
 
 
 @dataclass(frozen=True)
@@ -417,14 +412,9 @@ def solve_qvi_truncated(
     followed by the last radius's own failure message if it had one.
     """
     params = params or QVIParams()
-    radii = list(radii) if radii is not None else default_radius_schedule(prob)
-    if not radii:
-        raise ValueError("radius schedule must hold at least one radius")
-    # bool is an int subclass, so `True` would otherwise pass as radius 1
-    if any(isinstance(r, bool) or not (np.isfinite(r) and r > 0) for r in radii):
-        raise ValueError(f"radii must be finite positive numbers, got {radii}")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radius schedule must be strictly increasing")
+    if radii is None:
+        radii = default_radius_schedule(prob)
+    radii = require_radius_schedule("radii", radii)
 
     last = None
     for r in radii:

@@ -5,9 +5,10 @@ as closed forms sampled at cell midpoints, utility family + coefficients),
 the cap slack, the solver parameters and an optional radius schedule.  The
 schema is strict: unknown fields are rejected so acceptance fixtures stay
 reproducible.  The solver section loads straight into `QVIParams`, which
-checks its own fields; this module adds only what YAML needs (dotless
-exponents, unknown and retired keys, the radius list) and prefixes each
-error with its path.  See README for the documented schema.
+checks its own fields, as every number goes through the package's own
+checks; this module adds only what YAML needs (dotless exponents, unknown
+and retired keys) and prefixes each error with its path.  See README for
+the documented schema.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .economy import Agent, Economy, LogShift, Quadratic
+from .economy import Agent, Economy, LogShift, Quadratic, require_cap_slack
+from .errors import require_integer, require_positive_real
 from .grids import GridFunction, TimeGrid, make_grid
-from .qvi import QVIParams
+from .qvi import QVIParams, require_radius_schedule
 
 SCHEMA_VERSION = 1
 
@@ -184,7 +186,7 @@ def _parse_utility(node, goods: int, path: str) -> UtilityConfig:
     if family == "logshift":
         _require_keys(node, {"family", "weights", "shift"}, {"family", "weights"}, path)
         weights = _parse_weights(node["weights"], goods, f"{path}.weights")
-        shift = _positive_real(node.get("shift", 1.0), f"{path}.shift")
+        shift = _positive_real(f"{path}.shift", node.get("shift", 1.0))
         return UtilityConfig(family="logshift", weights=weights, shift=shift)
     raise ScenarioError(f"{path}.family: must be 'quadratic' or 'logshift', got {family!r}")
 
@@ -192,34 +194,30 @@ def _parse_utility(node, goods: int, path: str) -> UtilityConfig:
 def _parse_weights(node, goods: int, path: str) -> tuple:
     if not isinstance(node, list) or len(node) != goods:
         raise ScenarioError(f"{path}: need one weight per good ({goods})")
-    return tuple(_positive_real(w, f"{path}[{j}]") for j, w in enumerate(node))
+    return tuple(_positive_real(f"{path}[{j}]", w) for j, w in enumerate(node))
 
 
-def _integer(value, path: str, lowest: int) -> int:
-    # bool is an int subclass, so `true` would otherwise load as 1
-    if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
-        raise ScenarioError(f"{path}: must be an integer >= {lowest}, got {value!r}")
-    return value
+def _checked(prefix: str, check, *args, **kwargs):
+    """`check(*args, **kwargs)`, a check whose ValueError starts with the
+    name it checks, with that error raised as a ScenarioError after the
+    path `prefix`."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{prefix}{exc}") from None
 
 
-def _dotless_exponent(text: str):
+def _dotless_exponent(value):
     """PyYAML reads `1e-7` (no dot) as a string; float() reads it as meant.
-    Other text is returned as is, for the caller's check to name."""
+    Other values are returned as they are, for the caller's check to name."""
     try:
-        return float(text)
+        return float(value) if isinstance(value, str) else value
     except ValueError:
-        return text
+        return value
 
 
-def _positive_real(value, path: str) -> float:
-    # PyYAML reads `1e-7` (no dot) as a string; float() accepts it
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{path}: expected a number, got {value!r}") from None
-    if isinstance(value, bool) or not (np.isfinite(number) and number > 0):
-        raise ScenarioError(f"{path}: must be a finite positive number, got {value!r}")
-    return number
+def _positive_real(path: str, value) -> float:
+    return _checked("", require_positive_real, path, _dotless_exponent(value))
 
 
 def parse_scenario(mapping: dict) -> Scenario:
@@ -236,12 +234,11 @@ def parse_scenario(mapping: dict) -> Scenario:
             f"scenario.schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
     _require_keys(mapping["grid"], {"horizon", "cells"}, {"horizon", "cells"}, "scenario.grid")
-    horizon = _positive_real(mapping["grid"]["horizon"], "scenario.grid.horizon")
-    cells = _integer(mapping["grid"]["cells"], "scenario.grid.cells", 1)
-    goods = _integer(mapping["goods"], "scenario.goods", 1)
-    cap_slack = _positive_real(mapping.get("cap_slack", 1.1), "scenario.cap_slack")
-    if cap_slack < 1.05:
-        raise ScenarioError(f"scenario.cap_slack: must be >= 1.05, got {cap_slack}")
+    horizon = _positive_real("scenario.grid.horizon", mapping["grid"]["horizon"])
+    cells = _checked("", require_integer, "scenario.grid.cells", mapping["grid"]["cells"], 1)
+    goods = _checked("", require_integer, "scenario.goods", mapping["goods"], 1)
+    slack = _dotless_exponent(mapping.get("cap_slack", 1.1))
+    cap_slack = _checked("", require_cap_slack, "scenario.cap_slack", slack)
 
     agents_node = mapping["agents"]
     if not isinstance(agents_node, list) or not agents_node:
@@ -266,21 +263,17 @@ def parse_scenario(mapping: dict) -> Scenario:
     )
     kwargs = {k: v for k, v in solver_node.items() if k in _SOLVER_FIELDS}
     for key in ("outer_tol", "inner_tol"):
-        if isinstance(kwargs.get(key), str):
+        if key in kwargs:
             kwargs[key] = _dotless_exponent(kwargs[key])
-    try:
-        solver = QVIParams(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.solver.{exc}") from None
+    solver = _checked("scenario.solver.", QVIParams, **kwargs)
     sched = solver_node.get("radius_schedule")
     if sched is not None:
         if not isinstance(sched, list):
             raise ScenarioError("scenario.solver.radius_schedule: need a list of positive reals")
-        sched = tuple(
-            _positive_real(r, f"scenario.solver.radius_schedule[{i}]") for i, r in enumerate(sched)
+        sched = _checked(
+            "scenario.solver.", require_radius_schedule, "radius_schedule",
+            [_dotless_exponent(r) for r in sched],
         )
-        if any(b <= a for a, b in zip(sched, sched[1:])):
-            raise ScenarioError("scenario.solver.radius_schedule: must be strictly increasing")
 
     return Scenario(
         horizon=horizon,

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSet, NonConvergence
+from .errors import DegenerateSet, NonConvergence, require_positive_real
 from .grids import GridFunction, PriceCurve, TimeGrid
 
 #: elements (samples x cells x goods) that `sample_feasible` and the
@@ -59,10 +59,9 @@ class CapBox(SetDescriptor):
     caps: tuple
 
     def __post_init__(self):
-        caps = tuple(float(c) for c in self.caps)
-        if not all(c > 0 for c in caps):
-            raise ValueError(f"caps must be strictly positive or +inf, got {caps}")
-        object.__setattr__(self, "caps", caps)
+        caps = (np.inf if c == np.inf else require_positive_real(f"caps[{j}]", c)
+                for j, c in enumerate(self.caps))
+        object.__setattr__(self, "caps", tuple(caps))
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,7 @@ class Ball(SetDescriptor):
     center: tuple = ()
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        require_positive_real("radius", self.radius)
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
 
@@ -102,18 +100,26 @@ def _thresholds(V: np.ndarray, budgets) -> np.ndarray:
     """For each column j of V, the tau_j with sum_k max(0, V_kj - tau_j) =
     budgets[j] > 0, by sort-and-threshold (Held, Wolfe & Crowder 1974;
     Duchi et al. 2008): tau_j is (sum of the top k entries - budget) / k at
-    the largest k whose k-th entry exceeds it.  Ties give the same tau."""
+    the largest k whose k-th entry exceeds it.  Ties give the same tau; the
+    top entry qualifies even when, far above the budget, it rounds onto tau."""
     U = np.sort(V, axis=0)[::-1]
     css = np.cumsum(U, axis=0)
     ks = np.arange(1, V.shape[0] + 1)[:, None]
     taus = (css - budgets) / ks
-    rho = V.shape[0] - 1 - np.argmax((U > taus)[::-1], axis=0)
+    above = U > taus
+    above[0] = True
+    rho = V.shape[0] - 1 - np.argmax(above[::-1], axis=0)
     return taus[rho, np.arange(V.shape[1])]
 
 
 def _simplex_rows(v: np.ndarray) -> np.ndarray:
     """Project each row of v onto the unit simplex."""
     out = np.maximum(v - _thresholds(v.T, 1.0)[:, None], 0.0)
+    flat = ~out.any(axis=1)
+    if flat.any():
+        # the threshold rounded onto the row's top entries: spread below the
+        # rounding, they share the mass equally
+        out[flat] = v[flat] == v[flat].max(axis=1, keepdims=True)
     # renormalize so the constraint holds exactly, not just to threshold error
     return out / out.sum(axis=1, keepdims=True)
 

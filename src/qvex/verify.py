@@ -22,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .economy import Agent, Economy, agent_operator, utility_value
-from .errors import SamplingFailure
+from .errors import SamplingFailure, require_integer, require_positive_real
 from .grids import GridFunction, PriceCurve, inner_product, norm
-from .qvi import QVIProblem, require_integer, require_positive_real
+from .qvi import QVIProblem
 from .reports import CertReport
 from .sets import (
     BudgetHalfspace,
@@ -80,8 +80,7 @@ def best_response_residual(
     (`sets._project_budget_cone`); the utility family's `block_sums` gives
     the Minty values and utilities of a block, one per sample.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    require_integer("samples", samples, 1)
     agent = eco.agents[i]
     M = full_budget_set(agent, p)
     feas = membership_residual(x_i, M)
@@ -125,12 +124,13 @@ def certify_equilibrium(
     inequalities at the stated tolerance on the sampled directions; no
     finite procedure certifies the continuum claim exactly.
 
-    Raises ValueError unless `tol` is finite and positive, `samples` >= 1
-    and `seed` an integer >= 0.
+    Raises ValueError unless `x` holds one plan per agent, `tol` is finite
+    and positive, `samples` an integer >= 1 and `seed` an integer >= 0.
     """
+    if len(x) != eco.n_agents:
+        raise ValueError(f"x: need one plan per agent ({eco.n_agents}), got {len(x)}")
     require_positive_real("tol", tol)
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    require_integer("samples", samples, 1)
     require_integer("seed", seed, 0)
     residuals = {}
     witness = None
@@ -184,10 +184,10 @@ def coercivity_probe(
 
     For each sampled feasible stacked x with ||x|| > r_d, look for a
     feasible y of smaller norm with <<F(x), x - y>> >= 0.  A pass with no
-    sample beyond the radius is reported as vacuous.
+    sample beyond the radius is reported as vacuous; a NaN radius would be.
     """
-    if r_d <= 0:
-        raise ValueError("coercivity radius must be positive")
+    require_positive_real("r_d", r_d)
+    require_integer("samples", samples, 1)
     rng = np.random.default_rng(seed)
     sets = prob.constraint_map(d)
     per_agent_scale = max(1.0, r_d)
@@ -228,13 +228,9 @@ def coercivity_probe(
         for y_blocks in scaled + pool:
             if _stacked_norm(y_blocks) >= nx:
                 continue
-            if any(
-                membership_residual(y, s) > 1e-9 for y, s in zip(y_blocks, sets)
-            ):
+            if any(membership_residual(y, s) > 1e-9 for y, s in zip(y_blocks, sets)):
                 continue
-            val = sum(
-                inner_product(f, b - y) for f, b, y in zip(fx, blocks, y_blocks)
-            )
+            val = sum(inner_product(f, b - y) for f, b, y in zip(fx, blocks, y_blocks))
             if val >= -1e-12:
                 found = True
                 break
@@ -271,9 +267,10 @@ def pseudomonotonicity_probe(
     is drawn at a mixed separation from the first: for gradient operators of
     concave utilities, far-apart pairs almost never satisfy the premise
     (curvature dominates), so close pairs are needed for real coverage.
+    The scale must be finite and positive: at 0 every pair is x = y.
     """
-    if pairs < 1:
-        raise ValueError("need at least one pair")
+    require_integer("pairs", pairs, 1)
+    require_positive_real("scale", scale)
     rng = np.random.default_rng(seed)
     xs = sample_feasible(C, center, scale, rng, pairs)
     worst, witness = np.inf, None

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericFailure, SamplingFailure
+from .errors import NumericFailure, SamplingFailure, require_integer, require_positive_real
 from .grids import GridFunction, inner_product, norm
 from .reports import CertReport
 from .sets import SetDescriptor, project_values, sample_feasible
@@ -72,11 +72,8 @@ class SolveReport:
 
 def vi_residual(x: GridFunction, op: OperatorHandle, C: SetDescriptor, gamma: float) -> float:
     """Natural-map residual ||x - P_C(x - gamma F(x))||; zero exactly on solutions."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    require_positive_real("gamma", gamma)
     fx = op(x).values
-    if not np.all(np.isfinite(fx)):
-        raise NumericFailure("operator returned non-finite values")
     y = project_values(x.values - gamma * fx, C, x.grid)
     return float(np.sqrt(x.grid.dt) * np.linalg.norm(x.values - y))
 
@@ -123,10 +120,13 @@ def solve_vi_extragradient(
     natural-map residual at unit step by `tol` as well.  On budget
     exhaustion the best iterate seen is returned with converged=False, and
     `step_used` is the step its residual was measured at; nothing is
-    raised, so callers can inspect the trace.
+    raised, so callers can inspect the trace.  A `step` of 0 would pass
+    any point, so a given step must be finite and positive.
     """
     grid = x0.grid
-    gamma = step if step is not None else 0.9 / estimate_lipschitz(op, C, x0, seed=seed)
+    if step is None:
+        step = 0.9 / estimate_lipschitz(op, C, x0, seed=seed)
+    gamma = require_positive_real("step", step)
     sqdt = np.sqrt(grid.dt)
 
     x = project_values(x0.values, C, grid)
@@ -136,8 +136,6 @@ def solve_vi_extragradient(
     for k in range(max_iter):
         xf = x0.with_values(x)
         fx = op(xf).values
-        if not np.all(np.isfinite(fx)):
-            raise NumericFailure("operator returned non-finite values during solve")
         y = project_values(x - gamma * fx, C, grid)
         res = float(sqdt * np.linalg.norm(x - y))
         history.append(res)
@@ -146,8 +144,6 @@ def solve_vi_extragradient(
         if res <= tol * min(1.0, gamma):
             return SolveReport(x0.with_values(x), k, res, np.asarray(history), True, gamma)
         fy = op(x0.with_values(y)).values
-        if not np.all(np.isfinite(fy)):
-            raise NumericFailure("operator returned non-finite values during solve")
         x_next = project_values(x - gamma * fy, C, grid)
         gamma = adaptive_step(
             gamma, float(np.linalg.norm(x - y)), float(np.linalg.norm(fx - fy))
@@ -171,10 +167,12 @@ def minty_certificate(
 
     For continuous pseudomonotone operators the Minty and Stampacchia
     solution sets coincide, so this certifies VI candidates from the other
-    direction than the natural-map residual.
+    direction than the natural-map residual.  `slack` must be a finite
+    number >= 0: an infinite slack would pass every point.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    require_integer("samples", samples, 1)
+    if isinstance(slack, bool) or not 0 <= slack < np.inf:
+        raise ValueError(f"slack: must be a finite number >= 0, got {slack!r}")
     rng = np.random.default_rng(seed)
     scale = 1.0 + norm(x)
     try:

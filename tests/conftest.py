@@ -12,10 +12,13 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 def pytest_collection_modifyitems(config, items):
     """Timing tests (those taking pytest-benchmark's `benchmark` fixture) run
-    only under --benchmark-only."""
-    if config.getoption("benchmark_only", default=False):
+    only under --benchmark-only, or once each, untimed, under
+    --benchmark-disable, which checks their asserts."""
+    if config.getoption("benchmark_only", default=False) or config.getoption(
+        "benchmark_disable", default=False
+    ):
         return
-    skip = pytest.mark.skip(reason="timing test; run with --benchmark-only")
+    skip = pytest.mark.skip(reason="timing test; run with --benchmark-only or --benchmark-disable")
     for item in items:
         if "benchmark" in getattr(item, "fixturenames", ()):
             item.add_marker(skip)

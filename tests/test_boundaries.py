@@ -1,0 +1,139 @@
+"""The public numeric arguments below are checked on entry: NaN, +-inf, 0,
+-1 and `True` each raise a ValueError whose message starts with the
+argument's name (for scenario files, its path), so no bad value runs
+silently."""
+
+import re
+
+import numpy as np
+import pytest
+
+from qvex import (
+    Agent,
+    Ball,
+    CapBox,
+    Economy,
+    GridFunction,
+    LogShift,
+    OperatorHandle,
+    PriceCurve,
+    QVIParams,
+    Quadratic,
+    TimeGrid,
+    assemble_qvi,
+    best_response_residual,
+    certify_equilibrium,
+    check_concavity,
+    check_growth_condition,
+    coercivity_probe,
+    default_caps,
+    make_grid,
+    minty_certificate,
+    pseudomonotonicity_probe,
+    solve_qvi_truncated,
+    solve_vi_extragradient,
+    vi_residual,
+)
+from qvex.scenario import parse_scenario
+
+G = make_grid(1.0, 2)
+X = GridFunction.constant(G, [0.5, 0.5])
+OP = OperatorHandle(lambda x: x.with_values(x.values - 0.3), "monotone")
+AGENTS = (
+    Agent(
+        GridFunction.constant(G, [1.0, 0.2]),
+        Quadratic(GridFunction.constant(G, [2.0, 1.0]), (1.0, 1.0)),
+    ),
+    Agent(GridFunction.constant(G, [0.2, 1.0]), LogShift((1.0, 2.0), 1.0, 2)),
+)
+ECO = Economy(G, 2, AGENTS)
+PROB = assemble_qvi(ECO, default_caps(ECO))
+P = PriceCurve.uniform(G, 2)
+PLANS = [a.endowment for a in AGENTS]
+
+#: values every positive real and every count >= 1 rejects
+BAD = [np.nan, np.inf, -np.inf, 0.0, -1, True]
+
+
+def scenario(**changes):
+    mapping = {
+        "schema_version": 1,
+        "grid": {"horizon": 1.0, "cells": 2},
+        "goods": 1,
+        "agents": [{"endowment": [1.0], "utility": {"family": "logshift", "weights": [1.0]}}],
+    }
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        node = mapping
+        for name in parents:
+            node = node.setdefault(name, {}) if not name.isdigit() else node[int(name)]
+        node[key] = value
+    return parse_scenario(mapping)
+
+
+# (name the message starts with, call taking the bad value, bad values)
+ENTRY_POINTS = [
+    ("horizon", lambda v: TimeGrid(v, 2), BAD),
+    ("cells", lambda v: TimeGrid(1.0, v), BAD),
+    ("factor", lambda v: X.refine(v), BAD),
+    ("radius", lambda v: Ball(v), BAD),
+    # +inf is an uncapped good
+    ("caps[0]", lambda v: CapBox((v,)), [v for v in BAD if v != np.inf]),
+    ("gamma", lambda v: vi_residual(X, OP, Ball(1.0), v), BAD),
+    ("step", lambda v: solve_vi_extragradient(OP, Ball(1.0), X, step=v), BAD),
+    ("samples", lambda v: minty_certificate(X, OP, Ball(1.0), samples=v), BAD),
+    # a slack of 0 asks for the exact Minty inequality
+    ("slack", lambda v: minty_certificate(X, OP, Ball(1.0), slack=v), [v for v in BAD if v != 0]),
+    ("weights[1]", lambda v: Quadratic(X, (1.0, v)), BAD),
+    ("weights[0]", lambda v: LogShift((v,), 1.0, 2), BAD),
+    ("shift", lambda v: LogShift((1.0,), v, 2), BAD),
+    ("slack", lambda v: default_caps(ECO, v), BAD),
+    ("samples", lambda v: check_growth_condition(AGENTS[0], samples=v), BAD),
+    ("samples", lambda v: check_concavity(AGENTS[1], samples=v), BAD),
+    ("samples", lambda v: best_response_residual(ECO, P, PLANS[0], 0, samples=v), BAD),
+    ("tol", lambda v: certify_equilibrium(ECO, P, PLANS, tol=v), BAD),
+    ("samples", lambda v: certify_equilibrium(ECO, P, PLANS, samples=v), BAD),
+    ("r_d", lambda v: coercivity_probe(PROB, P, v), BAD),
+    ("samples", lambda v: coercivity_probe(PROB, P, 1.0, samples=v), BAD),
+    ("pairs", lambda v: pseudomonotonicity_probe(OP, Ball(1.0), X, pairs=v), BAD),
+    ("scale", lambda v: pseudomonotonicity_probe(OP, Ball(1.0), X, scale=v), BAD),
+    ("radii[0]", lambda v: solve_qvi_truncated(PROB, [v]), BAD),
+    ("outer_tol", lambda v: QVIParams(outer_tol=v), BAD),
+    ("max_outer", lambda v: QVIParams(max_outer=v), BAD),
+    ("scenario.grid.horizon", lambda v: scenario(**{"grid.horizon": v}), BAD),
+    ("scenario.grid.cells", lambda v: scenario(**{"grid.cells": v}), BAD),
+    ("scenario.goods", lambda v: scenario(goods=v), BAD),
+    ("scenario.cap_slack", lambda v: scenario(cap_slack=v), BAD),
+    (
+        "scenario.agents[0].utility.weights[0]",
+        lambda v: scenario(**{"agents.0.utility.weights": [v]}),
+        BAD,
+    ),
+    ("scenario.agents[0].utility.shift", lambda v: scenario(**{"agents.0.utility.shift": v}), BAD),
+    ("scenario.solver.outer_tol", lambda v: scenario(**{"solver.outer_tol": v}), BAD),
+    (
+        "scenario.solver.radius_schedule[0]",
+        lambda v: scenario(**{"solver.radius_schedule": [v]}),
+        BAD,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, value",
+    [(name, call, v) for name, call, values in ENTRY_POINTS for v in values],
+    ids=[f"{name}={v!r}" for name, _, values in ENTRY_POINTS for v in values],
+)
+def test_every_numeric_argument_is_checked_by_name(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
+        call(value)
+
+
+def test_the_table_calls_pass_on_good_values():
+    # each row rejects only its bad value: the same calls run on good ones
+    assert TimeGrid(1, np.int64(2)) == G
+    assert X.refine(2).grid.cells == 4
+    assert CapBox((np.inf, 1)).caps == (np.inf, 1.0)
+    assert minty_certificate(GridFunction.constant(G, [0.3, 0.3]), OP, Ball(1.0), slack=0).verdict
+    assert certify_equilibrium(ECO, P, PLANS, tol=1.0, samples=1).samples_used == 1
+    assert scenario(**{"solver.radius_schedule": [1, 2.0]}).radius_schedule == (1.0, 2.0)

@@ -375,7 +375,7 @@ def test_logshift_needs_finite_positive_parameters(weights, shift):
 @pytest.mark.parametrize("weights", [(np.nan,), (np.inf,), (1.0, 0.0)])
 def test_quadratic_needs_finite_positive_weights(weights):
     bliss = GridFunction.constant(G, [1.0] * len(weights))
-    with pytest.raises(ValueError, match="finite and strictly positive"):
+    with pytest.raises(ValueError, match=r"^weights\[\d\]: must be a finite positive number"):
         Quadratic(bliss, weights)
 
 

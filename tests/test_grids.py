@@ -133,6 +133,14 @@ def test_refinement_preserves_inner_products():
     )
 
 
+@pytest.mark.parametrize("factor", [2.5, 0, True])
+def test_refinement_needs_an_integer_factor(factor):
+    # refine(2.5) used to refine by 2
+    h = GridFunction.constant(make_grid(1.0, 2), [1.0])
+    with pytest.raises(ValueError, match="^factor: "):
+        h.refine(factor)
+
+
 def test_stack_split_roundtrip():
     rng = np.random.default_rng(10)
     g = make_grid(1.0, 3)

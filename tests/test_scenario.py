@@ -142,7 +142,7 @@ def test_radius_schedule_validation(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sched", [[True, 2.0], [float("nan"), 50.0], [1.0, float("inf")], [-1.0, 2.0], "5"]
+    "sched", [[True, 2.0], [float("nan"), 50.0], [1.0, float("inf")], [-1.0, 2.0], "5", []]
 )
 def test_radius_schedule_entries_must_be_finite_positive_numbers(tmp_path, sched):
     bad = {**MINIMAL, "solver": {"radius_schedule": sched}}

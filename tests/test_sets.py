@@ -154,6 +154,20 @@ def test_cap_box_keeps_infinite_caps_as_uncapped():
     assert CapBox((np.inf, 1.0)).caps == (np.inf, 1.0)
 
 
+@pytest.mark.parametrize("ratio", [10.0**k for k in range(21)])
+def test_projections_stay_feasible_at_extreme_scales(ratio):
+    # far above its budget an entry rounds onto its own threshold: the top
+    # entry must still qualify, and a simplex row left with no mass shares
+    # it among its largest entries
+    x = gf(make_grid(1.0, 2), [[ratio], [0.0]])
+    capped = project(x, CapBox((1.0,)))
+    assert capped.values.min() >= 0.0
+    assert membership_residual(capped, CapBox((1.0,))) <= 1e-12
+    for row, point in (([ratio, ratio], [0.5, 0.5]), ([ratio, -ratio], [1.0, 0.0])):
+        out = project(gf(grid1(), [row]), PointwiseSimplex())
+        np.testing.assert_array_equal(out.values, [point])
+
+
 def test_cap_box_water_filling_matches_brute_force():
     g = make_grid(1.0, 2)
     x = gf(g, [[2.0], [0.5]])

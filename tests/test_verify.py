@@ -179,9 +179,9 @@ def test_certify_rejects_a_sample_count_below_one(samples):
     eco = two_agent_economy()
     p = PriceCurve.uniform(G, 2)
     plans = [a.endowment for a in eco.agents]
-    with pytest.raises(ValueError, match="at least one sample"):
+    with pytest.raises(ValueError, match="^samples: "):
         certify_equilibrium(eco, p, plans, samples=samples)
-    with pytest.raises(ValueError, match="at least one sample"):
+    with pytest.raises(ValueError, match="^samples: "):
         best_response_residual(eco, p, plans[0], 0, samples=samples)
 
 
@@ -291,6 +291,36 @@ def test_pseudomonotonicity_fails_on_repulsion_fixture():
     wx, wy = rep.witness
     assert inner_product(neg(wx), wy - wx) >= 0.0
     assert inner_product(neg(wy), wy - wx) < -1e-9
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.5, np.nan, np.inf])
+def test_pseudomonotonicity_probe_rejects_a_scale_that_is_not_finite_and_positive(scale):
+    # at scale 0 every pair is x = y, which passed the repulsion fixture above
+    neg = OperatorHandle(lambda f: f.with_values(-f.values))
+    box, center = Ball(1.0, center=(1.5, 1.5)), GridFunction.constant(G, [1.5, 1.5])
+    with pytest.raises(ValueError, match="^scale: "):
+        pseudomonotonicity_probe(neg, box, center, pairs=400, seed=2, scale=scale)
+
+
+def test_coercivity_probe_rejects_a_nan_radius_and_no_samples(oracle_problem):
+    # a NaN radius passed vacuously, and no samples died in max()
+    p = PriceCurve.uniform(oracle_problem.grid, oracle_problem.goods)
+    with pytest.raises(ValueError, match="^r_d: "):
+        coercivity_probe(oracle_problem, p, float("nan"))
+    with pytest.raises(ValueError, match="^samples: "):
+        coercivity_probe(oracle_problem, p, 1.0, samples=0)
+
+
+def test_certify_needs_exactly_one_plan_per_agent(oracle_economy, oracle_problem):
+    # an extra plan was ignored, so a junk plan rode along on a certified pair
+    eco, _ = oracle_economy
+    rep = solve_qvi(oracle_problem)
+    plans = rep.agent_allocations()
+    assert certify_equilibrium(eco, rep.price, plans).verdict
+    junk = GridFunction.constant(eco.grid, [100.0, 100.0])
+    for x in (plans + [junk], plans[:1]):
+        with pytest.raises(ValueError, match="^x: "):
+            certify_equilibrium(eco, rep.price, x)
 
 
 def test_coercivity_vacuous_on_bounded_sets(oracle_economy, oracle_problem):

@@ -149,6 +149,30 @@ def test_solver_raises_on_nan_operator():
         solve_vi_extragradient(OperatorHandle(bad), interval(0.0, 1.0), scalar(0.9), tol=1e-9)
 
 
+def shifted_identity():
+    """F(x) = x - 0.3, whose VI on the unit ball is solved by x = 0.3 alone."""
+    return OperatorHandle(lambda x: x.with_values(x.values - 0.3), "monotone")
+
+
+@pytest.mark.parametrize("step", [0.0, -0.5, np.nan, np.inf, True])
+def test_solver_rejects_a_step_that_is_not_finite_and_positive(step):
+    # at step 0 every point has residual 0, so x0 = 0.9 came back converged
+    op = shifted_identity()
+    assert vi_residual(scalar(0.9), op, Ball(1.0), 1.0) == pytest.approx(0.6)
+    with pytest.raises(ValueError, match="^step: "):
+        solve_vi_extragradient(op, Ball(1.0), scalar(0.9), step=step)
+
+
+@pytest.mark.parametrize("slack", [np.inf, np.nan, -1e-9, True])
+def test_minty_rejects_a_slack_that_is_not_finite_and_nonnegative(slack):
+    # an infinite slack passed x = 0.9, which fails at the default slack
+    op = shifted_identity()
+    assert not minty_certificate(scalar(0.9), op, Ball(1.0), seed=0).verdict
+    with pytest.raises(ValueError, match="^slack: "):
+        minty_certificate(scalar(0.9), op, Ball(1.0), seed=0, slack=slack)
+    assert minty_certificate(scalar(0.3), op, Ball(1.0), seed=0, slack=0.0).verdict
+
+
 def test_solution_insensitive_to_step_halving():
     op, C, g, A, b = affine_instance()
     x0 = GridFunction(g, np.zeros((1, 10)))
