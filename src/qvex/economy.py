@@ -19,7 +19,9 @@ one monotone root for the budget multiplier and one per binding cap, the
 continuous nonlinear resource-allocation problem (Patriksson 2008).  A
 LogShift agent's budget root starts from the exact root with every cap
 ignored, found from its sorted breakpoints, so a demand takes about three
-plan evaluations.
+plan evaluations.  A Quadratic demand is a budget-and-caps projection,
+which starts from the same root, found by variable fixing, and takes one
+capped-cone evaluation unless a cap binds there.
 """
 
 from __future__ import annotations
@@ -438,6 +440,7 @@ def _sampled_margin(agent, samples, seed, decades, points, margin, tolerance, na
     `decades`.  A NaN margin is the worst: it fails at once, with its
     sample as the witness."""
     require_integer("samples", samples, 1)
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     cells, m = agent.endowment.values.shape
     worst_margin, witness = np.inf, None

@@ -126,12 +126,12 @@ def _simplex_rows(v: np.ndarray) -> np.ndarray:
 
 def _cap_budgets(caps: Sequence[float], dt: float):
     """Per-component water-filling budgets cap/dt (+inf where uncapped), or
-    None when no cap is finite."""
-    caps_arr = np.asarray(caps, dtype=float)
-    finite = np.isfinite(caps_arr)
-    if not finite.any():
+    None when no cap is finite.  Caps are positive or +inf (`CapBox`
+    checks them).  This runs on every projection, so the test for no
+    finite cap stays in Python, clear of numpy's per-call cost."""
+    if min(caps) == np.inf:
         return None
-    return np.where(finite, caps_arr / dt, np.inf)
+    return np.asarray(caps, dtype=float) / dt
 
 
 def _water_fill(v: np.ndarray, budgets) -> np.ndarray:
@@ -140,7 +140,11 @@ def _water_fill(v: np.ndarray, budgets) -> np.ndarray:
 
     The water-filling threshold per component solves
     sum_k max(0, v_k - tau) = cap/dt, the KKT condition of the projection.
-    `budgets` comes from `_cap_budgets`.
+    It is found with each column shifted by its top entry: the entries that
+    stay positive lie within cap/dt of that entry, so shifted they are at
+    most cap/dt in size, and the threshold keeps the precision of the cap
+    however far above it the entries sit.  `budgets` comes from
+    `_cap_budgets`.
     """
     out = np.maximum(v, 0.0)
     if budgets is None:
@@ -150,6 +154,7 @@ def _water_fill(v: np.ndarray, budgets) -> np.ndarray:
         return out
     idx = np.nonzero(need)[0]
     V = v[:, idx]
+    V = V - V.max(axis=0)
     out[:, idx] = np.maximum(V - _thresholds(V, budgets[idx]), 0.0)
     return out
 
@@ -180,14 +185,15 @@ _MAX_SEARCH = 200
 _SEARCH_WINDOW = 2e-15
 
 
-def _multiplier_search(evaluate, measure, bound, lo, size, lam):
+def _multiplier_search(evaluate, measure, bound, lo, size, lam, z=None):
     """Find the multiplier of a family of points z(lam) = evaluate(lam)
     whose `measure(z(lam))` does not increase with lam, at the positive
     `bound`: a budget multiplier (measure the spend, bound the wealth) or a
     ball multiplier (measure the norm, bound the radius).
 
     `lo` is a multiplier whose point measures `size`, above the bound, and
-    `lam` > `lo` the first trial.  Until the measure crosses the bound, the
+    `lam` > `lo` the first trial, whose point `z` the caller may have
+    evaluated already.  Until the measure crosses the bound, the
     next trial is the secant step through the last two points, never more
     than doubling lam.  Inside the bracket the search runs Illinois regula
     falsi: when the same end survives two steps in a row, its stored value
@@ -206,7 +212,8 @@ def _multiplier_search(evaluate, measure, bound, lo, size, lam):
     hi = ghi = zhi = None
     kept = 0  # +1 when lo survived the last bracket step, -1 when hi did
     for _ in range(_MAX_SEARCH):
-        zl = evaluate(lam)
+        zl = evaluate(lam) if z is None else z
+        z = None
         size = measure(zl)
         if bound - tol <= size <= bound:
             return zl
@@ -237,6 +244,35 @@ def _multiplier_search(evaluate, measure, bound, lo, size, lam):
     )
 
 
+def _uncapped_root(v, p, d, dt, target):
+    """The lam >= 0 at which the uncapped spend
+    s(lam) = dt <<p, max(0, v - lam d)>> equals the positive `target`,
+    given s(0) > target.
+
+    Newton's method from lam = 0, with the slope taken over the entries
+    still positive, is Michelot's variable fixing (Michelot 1986; Kiwiel
+    2008): s is convex and nonincreasing, so no step passes the root, and
+    each step lands on the root of s restricted to the entries still
+    positive.  Once that set stops shrinking, s is that linear piece, and
+    lam is its root.  lam never decreases, so the set only shrinks and the
+    iteration ends after at most one step per entry.  It is the iteration
+    `_project_budget_cone` runs on blocks, for one slice and direction d.
+    """
+    pv = p * v
+    pd = p * d
+    positive = v > 0.0
+    count = np.count_nonzero(positive)
+    lam = 0.0
+    while True:
+        slope = max(dt * float(np.vdot(pd, positive)), 1e-300)
+        lam = max(lam, (dt * float(np.vdot(pv, positive)) - target) / slope)
+        positive = v > lam * d
+        settled = count
+        count = np.count_nonzero(positive)
+        if count == settled:
+            return lam
+
+
 def _project_budget_capbox(v, p, e, caps, dt, weights=None):
     """Exact projection onto {z in capbox : <<p, z - e>> <= 0}.
 
@@ -245,25 +281,40 @@ def _project_budget_capbox(v, p, e, caps, dt, weights=None):
     of the nonincreasing piecewise-linear map
     g(lam) = <<p, P_capbox(v - lam p / w) - e>>; each evaluation is one
     capped-cone projection (`_water_fill`; the weights are constant per
-    good, so it ignores them).  The first trial is g(0) over the slope g
-    would have if no cap bound, and `_multiplier_search` finds the root, so
-    the result never overspends.
+    good, so it ignores them).
+
+    With every cap ignored the root has a closed form, `_uncapped_root`,
+    aimed at the middle of `_multiplier_search`'s acceptance window.  Caps
+    only cut spend, so that root is the answer whenever no cap binds there,
+    and one capped-cone evaluation settles the projection.  Where a cap
+    binds at the root its point underspends; the search then runs from
+    lam = 0 with the root's point as its first trial, so the result never
+    overspends.
     """
     budgets = _cap_budgets(caps, dt)
-    z = _water_fill(v, budgets)
     wealth = dt * float(np.vdot(p, e))
-    spend = dt * float(np.vdot(p, z))
-    if spend <= wealth:
-        return z
+    if dt * float(np.vdot(p, np.maximum(v, 0.0))) <= wealth:
+        # caps only cut spend, so the capped point at lam = 0 is affordable too
+        return _water_fill(v, budgets)
     if wealth <= 1e-300:
         # worthless endowment: every component with positive price must vanish
         return _water_fill(np.where(p > 0, np.minimum(v, 0.0), v), budgets)
     d = p if weights is None else p / weights
-    lam = (spend - wealth) / max(dt * float(np.vdot(p * d, z > 0)), 1e-300)
+    # aim at the middle of the window `_multiplier_search` accepts
+    tol = _SEARCH_WINDOW * wealth
+    lam = _uncapped_root(v, p, d, dt, wealth - 0.5 * tol)
+    z = _water_fill(v - lam * d, budgets)
+    spend = dt * float(np.vdot(p, z))
+    if wealth - tol <= spend <= wealth:
+        return z
+    z0 = _water_fill(v, budgets)
+    spend0 = dt * float(np.vdot(p, z0))
+    if spend0 <= wealth:
+        return z0
     return _multiplier_search(
         lambda lam: _water_fill(v - lam * d, budgets),
         lambda z: dt * float(np.vdot(p, z)),
-        wealth, 0.0, spend, lam,
+        wealth, 0.0, spend0, lam, z,
     )
 
 
@@ -331,12 +382,14 @@ def _project_budget_cone(V, p, e, dt):
     step = np.zeros(len(V))
     positive = np.empty_like(Z)
     for _ in range(_MAX_NEWTON):
-        # np.sign(Z) is 1 on the components still positive and 0 elsewhere;
-        # settled slices take no step, so their lam stays frozen
-        slope = np.maximum(_spend(np.sign(Z, out=positive), p2, dt), 1e-300)
+        # the slope is taken over the components still positive; settled
+        # slices take no step, so their lam stays frozen
+        slope = np.maximum(_spend(np.greater(Z, 0.0, out=positive), p2, dt), 1e-300)
         np.divide(spend - wealth + margin, slope, out=step, where=live)
         lam = np.where(live, np.maximum(lam + step, np.nextafter(lam, np.inf)), lam)
-        np.multiply(lam[:, None, None], p, out=Z)
+        # lam_k p for every slice k: einsum forms the outer product about
+        # twice as fast as a broadcast multiply, with the same products
+        np.einsum("k,cm->kcm", lam, p, out=Z)
         np.subtract(V, Z, out=Z)
         np.maximum(Z, 0.0, out=Z)
         spend = _spend(Z, p, dt)

@@ -81,6 +81,7 @@ def best_response_residual(
     the Minty values and utilities of a block, one per sample.
     """
     require_integer("samples", samples, 1)
+    require_integer("seed", seed, 0)
     agent = eco.agents[i]
     M = full_budget_set(agent, p)
     feas = membership_residual(x_i, M)
@@ -188,6 +189,7 @@ def coercivity_probe(
     """
     require_positive_real("r_d", r_d)
     require_integer("samples", samples, 1)
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     sets = prob.constraint_map(d)
     per_agent_scale = max(1.0, r_d)
@@ -271,6 +273,7 @@ def pseudomonotonicity_probe(
     """
     require_integer("pairs", pairs, 1)
     require_positive_real("scale", scale)
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     xs = sample_feasible(C, center, scale, rng, pairs)
     worst, witness = np.inf, None

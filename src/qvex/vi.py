@@ -120,9 +120,12 @@ def solve_vi_extragradient(
     natural-map residual at unit step by `tol` as well.  On budget
     exhaustion the best iterate seen is returned with converged=False, and
     `step_used` is the step its residual was measured at; nothing is
-    raised, so callers can inspect the trace.  A `step` of 0 would pass
-    any point, so a given step must be finite and positive.
+    raised, so callers can inspect the trace.  A `step` of 0 or an infinite
+    `tol` would pass any point, so a given step and `tol` must be finite
+    and positive, and `max_iter` an integer >= 1.
     """
+    require_positive_real("tol", tol)
+    require_integer("max_iter", max_iter, 1)
     grid = x0.grid
     if step is None:
         step = 0.9 / estimate_lipschitz(op, C, x0, seed=seed)
@@ -171,6 +174,7 @@ def minty_certificate(
     number >= 0: an infinite slack would pass every point.
     """
     require_integer("samples", samples, 1)
+    require_integer("seed", seed, 0)
     if isinstance(slack, bool) or not 0 <= slack < np.inf:
         raise ValueError(f"slack: must be a finite number >= 0, got {slack!r}")
     rng = np.random.default_rng(seed)

@@ -1,7 +1,7 @@
 """The public numeric arguments below are checked on entry: NaN, +-inf, 0,
--1 and `True` each raise a ValueError whose message starts with the
-argument's name (for scenario files, its path), so no bad value runs
-silently."""
+-1 and `True` (for seeds, which may be 0: -1, 2.5, NaN and `True`) each
+raise a ValueError whose message starts with the argument's name (for
+scenario files, its path), so no bad value runs silently."""
 
 import re
 
@@ -129,6 +129,32 @@ def test_every_numeric_argument_is_checked_by_name(name, call, value):
         call(value)
 
 
+#: values every seed rejects: seeds are integers >= 0
+BAD_SEEDS = [-1, 2.5, np.nan, True]
+
+# the extragradient's limits, and the seed of every sampled check
+LIMITS_AND_SEEDS = [
+    ("tol", lambda v: solve_vi_extragradient(OP, Ball(1.0), X, tol=v), BAD),
+    ("max_iter", lambda v: solve_vi_extragradient(OP, Ball(1.0), X, max_iter=v), [*BAD, 2.5]),
+    ("seed", lambda v: minty_certificate(X, OP, Ball(1.0), seed=v), BAD_SEEDS),
+    ("seed", lambda v: pseudomonotonicity_probe(OP, Ball(1.0), X, seed=v), BAD_SEEDS),
+    ("seed", lambda v: coercivity_probe(PROB, P, 1.0, seed=v), BAD_SEEDS),
+    ("seed", lambda v: check_growth_condition(AGENTS[0], seed=v), BAD_SEEDS),
+    ("seed", lambda v: check_concavity(AGENTS[1], seed=v), BAD_SEEDS),
+    ("seed", lambda v: best_response_residual(ECO, P, PLANS[0], 0, seed=v), BAD_SEEDS),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, value",
+    [(name, call, v) for name, call, values in LIMITS_AND_SEEDS for v in values],
+    ids=[f"{name}={v!r}" for name, _, values in LIMITS_AND_SEEDS for v in values],
+)
+def test_limits_and_seeds_are_checked_by_name(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
+        call(value)
+
+
 def test_the_table_calls_pass_on_good_values():
     # each row rejects only its bad value: the same calls run on good ones
     assert TimeGrid(1, np.int64(2)) == G
@@ -137,3 +163,5 @@ def test_the_table_calls_pass_on_good_values():
     assert minty_certificate(GridFunction.constant(G, [0.3, 0.3]), OP, Ball(1.0), slack=0).verdict
     assert certify_equilibrium(ECO, P, PLANS, tol=1.0, samples=1).samples_used == 1
     assert scenario(**{"solver.radius_schedule": [1, 2.0]}).radius_schedule == (1.0, 2.0)
+    assert solve_vi_extragradient(OP, Ball(1.0), X, tol=1.0, max_iter=1).iterations == 0
+    assert check_concavity(AGENTS[1], samples=1, seed=np.int64(0)).samples_used == 1

@@ -168,6 +168,26 @@ def test_projections_stay_feasible_at_extreme_scales(ratio):
         np.testing.assert_array_equal(out.values, [point])
 
 
+def test_cap_projection_stays_feasible_between_the_powers_of_ten():
+    # the threshold is taken relative to each column's top entry, so it keeps
+    # the cap's precision at any ratio, not only where the entries round evenly
+    caps = CapBox((1.0,))
+    g = make_grid(1.0, 2)
+    infeasible = [
+        r for r in np.logspace(0.0, 20.0, 4001)
+        if membership_residual(project(gf(g, [[r], [0.0]]), caps), caps) > 1e-12
+    ]
+    assert infeasible == []
+    caps = CapBox((1.0, 1.0))
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        cells = int(rng.integers(1, 8))
+        x = gf(make_grid(1.0, cells), 10.0 ** rng.uniform(0.0, 20.0) * rng.random((cells, 2)))
+        z = project(x, caps)
+        assert z.values.min() >= 0.0
+        assert membership_residual(z, caps) <= 1e-12
+
+
 def test_cap_box_water_filling_matches_brute_force():
     g = make_grid(1.0, 2)
     x = gf(g, [[2.0], [0.5]])
@@ -372,6 +392,64 @@ def test_budget_capbox_property_matches_dykstra(problem):
         assert inner_product(unit_x - unit_z, y - unit_z) <= 1e-9 * (1.0 + norm(unit_x)) ** 2
 
 
+@st.composite
+def budget_caps_root_problems(draw):
+    """Budget-and-caps projections whose caps bind or stay slack at the
+    budget root with every cap ignored, with zero prices, per-good weights
+    and, in some draws, zero wealth."""
+    v, p, e, _, scale = draw(budget_caps_problems())
+    cells, goods = v.shape
+    if draw(st.booleans()):
+        e = np.where(p > 0, 0.0, e)
+    weights = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=goods, max_size=goods)))
+    # each good's integral at the root with every cap ignored: a cap below
+    # it binds there, one above it binds at most nearer lam = 0
+    dt = 1.0 / cells
+    uncapped = _project_budget_capbox(v, p, e, (np.inf,) * goods, dt, weights)
+    fraction = st.sampled_from([0.3, 0.8, 0.99, 1.2, 3.0, np.inf])
+    fracs = draw(st.lists(fraction, min_size=goods, max_size=goods))
+    caps = tuple(f * max(dt * uncapped[:, j].sum(), 0.1) for j, f in enumerate(fracs))
+    return v, p, e, caps, weights, scale
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(budget_caps_root_problems())
+def test_budget_capbox_property_from_the_uncapped_root(problem):
+    v, p, e, caps, weights, scale = problem
+    cells, goods = v.shape
+    dt = 1.0 / cells
+    scaled_caps = tuple(scale * c for c in caps)
+    out = _project_budget_capbox(scale * v, p, scale * e, scaled_caps, dt, weights)
+    z = out / scale
+    g = make_grid(1.0, cells)
+    capbox = CapBox(caps)
+
+    assert z.min() >= 0.0
+    assert membership_residual(GridFunction(g, z), capbox) <= 1e-12
+    # the search never overspends, measured as the kernel measures it
+    assert dt * float(np.vdot(p, out)) <= dt * float(np.vdot(p, scale * e))
+
+    if not np.any(p * e):
+        # zero wealth leaves the goods without a price, under their caps
+        assert np.all(z[p > 0] == 0.0)
+        expected = project(GridFunction(g, np.where(p > 0, 0.0, v)), capbox).values
+        np.testing.assert_allclose(z, expected, rtol=1e-12, atol=1e-12)
+        return
+    # in y = sqrt(w) z the weighted projection is the plain one onto the
+    # budget with prices p / sqrt(w) and the caps times sqrt(w)
+    root_w = np.ones(goods) if weights is None else np.sqrt(weights)
+    parts = (
+        BudgetHalfspace(GridFunction(g, p / root_w), GridFunction(g, e * root_w)),
+        CapBox(tuple(c * r for c, r in zip(caps, root_w))),
+    )
+    x = GridFunction(g, v * root_w)
+    dyk = GridFunction(g, _dykstra_values(x.values, parts, g, 1e-12, 200000))
+    y = GridFunction(g, z * root_w)
+    assert abs(norm(y - x) - norm(dyk - x)) <= 1e-9 * (1.0 + norm(x))
+
+
 # --- exact budget-and-caps kernel cut by a ball ---
 
 
@@ -466,22 +544,40 @@ def _search_input(rng, cells, goods, capped):
     return v, p, e, caps, dt
 
 
-@pytest.mark.parametrize("cells, goods, capped", [(16, 2, True), (1024, 3, False)])
-def test_budget_capbox_search_evaluations_per_projection(monkeypatch, cells, goods, capped):
-    calls = 0
+def _counting_water_fills(monkeypatch):
+    """Count the capped-cone evaluations (`_water_fill` calls) from here on;
+    the count is the list's one entry."""
+    calls = [0]
     water_fill = qvex.sets._water_fill
 
     def counting(v, budgets):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return water_fill(v, budgets)
 
     monkeypatch.setattr(qvex.sets, "_water_fill", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cells, goods, capped", [(16, 2, True), (1024, 3, False)])
+def test_budget_capbox_search_evaluations_per_projection(monkeypatch, cells, goods, capped):
+    calls = _counting_water_fills(monkeypatch)
     rng = np.random.default_rng(0)
     count = 300
     for _ in range(count):
         _project_budget_capbox(*_search_input(rng, cells, goods, capped))
-    assert calls / count <= 8.0
+    assert calls[0] / count <= 1.5
+
+
+def test_budget_capbox_takes_one_evaluation_where_a_cap_binds_only_at_zero(monkeypatch):
+    # the truncated solve's shape: the cap binds on the unpriced point, but
+    # the budget alone cuts spending below it, so the root with the caps
+    # ignored is the projection
+    calls = _counting_water_fills(monkeypatch)
+    v, p, e = np.full((2, 1), 3.0), np.ones((2, 1)), np.ones((2, 1))
+    z = _project_budget_capbox(v, p, e, (2.0,), 0.5)
+    assert calls[0] == 1
+    np.testing.assert_allclose(z, np.ones((2, 1)), rtol=1e-14)
+    assert 0.5 * z.sum() <= 1.0
 
 
 def test_budget_capbox_search_exhaustion_raises(monkeypatch):
