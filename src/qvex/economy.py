@@ -340,15 +340,18 @@ def utility_value(agent: Agent, x: GridFunction) -> float:
     return float(x.grid.dt * np.sum(agent.utility.cell_values(x.values)))
 
 
-def utility_gradient(agent: Agent, x: GridFunction) -> GridFunction:
-    """Cellwise gradient of the instantaneous utility along the plan."""
-    agent.utility.check_domain(x.values)
-    return x.with_values(agent.utility.cell_gradients(x.values))
+def utility_gradient(agent: Agent, w: np.ndarray) -> np.ndarray:
+    """Cellwise gradient of the instantaneous utility along the plan whose
+    (cells, m) values are `w`, as an array of the same shape; raises
+    DomainViolation when w is outside the family's domain."""
+    agent.utility.check_domain(w)
+    return agent.utility.cell_gradients(w)
 
 
 def agent_operator(agent: Agent) -> OperatorHandle:
     """The agent's VI operator: the negative utility gradient (monotone for concave u)."""
-    return OperatorHandle(lambda x: -utility_gradient(agent, x), monotonicity="monotone")
+    # through the module global, so a rebinding of `utility_gradient` sees every call
+    return OperatorHandle(lambda w: -utility_gradient(agent, w), monotonicity="monotone")
 
 
 def aggregate_endowment_integrals(eco: Economy) -> np.ndarray:

@@ -8,6 +8,7 @@ step functions the L2 inner product is the exact finite sum
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,6 +47,9 @@ class GridFunction:
 
     Instances are treated as immutable: the value array is copied on
     construction and write-locked, and all arithmetic returns new objects.
+    Construction checks the shape and that every value is finite
+    (`all_finite`, one sum in the common case).  Solver inner loops work on
+    the raw (cells, m) arrays and wrap a result once, at the API boundary.
     """
 
     grid: TimeGrid
@@ -59,7 +63,7 @@ class GridFunction:
             raise ShapeMismatch(
                 f"values must have shape ({self.grid.cells}, m), got {np.shape(self.values)}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not all_finite(vals):
             raise ValueError("grid function values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -118,12 +122,23 @@ class PriceCurve(GridFunction):
     def __post_init__(self):
         super().__post_init__()
         sums = self.values.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > self._SIMPLEX_TOL) or np.any(self.values < -1e-12):
+        if (np.abs(sums - 1.0) > self._SIMPLEX_TOL).any() or (self.values < -1e-12).any():
             raise ValueError("price curve must lie on the per-cell unit simplex")
 
     @classmethod
     def uniform(cls, grid: TimeGrid, goods: int) -> "PriceCurve":
         return cls(grid, np.full((grid.cells, goods), 1.0 / goods))
+
+
+def all_finite(vals: np.ndarray) -> bool:
+    """Whether every entry of `vals` is finite, at the cost of one sum.
+
+    The sum is of squares, taken by `np.vdot`, which raises no floating
+    point warning where `np.sum` warns on overflow.  A finite sum means
+    every entry is finite; finite entries can still overflow it, so only a
+    sum that is not finite falls back to the entrywise test.
+    """
+    return math.isfinite(np.vdot(vals, vals)) or bool(np.isfinite(vals).all())
 
 
 def _check_same_shape(h: GridFunction, g: GridFunction) -> None:

@@ -39,7 +39,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InnerSolveFailure, NonConvergence, require_integer, require_positive_real
+from .errors import (
+    InnerSolveFailure,
+    NonConvergence,
+    ShapeMismatch,
+    require_integer,
+    require_positive_real,
+)
 from .grids import GridFunction, PriceCurve, TimeGrid, norm, split_components, stack_components
 from .reports import CertReport
 from .sets import (
@@ -156,10 +162,15 @@ class QVIProblem:
     @property
     def operator(self) -> OperatorHandle:
         """The stacked block-diagonal operator on agent-major components."""
+        n = self.n_agents
 
-        def fn(x: GridFunction) -> GridFunction:
-            blocks = split_components(x, self.n_agents)
-            return stack_components([op(b) for op, b in zip(self.agent_operators, blocks)])
+        def fn(v: np.ndarray) -> np.ndarray:
+            if v.shape[1] % n != 0:
+                raise ShapeMismatch(f"cannot split {v.shape[1]} components into {n} blocks")
+            w = v.shape[1] // n
+            return np.hstack(
+                [op.values(v[:, i * w : (i + 1) * w]) for i, op in enumerate(self.agent_operators)]
+            )
 
         tags = {op.monotonicity for op in self.agent_operators}
         tag = tags.pop() if len(tags) == 1 else "unknown"
@@ -282,6 +293,9 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     agent's residual on K_i(d) is <= inner_tol.  An inner solve that fails
     to certify ends the run with converged=False and the best certified
     pair so far (the failing iteration's own pair if none certified yet).
+    An exhausted budget says why the step did not bring the price home when
+    it can tell: the step never moved because excess demand never changed,
+    or it collapsed to at most 1e-9 times `OUTER_STEP0`.
     Each outer iteration logs one DEBUG record: k, residual, price step,
     effective inner tolerance and the agents' extragradient iterations
     (0 on exact demand).
@@ -298,6 +312,8 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     prev = None
     starts = None
     failure = ""
+    # step updates made, and updates skipped because excess demand stood still
+    step_updates = flat_steps = 0
     k = 0
     for k in range(params.max_outer):
         # loose inner solves while far from the fixed point, exact near it
@@ -320,6 +336,9 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
             if dd > 0 and dh > 0:
                 step = min(np.sqrt(1 + theta) * sigma, OUTER_STEP_SAFETY * dd / dh)
                 sigma, theta = step, step / sigma
+                step_updates += 1
+            elif dd > 0:
+                flat_steps += 1
         prev = (d.values, h.values)
         logger.debug(
             "outer %d: residual %.3e step %.3e inner tol %.1e extragradient iterations %d",
@@ -352,6 +371,14 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
         )
 
     d, x, inner_res, res = best
+    if not failure:
+        failure = (
+            f"outer iteration budget exhausted (best residual {res:.3e}, final step {sigma:.3e})"
+        )
+        if flat_steps and not step_updates:
+            failure += ": price step never moved: excess demand did not change"
+        elif sigma <= 1e-9 * OUTER_STEP0:
+            failure += f": price step collapsed to at most 1e-9 times its start {OUTER_STEP0:g}"
     return QVISolveReport(
         price=d,
         allocation=x,
@@ -360,8 +387,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
         iterations=k + 1,
         converged=False,
         residual_history=np.asarray(history),
-        message=failure
-        or f"outer iteration budget exhausted (best residual {res:.3e}, final step {sigma:.3e})",
+        message=failure,
     )
 
 
@@ -494,7 +520,7 @@ def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveRep
     for k in range(params.max_outer):
         x = stack_components(xs)
         h = prob.outer_map(x)
-        fs = [op(x_i) for op, x_i in zip(prob.agent_operators, xs)]
+        fs = [op.values(x_i.values) for op, x_i in zip(prob.agent_operators, xs)]
 
         if k % check_every == 0:
             outer_res = _outer_residual(d.values, h.values, prob)
@@ -523,21 +549,20 @@ def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveRep
 
         # extragradient step with the constraint set frozen at the current price
         ys = [
-            x_i.with_values(project_values(x_i.values - gamma * f.values, s, grid))
-            for x_i, f, s in zip(xs, fs, sets)
+            project_values(x_i.values - gamma * f, s, grid) for x_i, f, s in zip(xs, fs, sets)
         ]
-        y = stack_components(ys)
-        hy = prob.outer_map(y)
-        fys = [op(y_i) for op, y_i in zip(prob.agent_operators, ys)]
+        y = np.hstack(ys)
+        hy = prob.outer_map(GridFunction(grid, y))
+        fys = [op.values(y_i) for op, y_i in zip(prob.agent_operators, ys)]
         d = PriceCurve(grid, project_values(d.values - gamma * hy.values, prob.price_set, grid))
         xs = [
-            x_i.with_values(project_values(x_i.values - gamma * fy.values, s, grid))
+            x_i.with_values(project_values(x_i.values - gamma * fy, s, grid))
             for x_i, fy, s in zip(xs, fys, sets)
         ]
         # the stacked operator is G = (h, F_1, ..., F_n), so h's change counts too
-        dF = np.concatenate([f.values - fy.values for f, fy in zip(fs, fys)], axis=1)
+        dF = np.concatenate([f - fy for f, fy in zip(fs, fys)], axis=1)
         dG = np.hypot(np.linalg.norm(h.values - hy.values), np.linalg.norm(dF))
-        gamma = adaptive_step(gamma, np.linalg.norm(x.values - y.values), dG)
+        gamma = adaptive_step(gamma, np.linalg.norm(x.values - y), dG)
         sets = prob.constraint_map(d)
 
     d, x, outer_res, inner_res = best

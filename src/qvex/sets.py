@@ -12,9 +12,9 @@ Every projection `project` takes is exact; Dykstra's alternation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,15 +82,25 @@ class Intersection(SetDescriptor):
 
     `project` solves one budget set, one capped cone and at most one ball
     centered at 0 exactly; `project_intersection` takes any parts.
+    `canonical` is that split, (budget, capbox, ball or None), resolved on
+    construction; None when the parts are of another kind.
     """
 
     parts: tuple
+    canonical: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = tuple(self.parts)
         if not parts:
             raise ValueError("intersection needs at least one part")
         object.__setattr__(self, "parts", parts)
+        budget = [p for p in parts if isinstance(p, BudgetHalfspace)]
+        capbox = [p for p in parts if isinstance(p, CapBox)]
+        balls = [p for p in parts if isinstance(p, Ball) and not any(p.center)]
+        canonical = None
+        if len(budget) == len(capbox) == 1 and len(balls) <= 1 and len(parts) == 2 + len(balls):
+            canonical = (budget[0], capbox[0], balls[0] if balls else None)
+        object.__setattr__(self, "canonical", canonical)
 
 
 # --- array-level projection kernels (hot path; values shaped (cells, m)) ---
@@ -403,17 +413,6 @@ def _project_budget_cone(V, p, e, dt):
     )
 
 
-def _canonical_parts(parts):
-    """Split an intersection of one budget set, one capped cone and at most
-    one ball centered at 0 into (budget, capbox, ball or None), or None."""
-    budget = [p for p in parts if isinstance(p, BudgetHalfspace)]
-    capbox = [p for p in parts if isinstance(p, CapBox)]
-    balls = [p for p in parts if isinstance(p, Ball) and not any(p.center)]
-    if len(budget) == len(capbox) == 1 and len(balls) <= 1 and len(parts) == 2 + len(balls):
-        return budget[0], capbox[0], balls[0] if balls else None
-    return None
-
-
 def project_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) -> np.ndarray:
     """Project raw values onto `s` exactly; used internally by the solvers."""
     dt = grid.dt
@@ -426,10 +425,9 @@ def project_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) -> np.ndarra
     if isinstance(s, Ball):
         return _ball_values(v, s.radius, s.center, dt)
     if isinstance(s, Intersection):
-        canon = _canonical_parts(s.parts)
-        if canon is None:
+        if s.canonical is None:
             raise TypeError(f"no exact projection; use project_intersection for {s!r}")
-        budget, capbox, ball = canon
+        budget, capbox, ball = s.canonical
         args = (v, budget.price.values, budget.endowment.values, capbox.caps)
         if ball is None:
             return _project_budget_capbox(*args, dt)
@@ -544,7 +542,7 @@ def sample_feasible_blocks(
     per = max(1, _SAMPLE_CHUNK // center.size)
     budget = None
     if isinstance(s, Intersection):
-        canon = _canonical_parts(s.parts)
+        canon = s.canonical
         if canon and canon[2] is None and _cap_budgets(canon[1].caps, grid.dt) is None:
             budget = canon[0]
     for start in range(0, count, per):

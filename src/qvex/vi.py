@@ -9,6 +9,11 @@ adapts after every iteration by the self-adaptive rule of Yang & Liu (2019),
     g <- min(g, STEP_SAFETY * ||x - y|| / ||F(x) - F(y)||),
 so it only ever shrinks, and only where the local Lipschitz ratio demands.
 `adaptive_step` is that rule; the product-space QVI solve uses it too.
+
+Operators map raw (cells, m) value arrays (`OperatorHandle.values`), and
+the solvers iterate on those arrays: the extragradient loop builds no
+`GridFunction` and wraps its result once, for the report.  Grid functions
+are the API boundary; `op(x)` on one wraps the array map.
 """
 
 from __future__ import annotations
@@ -19,14 +24,20 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericFailure, SamplingFailure, require_integer, require_positive_real
-from .grids import GridFunction, inner_product, norm
+from .grids import GridFunction, all_finite, inner_product, norm
 from .reports import CertReport
-from .sets import SetDescriptor, project_values, sample_feasible
+from .sets import SetDescriptor, project_values, sample_feasible, sample_feasible_blocks
 
 #: fraction of the inverse local Lipschitz ratio the adaptive step may reach
 STEP_SAFETY = 0.5
 #: feasible point pairs `estimate_lipschitz` differences
 LIPSCHITZ_PROBES = 8
+
+
+def _l2(v: np.ndarray) -> np.float64:
+    """The Euclidean norm of an array: `np.linalg.norm`'s bits (both take
+    the root of one dot product) without its per-call dispatch."""
+    return np.sqrt(np.vdot(v, v))
 
 
 def adaptive_step(gamma: float, dx: float, dF: float) -> float:
@@ -42,20 +53,30 @@ def adaptive_step(gamma: float, dx: float, dF: float) -> float:
 class OperatorHandle:
     """Deterministic evaluation contract for a map F on grid functions.
 
-    `monotonicity` is a declared tag ("monotone", "pseudomonotone" or
-    "unknown"); probes test it, solvers never rely on it.
+    `fn` maps the (cells, m) value array of a grid function to the array of
+    its image, of the same shape, and must not write to its argument (the
+    solvers keep their iterates in it).  `values` is the checked array entry
+    point the solvers call; `op(x)` on a `GridFunction` wraps it for
+    boundary callers (probes, Minty checks).  `monotonicity` is a declared
+    tag ("monotone", "pseudomonotone" or "unknown"); probes test it,
+    solvers never rely on it.
     """
 
-    fn: Callable[[GridFunction], GridFunction]
+    fn: Callable[[np.ndarray], np.ndarray]
     monotonicity: str = "unknown"
 
-    def __call__(self, x: GridFunction) -> GridFunction:
-        out = self.fn(x)
-        if out.values.shape != x.values.shape:
-            raise NumericFailure(
-                f"operator changed shape: {x.values.shape} -> {out.values.shape}"
-            )
+    def values(self, v: np.ndarray) -> np.ndarray:
+        """F at the values v; NumericFailure when F changes the shape,
+        ValueError when a value of F is not finite."""
+        out = self.fn(v)
+        if out.shape != v.shape:
+            raise NumericFailure(f"operator changed shape: {v.shape} -> {out.shape}")
+        if not all_finite(out):
+            raise ValueError("operator values must be finite")
         return out
+
+    def __call__(self, x: GridFunction) -> GridFunction:
+        return x.with_values(self.values(x.values))
 
 
 @dataclass
@@ -73,9 +94,9 @@ class SolveReport:
 def vi_residual(x: GridFunction, op: OperatorHandle, C: SetDescriptor, gamma: float) -> float:
     """Natural-map residual ||x - P_C(x - gamma F(x))||; zero exactly on solutions."""
     require_positive_real("gamma", gamma)
-    fx = op(x).values
-    y = project_values(x.values - gamma * fx, C, x.grid)
-    return float(np.sqrt(x.grid.dt) * np.linalg.norm(x.values - y))
+    v = x.values
+    r = v - project_values(v - gamma * op.values(v), C, x.grid)
+    return float(np.sqrt(x.grid.dt) * _l2(r))
 
 
 def estimate_lipschitz(
@@ -93,13 +114,17 @@ def estimate_lipschitz(
     """
     rng = np.random.default_rng(seed)
     scale = 0.25 * (1.0 + norm(around))
-    pts = sample_feasible(C, around, scale, rng, 2 * LIPSCHITZ_PROBES)
+    grid = around.grid
+    pts = np.concatenate(
+        list(sample_feasible_blocks(C, around.values, grid, scale, rng, 2 * LIPSCHITZ_PROBES))
+    )
+    sqdt = np.sqrt(grid.dt)
     best = 0.0
     for a, b in zip(pts[::2], pts[1::2]):
-        gap = norm(a - b)
+        gap = float(sqdt * _l2(a - b))
         if gap < 1e-12:
             continue
-        best = max(best, norm(op(a) - op(b)) / gap)
+        best = max(best, float(sqdt * _l2(op.values(a) - op.values(b))) / gap)
     return max(best, 1e-8)
 
 
@@ -137,20 +162,18 @@ def solve_vi_extragradient(
     best_vals, best_res, best_gamma = x, np.inf, gamma
     k = 0
     for k in range(max_iter):
-        xf = x0.with_values(x)
-        fx = op(xf).values
+        fx = op.values(x)
         y = project_values(x - gamma * fx, C, grid)
-        res = float(sqdt * np.linalg.norm(x - y))
+        gap = _l2(x - y)
+        res = float(sqdt * gap)
         history.append(res)
         if res < best_res:
             best_vals, best_res, best_gamma = x, res, gamma
         if res <= tol * min(1.0, gamma):
             return SolveReport(x0.with_values(x), k, res, np.asarray(history), True, gamma)
-        fy = op(x0.with_values(y)).values
+        fy = op.values(y)
         x_next = project_values(x - gamma * fy, C, grid)
-        gamma = adaptive_step(
-            gamma, float(np.linalg.norm(x - y)), float(np.linalg.norm(fx - fy))
-        )
+        gamma = adaptive_step(gamma, float(gap), float(_l2(fx - fy)))
         x = x_next
 
     return SolveReport(

@@ -167,7 +167,7 @@ def test_criterion_6_vi_core_affine_instance():
     A = M.T @ M + np.eye(dim)
     b = rng.normal(size=dim)
     g = make_grid(1.0, 1)
-    op = OperatorHandle(lambda x: x.with_values((A @ x.values[0] + b)[None, :]), "monotone")
+    op = OperatorHandle(lambda x: (A @ x[0] + b)[None, :], "monotone")
     C = Ball(1.0)
 
     rep = solve_vi_extragradient(op, C, GridFunction(g, np.zeros((1, dim))), tol=1e-6, max_iter=10000, seed=1)
@@ -217,14 +217,14 @@ def test_criterion_7_probe_soundness(oracle_problem):
     rep = check_concavity(convex, samples=400, seed=0)
     assert not rep.verdict and rep.witness is not None
 
-    repulsion = OperatorHandle(lambda f: f.with_values(-f.values))
+    repulsion = OperatorHandle(lambda f: -f)
     rep = pseudomonotonicity_probe(
         repulsion, Ball(1.0, center=(1.5, 1.5)), GridFunction.constant(g1, [1.5, 1.5]),
         pairs=400, seed=2, scale=1.5,
     )
     assert not rep.verdict and rep.witness is not None
 
-    outward = OperatorHandle(lambda x: x.with_values(np.full_like(x.values, -1.0)))
+    outward = OperatorHandle(lambda x: np.full_like(x, -1.0))
     ray_prob = QVIProblem(
         price_set=PointwiseSimplex(),
         constraint_map=lambda p: [CapBox((np.inf,))],

@@ -92,10 +92,25 @@ def test_values_are_locked_and_copied():
         h.values[0, 0] = 5.0
 
 
-def test_rejects_nonfinite_values():
+NONFINITE_ROWS = ([np.nan], [np.nan, 0.0], [np.inf, -np.inf], [np.inf, 1.0])
+
+
+@pytest.mark.parametrize("kind", [GridFunction, PriceCurve])
+@pytest.mark.parametrize("row", NONFINITE_ROWS)
+def test_rejects_nonfinite_values(kind, row):
     g = make_grid(1.0, 1)
-    with pytest.raises(ValueError):
-        GridFunction(g, np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="grid function values must be finite"):
+        kind(g, np.array([row]))
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    # the finiteness check sums first; only a sum that is not finite is
+    # tested entry by entry, so finite entries that overflow it still pass
+    g = make_grid(1.0, 1)
+    h = GridFunction(g, np.array([[1e308, 1e308]]))
+    assert h.values.tolist() == [[1e308, 1e308]]
+    with pytest.raises(ValueError, match="unit simplex"):
+        PriceCurve(g, np.array([[1e308, -1e308]]))
 
 
 def test_bilinearity_on_random_functions():

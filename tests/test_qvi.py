@@ -33,7 +33,7 @@ from qvex import (
     stack_components,
     vi_residual,
 )
-from qvex.errors import InnerSolveFailure, NonConvergence
+from qvex.errors import InnerSolveFailure, NonConvergence, ShapeMismatch
 from qvex.qvi import RESIDUAL_GAUGE
 
 
@@ -268,6 +268,27 @@ def test_nonconvergence_reports_best_iterate(oracle_problem, skewed_start):
     assert rep.outer_residual == min(rep.residual_history)
 
 
+def test_nonconvergence_names_a_price_step_that_never_moved():
+    # satiated below its endowment, the agent's demand ignores the price, so
+    # excess demand never changes and the step rule is never applied
+    g = make_grid(1.0, 1)
+    bliss = GridFunction.constant(g, [5e-4, 5e-4])
+    eco = Economy(g, 2, (Agent(GridFunction.constant(g, [1e-3, 2e-3]), Quadratic(bliss, (1, 1))),))
+    rep = solve_qvi(assemble_qvi(eco, default_caps(eco, 1.1)), QVIParams(max_outer=50))
+    assert not rep.converged
+    assert rep.message.endswith(
+        "final step 5.000e-01): price step never moved: excess demand did not change"
+    )
+
+
+def test_nonconvergence_names_a_collapsed_price_step(oracle_problem, skewed_start):
+    # excess demand scaled by 1e12 drives the step rule 1e9-fold below its start
+    stiff = replace(oracle_problem, outer_map=lambda x: 1e12 * oracle_problem.outer_map(x))
+    rep = solve_qvi(stiff, QVIParams(start_price=skewed_start, max_outer=5))
+    assert not rep.converged
+    assert rep.message.endswith("): price step collapsed to at most 1e-9 times its start 0.5")
+
+
 @pytest.mark.parametrize("max_outer", [3, 2000])
 def test_each_outer_iteration_logs_its_step(oracle_problem, skewed_start, caplog, max_outer):
     params = QVIParams(start_price=skewed_start, max_outer=max_outer)
@@ -463,7 +484,7 @@ def test_check_truncation_interior_rules(oracle_problem, skewed_start):
 def test_product_path_zero_operator_is_stationary():
     g = make_grid(1.0, 2)
     e = GridFunction.constant(g, [0.7, 0.7])
-    zero_op = OperatorHandle(lambda x: x.with_values(np.zeros_like(x.values)), "monotone")
+    zero_op = OperatorHandle(lambda x: np.zeros_like(x), "monotone")
 
     prob = QVIProblem(
         price_set=PointwiseSimplex(),
@@ -532,3 +553,20 @@ def test_stacked_operator_applies_blocks(oracle_problem):
     out = oracle_problem.operator(x)
     # blocks are the negative quadratic gradients q*x - b
     np.testing.assert_allclose(out.values, [[0.3 - 2.0, 0.4 - 1.0, 0.1 - 1.0, 0.2 - 2.0]])
+
+
+def test_stacked_operator_on_arrays_matches_the_agent_operators_bit_for_bit():
+    g = make_grid(2.0, 4)
+    rng = np.random.default_rng(5)
+    e = GridFunction(g, 0.5 + rng.random((4, 2)))
+    bliss = GridFunction(g, 1.0 + rng.random((4, 2)))
+    agents = (Agent(e, Quadratic(bliss, (1.0, 3.0))), Agent(e, LogShift((1.0, 2.0), 0.5, 4)))
+    eco = Economy(g, 2, agents)
+    prob = assemble_qvi(eco, default_caps(eco, 1.1))
+    v = rng.random((4, 4))
+    blocks = [
+        op(GridFunction(g, v[:, 2 * i : 2 * i + 2])) for i, op in enumerate(prob.agent_operators)
+    ]
+    assert prob.operator.values(v).tobytes() == np.hstack([b.values for b in blocks]).tobytes()
+    with pytest.raises(ShapeMismatch, match="cannot split 3 components into 2 blocks"):
+        prob.operator.values(v[:, :3])

@@ -270,7 +270,7 @@ def test_pseudomonotonicity_passes_for_identity_and_rotation():
     rep = pseudomonotonicity_probe(ident, ball, center, pairs=300, seed=1, scale=2.0)
     assert rep.verdict
     # the rotation field is monotone (skew part drops out), hence pseudomonotone
-    rot = OperatorHandle(lambda x: x.with_values(np.column_stack([-x.values[:, 1], x.values[:, 0]])))
+    rot = OperatorHandle(lambda x: np.column_stack([-x[:, 1], x[:, 0]]))
     rep = pseudomonotonicity_probe(rot, ball, center, pairs=300, seed=1, scale=2.0)
     assert rep.verdict
 
@@ -282,7 +282,7 @@ def test_pseudomonotonicity_fails_on_repulsion_fixture():
     y = np.array([1.0, 2.0])
     assert (-x) @ (y - x) >= 0 and (-y) @ (y - x) < 0
 
-    neg = OperatorHandle(lambda f: f.with_values(-f.values))
+    neg = OperatorHandle(lambda f: -f)
     box = Ball(1.0, center=(1.5, 1.5))  # off-origin region
     center = GridFunction.constant(G, [1.5, 1.5])
     rep = pseudomonotonicity_probe(neg, box, center, pairs=400, seed=2, scale=1.5)
@@ -296,7 +296,7 @@ def test_pseudomonotonicity_fails_on_repulsion_fixture():
 @pytest.mark.parametrize("scale", [0.0, -1.5, np.nan, np.inf])
 def test_pseudomonotonicity_probe_rejects_a_scale_that_is_not_finite_and_positive(scale):
     # at scale 0 every pair is x = y, which passed the repulsion fixture above
-    neg = OperatorHandle(lambda f: f.with_values(-f.values))
+    neg = OperatorHandle(lambda f: -f)
     box, center = Ball(1.0, center=(1.5, 1.5)), GridFunction.constant(G, [1.5, 1.5])
     with pytest.raises(ValueError, match="^scale: "):
         pseudomonotonicity_probe(neg, box, center, pairs=400, seed=2, scale=scale)
@@ -353,7 +353,7 @@ def test_coercivity_fails_on_outward_constant_field():
     # constant pull up the ray: no smaller-norm point ever satisfies the test
     g = make_grid(1.0, 1)
     e = GridFunction.constant(g, [1.0])
-    outward = OperatorHandle(lambda x: x.with_values(np.full_like(x.values, -1.0)))
+    outward = OperatorHandle(lambda x: np.full_like(x, -1.0))
     prob = QVIProblem(
         price_set=PointwiseSimplex(),
         constraint_map=lambda p: [CapBox((np.inf,))],

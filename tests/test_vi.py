@@ -37,7 +37,7 @@ def affine_instance(seed=42, dim=10):
     g = make_grid(1.0, 1)
 
     def fn(x):
-        return x.with_values((A @ x.values[0] + b)[None, :])
+        return (A @ x[0] + b)[None, :]
 
     return OperatorHandle(fn, "monotone"), Ball(1.0), g, A, b
 
@@ -58,7 +58,7 @@ def test_residual_zero_at_boundary_solution():
 
 
 def test_residual_hand_value():
-    op = OperatorHandle(lambda x: x.with_values(x.values - 2.0))
+    op = OperatorHandle(lambda x: x - 2.0)
     C = interval(0.0, 1.0)
     assert vi_residual(scalar(0.0), op, C, 1.0) == pytest.approx(1.0, abs=1e-15)
 
@@ -82,7 +82,7 @@ def test_solver_finds_interior_zero():
 
 
 def test_solver_boundary_solution_1d():
-    op = OperatorHandle(lambda x: x.with_values(x.values - 3.0), "monotone")
+    op = OperatorHandle(lambda x: x - 3.0, "monotone")
     C = interval(0.0, 1.0)
     rep = solve_vi_extragradient(op, C, scalar(0.2), tol=1e-10)
     assert rep.converged
@@ -133,7 +133,7 @@ def test_solver_nonconvergence_reports_best_iterate():
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
 def test_solver_adaptive_step_recovers_from_bad_step(scale):
     # step far above 1/L = 1/(4 scale) oscillates; the adaptive rule must bring it home
-    op = OperatorHandle(lambda x: x.with_values(scale * (4.0 * x.values - 2.0)), "monotone")
+    op = OperatorHandle(lambda x: scale * (4.0 * x - 2.0), "monotone")
     rep = solve_vi_extragradient(op, interval(0.0, 2.0), scalar(2.0), step=0.6, tol=1e-9, max_iter=5000)
     assert rep.converged
     assert rep.solution.values[0, 0] == pytest.approx(0.5, abs=1e-8)
@@ -142,16 +142,16 @@ def test_solver_adaptive_step_recovers_from_bad_step(scale):
 
 def test_solver_raises_on_nan_operator():
     def bad(x):
-        return x.with_values(np.where(x.values > 0.5, np.nan, x.values))
+        return np.where(x > 0.5, np.nan, x)
 
-    # GridFunction refuses NaN, so the failure surfaces as a numeric error
+    # the operator entry point refuses NaN, so the failure surfaces as a numeric error
     with pytest.raises((NumericFailure, ValueError)):
         solve_vi_extragradient(OperatorHandle(bad), interval(0.0, 1.0), scalar(0.9), tol=1e-9)
 
 
 def shifted_identity():
     """F(x) = x - 0.3, whose VI on the unit ball is solved by x = 0.3 alone."""
-    return OperatorHandle(lambda x: x.with_values(x.values - 0.3), "monotone")
+    return OperatorHandle(lambda x: x - 0.3, "monotone")
 
 
 @pytest.mark.parametrize("step", [0.0, -0.5, np.nan, np.inf, True])
@@ -193,13 +193,13 @@ def test_minty_passes_at_solution():
 
 
 def test_minty_passes_at_boundary_solution():
-    op = OperatorHandle(lambda x: x.with_values(x.values - 3.0), "monotone")
+    op = OperatorHandle(lambda x: x - 3.0, "monotone")
     cert = minty_certificate(scalar(1.0), op, interval(0.0, 1.0), samples=128, seed=0)
     assert cert.verdict
 
 
 def test_minty_fails_with_witness_off_solution():
-    op = OperatorHandle(lambda x: x.with_values(x.values - 3.0), "monotone")
+    op = OperatorHandle(lambda x: x - 3.0, "monotone")
     cert = minty_certificate(scalar(0.0), op, interval(0.0, 1.0), samples=256, seed=0)
     assert not cert.verdict
     assert cert.witness is not None
@@ -213,8 +213,8 @@ def test_minty_certified_points_have_small_stampacchia_residual():
     # solution sets coincide for continuous monotone operators); checked on
     # low-dimensional instances where the Gaussian cloud covers the set
     cases = [
-        (OperatorHandle(lambda x: x.with_values(x.values - 3.0), "monotone"), interval(0.0, 1.0), 1),
-        (OperatorHandle(lambda x: x.with_values(2.0 * x.values + 0.3), "monotone"), Ball(1.0), 2),
+        (OperatorHandle(lambda x: x - 3.0, "monotone"), interval(0.0, 1.0), 1),
+        (OperatorHandle(lambda x: 2.0 * x + 0.3, "monotone"), Ball(1.0), 2),
         (OperatorHandle(lambda x: x, "monotone"), Ball(2.0), 2),
     ]
     rng = np.random.default_rng(0)
@@ -229,3 +229,54 @@ def test_minty_certified_points_have_small_stampacchia_residual():
                 checked += 1
                 assert vi_residual(probe, op, C, 1.0) <= 1e-6
         assert checked >= 1  # at least the solution itself certifies
+
+
+# --- the array contract of operators ---
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.0], [np.inf, -np.inf], [np.inf, 1.0]])
+def test_operator_entry_points_refuse_values_that_are_not_finite(row):
+    op = OperatorHandle(lambda x: np.array([row]))
+    x = GridFunction(G1, np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="^operator values must be finite$"):
+        op.values(x.values)
+    with pytest.raises(ValueError, match="^operator values must be finite$"):
+        op(x)
+
+
+def test_operator_values_whose_sum_overflows_pass():
+    op = OperatorHandle(lambda x: np.full_like(x, 1e308))
+    x = GridFunction(G1, np.zeros((1, 2)))
+    assert op.values(x.values).tolist() == op(x).values.tolist() == [[1e308, 1e308]]
+
+
+def test_operator_entry_points_refuse_a_change_of_shape():
+    op = OperatorHandle(lambda x: x[:, :1])
+    x = GridFunction(G1, np.zeros((1, 2)))
+    with pytest.raises(NumericFailure, match=r"changed shape: \(1, 2\) -> \(1, 1\)"):
+        op.values(x.values)
+    with pytest.raises(NumericFailure, match=r"changed shape: \(1, 2\) -> \(1, 1\)"):
+        op(x)
+
+
+def test_extragradient_builds_no_grid_function_per_iteration(monkeypatch):
+    built = []
+    post_init = GridFunction.__post_init__
+
+    def counting(self):
+        built.append(type(self))
+        post_init(self)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", counting)
+    op, C, g, _, _ = affine_instance()
+    x0 = GridFunction(g, np.zeros((1, 10)))
+    counts = {}
+    for max_iter in (50, 10000):
+        built.clear()
+        # no step given, so the Lipschitz probes run as well
+        rep = solve_vi_extragradient(op, C, x0, tol=1e-12, max_iter=max_iter, seed=1)
+        counts[rep.iterations] = len(built)
+    # 50 iterations cut short and a longer run to convergence each wrap
+    # only the report's solution
+    assert len(counts) == 2 and min(counts) == 50
+    assert set(counts.values()) == {1}
