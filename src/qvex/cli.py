@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,16 +67,12 @@ def _read_series_csv(path: Path) -> dict:
     return out
 
 
-def _price_series(p: PriceCurve) -> dict:
-    return {f"price[{j}]": p.values[:, j] for j in range(p.components)}
-
-
-def _allocation_series(blocks) -> dict:
-    out = {}
-    for i, b in enumerate(blocks):
-        for j in range(b.components):
-            out[f"alloc[{i}].good[{j}]"] = b.values[:, j]
-    return out
+def _series_names(goods: int, n_agents: int) -> tuple:
+    """The price and the allocation series names, each in column order."""
+    return (
+        [f"price[{j}]" for j in range(goods)],
+        [f"alloc[{i}].good[{j}]" for i in range(n_agents) for j in range(goods)],
+    )
 
 
 def _params_lines(params: QVIParams) -> list:
@@ -150,38 +146,33 @@ def run_solve(scn_path: str, out_dir: str, radius_schedule=None, **overrides) ->
     (out / "report.txt").write_text(
         _solve_report_text(scn_path, scn, eco, caps, params, report, cert), encoding="utf-8"
     )
-    _write_series_csv(out / "prices.csv", _price_series(report.price))
-    _write_series_csv(out / "allocations.csv", _allocation_series(report.agent_allocations()))
+    price_names, alloc_names = _series_names(scn.goods, eco.n_agents)
+    _write_series_csv(out / "prices.csv", dict(zip(price_names, report.price.values.T)))
+    _write_series_csv(out / "allocations.csv", dict(zip(alloc_names, report.allocation.values.T)))
     return 0 if report.converged and cert.verdict else 1
 
 
+def _series_columns(series: dict, names: list, cells: int, what: str) -> np.ndarray:
+    """The named series as the columns of a (cells, len(names)) array;
+    ValueError, naming the missing and the unexpected series, unless
+    `series` holds exactly `names`, each with one value per cell."""
+    missing = [n for n in names if n not in series]
+    extra = sorted(set(series) - set(names))
+    if missing or extra:
+        raise ValueError(f"{what} CSV: missing series {missing}, unexpected series {extra}")
+    if any(len(series[n]) != cells for n in names):
+        raise ValueError(f"{what} CSV cell count does not match the scenario grid")
+    return np.column_stack([series[n] for n in names])
+
+
 def _candidate_from_csv(scn: Scenario, price_path, alloc_path, n_agents):
-    price_series = _read_series_csv(Path(price_path))
-    alloc_series = _read_series_csv(Path(alloc_path))
+    price = _read_series_csv(Path(price_path))
+    alloc = _read_series_csv(Path(alloc_path))
+    price_names, alloc_names = _series_names(scn.goods, n_agents)
+    price = _series_columns(price, price_names, scn.cells, "price")
+    alloc = _series_columns(alloc, alloc_names, scn.cells, "allocation")
     grid = make_grid(scn.horizon, scn.cells)
-
-    expected_p = [f"price[{j}]" for j in range(scn.goods)]
-    if sorted(price_series) != sorted(expected_p):
-        raise ValueError(f"price CSV series mismatch: got {sorted(price_series)}")
-    cols = [price_series[name] for name in expected_p]
-    if any(len(c) != scn.cells for c in cols):
-        raise ValueError("price CSV cell count does not match the scenario grid")
-    price = PriceCurve(grid, np.column_stack(cols))
-
-    blocks = []
-    for i in range(n_agents):
-        names = [f"alloc[{i}].good[{j}]" for j in range(scn.goods)]
-        missing = [n for n in names if n not in alloc_series]
-        if missing:
-            raise ValueError(f"allocation CSV is missing series {missing}")
-        cols = [alloc_series[n] for n in names]
-        if any(len(c) != scn.cells for c in cols):
-            raise ValueError("allocation CSV cell count does not match the scenario grid")
-        blocks.append(GridFunction(grid, np.column_stack(cols)))
-    extra = set(alloc_series) - {f"alloc[{i}].good[{j}]" for i in range(n_agents) for j in range(scn.goods)}
-    if extra:
-        raise ValueError(f"allocation CSV has unexpected series {sorted(extra)}")
-    return price, blocks
+    return PriceCurve(grid, price), [GridFunction(grid, a) for a in np.hsplit(alloc, n_agents)]
 
 
 def run_verify(scn_path: str, price_path: str, alloc_path: str, out_dir: str, tol: float) -> int:
@@ -212,9 +203,10 @@ def run_verify(scn_path: str, price_path: str, alloc_path: str, out_dir: str, to
     return 0 if report.verdict else 1
 
 
-def run_probes(scn_path: str, out_dir: str, seed: int) -> int:
-    require_integer("seed", seed, 0)
+def run_probes(scn_path: str, out_dir: str, seed=None) -> int:
+    """Run the structural probes; `seed` defaults to the scenario's."""
     scn = load_scenario(scn_path)
+    seed = require_integer("seed", scn.solver.seed if seed is None else seed, 0)
     eco = build_economy(scn)
     caps = default_caps(eco, scn.cap_slack)
     prob = assemble_qvi(eco, caps)
@@ -277,9 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a scenario and emit report + CSV series")
     common(p_solve)
-    p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.add_argument("--tol", type=float, default=None, help="override outer tolerance")
-    p_solve.add_argument("--max-iter", type=int, default=None, help="override outer iteration budget")
+    # each override parses into the `QVIParams` field it replaces
+    p_solve.add_argument("--seed", type=int)
+    p_solve.add_argument(
+        "--tol", type=float, dest="outer_tol", metavar="TOL", help="override outer tolerance"
+    )
+    p_solve.add_argument(
+        "--max-iter", type=int, dest="max_outer", metavar="MAX_ITER",
+        help="override outer iteration budget",
+    )
     p_solve.add_argument(
         "--radius-schedule",
         type=_parse_radius_schedule,
@@ -307,22 +305,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.tol is not None:
-                overrides["outer_tol"] = args.tol
-            if args.max_iter is not None:
-                overrides["max_outer"] = args.max_iter
+            names = {f.name for f in fields(QVIParams)}
+            overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
             return run_solve(
                 args.scenario, args.out, radius_schedule=args.radius_schedule, **overrides
             )
         if args.command == "verify":
             return run_verify(args.scenario, args.price, args.allocation, args.out, args.tol)
         if args.command == "probes":
-            scn = load_scenario(args.scenario)
-            seed = args.seed if args.seed is not None else scn.solver.seed
-            return run_probes(args.scenario, args.out, seed)
+            return run_probes(args.scenario, args.out, args.seed)
         if args.command == "echo-scenario":
             text = echo_scenario(load_scenario(args.scenario))
             if args.out:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the two checks that
+"""Exception types shared across the package, and the three checks that
 every number from outside passes: each raises a ValueError that starts
 with the argument's name, which scenario paths and CLI flags prefix."""
 
@@ -13,6 +13,14 @@ def require_positive_real(name: str, value) -> float:
     # bool is an int subclass, so `True` would otherwise pass as 1
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
         raise ValueError(f"{name}: must be a finite positive number, got {value!r}")
+    return float(value)
+
+
+def require_finite_real(name: str, value) -> float:
+    """`value` as a float; ValueError, naming it, unless a finite real of
+    either sign."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name}: must be a finite real number, got {value!r}")
     return float(value)
 
 
@@ -37,7 +45,7 @@ class DomainViolation(ValueError):
 
 class NumericFailure(ArithmeticError):
     """An operator changed the shape of its argument (non-finite values
-    fail in the constructor of the `GridFunction` it returns)."""
+    raise ValueError from `OperatorHandle.values` itself)."""
 
 
 class SamplingFailure(RuntimeError):

@@ -392,8 +392,9 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
 
 
 def check_truncation_interior(report: QVISolveReport, r: float) -> bool:
-    """True when the stacked allocation lies strictly inside the radius-r ball."""
-    return norm(report.allocation) < r - 1e-9
+    """True when every agent's plan lies strictly inside its radius-r ball,
+    the ball `_make_truncated_map` cuts each agent's set with."""
+    return max(norm(b) for b in report.agent_allocations()) < r - 1e-9
 
 
 def default_radius_schedule(prob: QVIProblem) -> list:

@@ -4,11 +4,12 @@ A scenario fully describes one run: grid, goods, agents (endowment curves
 as closed forms sampled at cell midpoints, utility family + coefficients),
 the cap slack, the solver parameters and an optional radius schedule.  The
 schema is strict: unknown fields are rejected so acceptance fixtures stay
-reproducible.  The solver section loads straight into `QVIParams`, which
-checks its own fields, as every number goes through the package's own
-checks; this module adds only what YAML needs (dotless exponents, unknown
-and retired keys) and prefixes each error with its path.  See README for
-the documented schema.
+reproducible.  Each agent parses into the mapping the echo prints, with
+every default filled in, and `build_economy` samples that same mapping.
+The solver section loads into `QVIParams`, which checks its own fields, as
+every number goes through the package's own checks; this module adds only
+what YAML needs (dotless exponents, unknown and retired keys) and prefixes
+each error with its path.  See README for the documented schema.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 import yaml
 
 from .economy import Agent, Economy, LogShift, Quadratic, require_cap_slack
-from .errors import require_integer, require_positive_real
+from .errors import require_finite_real, require_integer, require_positive_real
 from .grids import GridFunction, TimeGrid, make_grid
 from .qvi import QVIParams, require_radius_schedule
 
@@ -31,101 +32,43 @@ class ScenarioError(ValueError):
     """Parse or semantic validation failure, with a field path."""
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """A closed-form scalar curve on [0, horizon], sampled at cell midpoints."""
-
-    kind: str
-    level: float = 0.0
-    start: float = 0.0
-    end: float = 0.0
-    base: float = 0.0
-    amplitude: float = 0.0
-    frequency: float = 1.0
-    phase: float = 0.0
-
-    def sample(self, grid: TimeGrid) -> np.ndarray:
-        t = grid.midpoints()
-        if self.kind == "constant":
-            return np.full(grid.cells, self.level)
-        if self.kind == "linear":
-            return self.start + (self.end - self.start) * (t / grid.horizon)
-        if self.kind == "sinusoid":
-            return self.base + self.amplitude * np.sin(2 * np.pi * self.frequency * t + self.phase)
-        raise ScenarioError(f"unknown curve kind {self.kind!r}")
-
-    def to_mapping(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "level": self.level}
-        if self.kind == "linear":
-            return {"kind": "linear", "start": self.start, "end": self.end}
-        return {
-            "kind": "sinusoid",
-            "base": self.base,
-            "amplitude": self.amplitude,
-            "frequency": self.frequency,
-            "phase": self.phase,
-        }
-
-
+#: each curve kind's fields in echo order, with the default of each
+#: optional one; None marks the fields a curve must state
 _CURVE_FIELDS = {
-    "constant": {"level"},
-    "linear": {"start", "end"},
-    "sinusoid": {"base", "amplitude", "frequency", "phase"},
-}
-_CURVE_REQUIRED = {
-    "constant": {"level"},
-    "linear": {"start", "end"},
-    "sinusoid": {"base", "amplitude"},
+    "constant": {"level": None},
+    "linear": {"start": None, "end": None},
+    "sinusoid": {"base": None, "amplitude": None, "frequency": 1.0, "phase": 0.0},
 }
 
 
-def _parse_curve(node, path: str) -> CurveSpec:
+def _parse_curve(path: str, node) -> dict:
+    """A bare number or a curve mapping as the curve's mapping in echo
+    order, with its kind's defaults filled in."""
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return CurveSpec(kind="constant", level=float(node))
+        node = {"kind": "constant", "level": node}
     if not isinstance(node, dict):
         raise ScenarioError(f"{path}: expected a number or a curve mapping, got {node!r}")
     kind = node.get("kind")
     if kind not in _CURVE_FIELDS:
         raise ScenarioError(f"{path}.kind: must be one of {sorted(_CURVE_FIELDS)}, got {kind!r}")
-    allowed = _CURVE_FIELDS[kind] | {"kind"}
-    unknown = set(node) - allowed
-    if unknown:
-        raise ScenarioError(f"{path}: unknown field(s) {sorted(unknown)} for kind {kind!r}")
-    missing = _CURVE_REQUIRED[kind] - set(node)
-    if missing:
-        raise ScenarioError(f"{path}: missing field(s) {sorted(missing)} for kind {kind!r}")
-    kwargs = {k: float(v) for k, v in node.items() if k != "kind"}
-    return CurveSpec(kind=kind, **kwargs)
+    table = _CURVE_FIELDS[kind]
+    required = {name for name, default in table.items() if default is None}
+    _require_keys(node, {"kind", *table}, required, path)
+    curve = {"kind": kind}
+    for name, default in table.items():
+        curve[name] = _real(f"{path}.{name}", node.get(name, default), require_finite_real)
+    return curve
 
 
-@dataclass(frozen=True)
-class UtilityConfig:
-    family: str
-    weights: tuple
-    bliss: tuple = ()      # quadratic only: one curve per good
-    shift: float = 1.0     # logshift only
-
-    def to_mapping(self) -> dict:
-        if self.family == "quadratic":
-            return {
-                "family": "quadratic",
-                "bliss": [c.to_mapping() for c in self.bliss],
-                "weights": list(self.weights),
-            }
-        return {"family": "logshift", "weights": list(self.weights), "shift": self.shift}
-
-
-@dataclass(frozen=True)
-class AgentConfig:
-    endowment: tuple
-    utility: UtilityConfig
-
-    def to_mapping(self) -> dict:
-        return {
-            "endowment": [c.to_mapping() for c in self.endowment],
-            "utility": self.utility.to_mapping(),
-        }
+def _sample_curve(curve: dict, grid: TimeGrid) -> np.ndarray:
+    """A parsed curve's values at the cell midpoints."""
+    t = grid.midpoints()
+    if curve["kind"] == "constant":
+        return np.full(grid.cells, curve["level"])
+    if curve["kind"] == "linear":
+        return curve["start"] + (curve["end"] - curve["start"]) * (t / grid.horizon)
+    wave = np.sin(2 * np.pi * curve["frequency"] * t + curve["phase"])
+    return curve["base"] + curve["amplitude"] * wave
 
 
 #: solver keys schema v1 still accepts but drops: no bundled scenario set
@@ -139,6 +82,9 @@ _SOLVER_FIELDS = tuple(f.name for f in fields(QVIParams) if f.name != "start_pri
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario.  `agents` holds each agent as the mapping
+    `{"endowment": [curve, ...], "utility": {...}}` that the echo prints."""
+
     horizon: float
     cells: int
     goods: int
@@ -155,7 +101,7 @@ class Scenario:
             "grid": {"horizon": self.horizon, "cells": self.cells},
             "goods": self.goods,
             "cap_slack": self.cap_slack,
-            "agents": [a.to_mapping() for a in self.agents],
+            "agents": list(self.agents),
             "solver": solver,
         }
 
@@ -171,30 +117,35 @@ def _require_keys(node: dict, allowed: set, required: set, path: str) -> None:
         raise ScenarioError(f"{path}: missing field(s) {sorted(missing)}")
 
 
-def _parse_utility(node, goods: int, path: str) -> UtilityConfig:
+def _per_good(parent: dict, key: str, path: str, goods: int, what: str, parse) -> list:
+    """`parse(entry path, entry)` on each entry of `parent[key]`, a list
+    of one `what` per good."""
+    node, path = parent[key], f"{path}.{key}"
+    if not isinstance(node, list) or len(node) != goods:
+        raise ScenarioError(f"{path}: need one {what} per good ({goods})")
+    return [parse(f"{path}[{j}]", v) for j, v in enumerate(node)]
+
+
+def _parse_utility(node, goods: int, path: str) -> dict:
+    """The utility as its family's mapping in echo order."""
     if not isinstance(node, dict):
         raise ScenarioError(f"{path}: expected a mapping")
     family = node.get("family")
     if family == "quadratic":
         _require_keys(node, {"family", "bliss", "weights"}, {"family", "bliss", "weights"}, path)
-        bliss = node["bliss"]
-        if not isinstance(bliss, list) or len(bliss) != goods:
-            raise ScenarioError(f"{path}.bliss: need one entry per good ({goods})")
-        curves = tuple(_parse_curve(b, f"{path}.bliss[{j}]") for j, b in enumerate(bliss))
-        weights = _parse_weights(node["weights"], goods, f"{path}.weights")
-        return UtilityConfig(family="quadratic", weights=weights, bliss=curves)
+        return {
+            "family": family,
+            "bliss": _per_good(node, "bliss", path, goods, "entry", _parse_curve),
+            "weights": _per_good(node, "weights", path, goods, "weight", _real),
+        }
     if family == "logshift":
         _require_keys(node, {"family", "weights", "shift"}, {"family", "weights"}, path)
-        weights = _parse_weights(node["weights"], goods, f"{path}.weights")
-        shift = _positive_real(f"{path}.shift", node.get("shift", 1.0))
-        return UtilityConfig(family="logshift", weights=weights, shift=shift)
+        return {
+            "family": family,
+            "weights": _per_good(node, "weights", path, goods, "weight", _real),
+            "shift": _real(f"{path}.shift", node.get("shift", 1.0)),
+        }
     raise ScenarioError(f"{path}.family: must be 'quadratic' or 'logshift', got {family!r}")
-
-
-def _parse_weights(node, goods: int, path: str) -> tuple:
-    if not isinstance(node, list) or len(node) != goods:
-        raise ScenarioError(f"{path}: need one weight per good ({goods})")
-    return tuple(_positive_real(f"{path}[{j}]", w) for j, w in enumerate(node))
 
 
 def _checked(prefix: str, check, *args, **kwargs):
@@ -216,8 +167,8 @@ def _dotless_exponent(value):
         return value
 
 
-def _positive_real(path: str, value) -> float:
-    return _checked("", require_positive_real, path, _dotless_exponent(value))
+def _real(path: str, value, check=require_positive_real) -> float:
+    return _checked("", check, path, _dotless_exponent(value))
 
 
 def parse_scenario(mapping: dict) -> Scenario:
@@ -234,11 +185,10 @@ def parse_scenario(mapping: dict) -> Scenario:
             f"scenario.schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
     _require_keys(mapping["grid"], {"horizon", "cells"}, {"horizon", "cells"}, "scenario.grid")
-    horizon = _positive_real("scenario.grid.horizon", mapping["grid"]["horizon"])
+    horizon = _real("scenario.grid.horizon", mapping["grid"]["horizon"])
     cells = _checked("", require_integer, "scenario.grid.cells", mapping["grid"]["cells"], 1)
     goods = _checked("", require_integer, "scenario.goods", mapping["goods"], 1)
-    slack = _dotless_exponent(mapping.get("cap_slack", 1.1))
-    cap_slack = _checked("", require_cap_slack, "scenario.cap_slack", slack)
+    cap_slack = _real("scenario.cap_slack", mapping.get("cap_slack", 1.1), require_cap_slack)
 
     agents_node = mapping["agents"]
     if not isinstance(agents_node, list) or not agents_node:
@@ -247,12 +197,10 @@ def parse_scenario(mapping: dict) -> Scenario:
     for i, a in enumerate(agents_node):
         path = f"scenario.agents[{i}]"
         _require_keys(a, {"endowment", "utility"}, {"endowment", "utility"}, path)
-        endow = a["endowment"]
-        if not isinstance(endow, list) or len(endow) != goods:
-            raise ScenarioError(f"{path}.endowment: need one curve per good ({goods})")
-        curves = tuple(_parse_curve(c, f"{path}.endowment[{j}]") for j, c in enumerate(endow))
-        utility = _parse_utility(a["utility"], goods, f"{path}.utility")
-        agents.append(AgentConfig(endowment=curves, utility=utility))
+        agents.append({
+            "endowment": _per_good(a, "endowment", path, goods, "curve", _parse_curve),
+            "utility": _parse_utility(a["utility"], goods, f"{path}.utility"),
+        })
 
     solver_node = mapping.get("solver", {}) or {}
     _require_keys(
@@ -313,18 +261,16 @@ def build_economy(scn: Scenario) -> Economy:
     grid = make_grid(scn.horizon, scn.cells)
     agents = []
     for i, cfg in enumerate(scn.agents):
-        cols = [spec.sample(grid) for spec in cfg.endowment]
-        values = np.column_stack(cols)
+        values = np.column_stack([_sample_curve(c, grid) for c in cfg["endowment"]])
         if np.min(values) < 0:
             raise ScenarioError(
                 f"scenario.agents[{i}].endowment: sampled endowment is negative somewhere"
             )
-        endowment = GridFunction(grid, values)
-        if cfg.utility.family == "quadratic":
-            bliss_vals = np.column_stack([spec.sample(grid) for spec in cfg.utility.bliss])
-            spec = Quadratic(GridFunction(grid, bliss_vals), cfg.utility.weights)
+        utility = cfg["utility"]
+        if utility["family"] == "quadratic":
+            bliss = np.column_stack([_sample_curve(c, grid) for c in utility["bliss"]])
+            spec = Quadratic(GridFunction(grid, bliss), utility["weights"])
         else:
-            spec = LogShift(cfg.utility.weights, cfg.utility.shift, grid.cells)
-        agents.append(Agent(endowment, spec))
+            spec = LogShift(utility["weights"], utility["shift"], grid.cells)
+        agents.append(Agent(GridFunction(grid, values), spec))
     return Economy(grid, scn.goods, tuple(agents))
-

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSet, NonConvergence, require_positive_real
+from .errors import DegenerateSet, NonConvergence, require_finite_real, require_positive_real
 from .grids import GridFunction, PriceCurve, TimeGrid
 
 #: elements (samples x cells x goods) that `sample_feasible` and the
@@ -73,7 +73,8 @@ class Ball(SetDescriptor):
 
     def __post_init__(self):
         require_positive_real("radius", self.radius)
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        center = tuple(require_finite_real(f"center[{j}]", c) for j, c in enumerate(self.center))
+        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,8 @@ class OperatorHandle:
     solvers keep their iterates in it).  `values` is the checked array entry
     point the solvers call; `op(x)` on a `GridFunction` wraps it for
     boundary callers (probes, Minty checks).  `monotonicity` is a declared
-    tag ("monotone", "pseudomonotone" or "unknown"); probes test it,
-    solvers never rely on it.
+    tag ("monotone", "pseudomonotone" or "unknown") for callers; the
+    stacked operator carries it along, and nothing else in qvex reads it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]

@@ -1,5 +1,6 @@
 """The public numeric arguments below are checked on entry: NaN, +-inf, 0,
--1 and `True` (for seeds, which may be 0: -1, 2.5, NaN and `True`) each
+-1 and `True` (for seeds, which may be 0: -1, 2.5, NaN and `True`; for
+values of either sign: NaN, +-inf, `True` and a non-numeric string) each
 raise a ValueError whose message starts with the argument's name (for
 scenario files, its path), so no bad value runs silently."""
 
@@ -155,6 +156,54 @@ def test_limits_and_seeds_are_checked_by_name(name, call, value):
         call(value)
 
 
+#: values every real of either sign rejects
+BAD_REALS = [np.nan, np.inf, -np.inf, True, "abc"]
+
+
+def endowment(curve):
+    return scenario(**{"agents.0.endowment": [curve]})
+
+
+CURVE = "scenario.agents[0].endowment[0]"
+
+
+def curve_row(name, **curve):
+    """The row for one field of a curve whose other fields are `curve`."""
+    return (f"{CURVE}.{name}", lambda v: endowment({**curve, name: v}), BAD_REALS)
+
+
+# values of either sign: ball centers and every curve field
+SIGNED = [
+    ("center[0]", lambda v: Ball(1.0, center=(v,)), BAD_REALS),
+    ("center[1]", lambda v: Ball(1.0, center=(0.0, v)), BAD_REALS),
+    curve_row("level", kind="constant"),
+    # a bare number is a constant curve; here the second good's
+    (
+        "scenario.agents[0].endowment[1].level",
+        lambda v: scenario(
+            goods=2, **{"agents.0.endowment": [1.0, v], "agents.0.utility.weights": [1, 1]}
+        ),
+        [np.nan, np.inf, -np.inf],
+    ),
+    curve_row("start", kind="linear", end=1),
+    curve_row("end", kind="linear", start=1),
+    curve_row("base", kind="sinusoid", amplitude=0),
+    curve_row("amplitude", kind="sinusoid", base=1),
+    curve_row("frequency", kind="sinusoid", base=1, amplitude=0),
+    curve_row("phase", kind="sinusoid", base=1, amplitude=0),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, value",
+    [(name, call, v) for name, call, values in SIGNED for v in values],
+    ids=[f"{name}={v!r}" for name, _, values in SIGNED for v in values],
+)
+def test_values_of_either_sign_are_checked_by_name(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
+        call(value)
+
+
 def test_the_table_calls_pass_on_good_values():
     # each row rejects only its bad value: the same calls run on good ones
     assert TimeGrid(1, np.int64(2)) == G
@@ -164,4 +213,7 @@ def test_the_table_calls_pass_on_good_values():
     assert certify_equilibrium(ECO, P, PLANS, tol=1.0, samples=1).samples_used == 1
     assert scenario(**{"solver.radius_schedule": [1, 2.0]}).radius_schedule == (1.0, 2.0)
     assert solve_vi_extragradient(OP, Ball(1.0), X, tol=1.0, max_iter=1).iterations == 0
+    assert Ball(1.0, center=(-0.5, np.int64(2))).center == (-0.5, 2.0)
+    scn = endowment({"kind": "linear", "start": "2e-1", "end": -1})
+    assert scn.agents[0]["endowment"][0] == {"kind": "linear", "start": 0.2, "end": -1.0}
     assert check_concavity(AGENTS[1], samples=1, seed=np.int64(0)).samples_used == 1

@@ -207,6 +207,17 @@ def test_verify_shape_mismatch_diagnostic(scenario_dir, tmp_path, capsys):
     assert "missing series" in capsys.readouterr().err
 
 
+def test_verify_names_the_missing_and_the_unexpected_price_series(scenario_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    scn = scenario_dir / "oracle_cd_quad.yaml"
+    assert run(["solve", "--scenario", scn, "--out", out]) == 0
+    prices = out / "prices.csv"
+    prices.write_text(prices.read_text().replace("price[1]", "price[9]"))
+    assert run(_verify_args(scn, out)) == 2
+    err = capsys.readouterr().err
+    assert "missing series ['price[1]'], unexpected series ['price[9]']" in err
+
+
 def _verify_args(scn, out, *extra):
     return [
         "verify",
@@ -265,6 +276,16 @@ def test_probes_rejects_a_bad_seed_as_a_usage_error(scenario_dir, tmp_path, caps
     assert exc.value.code == 2
     assert "argument --seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_probes_loads_its_scenario_once(scenario_dir, tmp_path, monkeypatch):
+    loads = []
+    load = qvex.cli.load_scenario
+    monkeypatch.setattr(qvex.cli, "load_scenario", lambda path: loads.append(path) or load(path))
+    out = tmp_path / "probes"
+    assert run(["probes", "--scenario", scenario_dir / "oracle_cd_quad.yaml", "--out", out]) == 0
+    assert len(loads) == 1
+    assert "seed: 0\n" in (out / "probes.txt").read_text()
 
 
 def test_run_probes_checks_its_seed(scenario_dir, tmp_path):

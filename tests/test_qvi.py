@@ -470,9 +470,20 @@ def test_untruncated_check_names_the_worst_agent(oracle_problem, skewed_start):
     assert min(res) > 1e-8
 
 
+def test_truncation_accepts_a_radius_that_holds_every_agents_plan(oracle_problem):
+    # the ball cuts each agent's set: each plan has norm 1.1045, the stacked
+    # allocation 1.5620, so radius 1.2 leaves every plan strictly inside
+    plain = solve_qvi(oracle_problem)
+    assert max(norm(b) for b in plain.agent_allocations()) < 1.2 < norm(plain.allocation)
+    trunc = solve_qvi_truncated(oracle_problem, [1.2])
+    assert trunc.converged and trunc.truncation_radius_used == 1.2
+    assert trunc.untruncated_check.verdict
+    assert np.abs(trunc.price.values - plain.price.values).max() <= 1e-6
+
+
 def test_check_truncation_interior_rules(oracle_problem, skewed_start):
     rep = solve_qvi(oracle_problem, QVIParams(start_price=skewed_start))
-    r = norm(rep.allocation)
+    r = max(norm(b) for b in rep.agent_allocations())
     assert check_truncation_interior(rep, 10.0)
     assert not check_truncation_interior(rep, r)
     assert not check_truncation_interior(rep, r + 1e-12)

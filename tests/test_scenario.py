@@ -17,6 +17,8 @@ from qvex.scenario import (
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+#: `qvex echo-scenario` of each bundled scenario, one file per scenario
+GOLDEN_ECHO = Path(__file__).resolve().parent / "golden" / "echo"
 
 MINIMAL = {
     "schema_version": 1,
@@ -40,7 +42,7 @@ def test_minimal_scenario_fills_defaults(tmp_path):
     assert scn.solver.seed == 0
     assert scn.solver.outer_tol == 1e-7
     assert scn.radius_schedule is None
-    assert scn.agents[0].endowment[0].kind == "constant"
+    assert scn.agents[0]["endowment"][0]["kind"] == "constant"
 
 
 def test_unknown_fields_rejected(tmp_path):
@@ -164,6 +166,19 @@ def test_echo_round_trip_rich_scenario(scenario_dir):
     scn = load_scenario(scenario_dir / "sinusoid_seasonal.yaml")
     again = parse_scenario(yaml.safe_load(echo_scenario(scn)))
     assert again == scn
+
+
+def test_every_bundled_scenario_has_a_golden_echo(scenario_dir):
+    assert sorted(p.name for p in GOLDEN_ECHO.glob("*.yaml")) == sorted(
+        p.name for p in scenario_dir.glob("*.yaml")
+    )
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_ECHO.glob("*.yaml")), ids=lambda p: p.stem)
+def test_echo_is_byte_identical_to_its_golden_file(scenario_dir, golden):
+    # pins the text itself: key order, number spelling and filled defaults
+    text = echo_scenario(load_scenario(scenario_dir / golden.name))
+    assert text.encode("utf-8") == golden.read_bytes()
 
 
 def test_build_economy_samples_midpoints(scenario_dir):
