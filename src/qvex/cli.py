@@ -24,7 +24,7 @@ from .economy import (
     default_caps,
     survivability_check,
 )
-from .errors import require_integer, require_positive_real
+from .errors import require_finite_real, require_integer, require_positive_real
 from .grids import GridFunction, PriceCurve, make_grid
 from .qvi import QVIParams, require_radius_schedule, solve_qvi, solve_qvi_truncated
 from .scenario import Scenario, build_economy, echo_scenario, load_scenario
@@ -55,8 +55,16 @@ def _read_series_csv(path: Path) -> dict:
         if reader.fieldnames != ["time_cell", "series_name", "value"]:
             raise ValueError(f"{path}: expected header time_cell,series_name,value")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
+            # a short row fills the missing fields with None, a long one adds a None key
+            if len(row) != 3 or None in row.values():
+                raise ValueError(f"{where}: expected the fields time_cell,series_name,value")
+            try:
+                cell, value = int(row["time_cell"]), float(row["value"])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             series.setdefault(row["series_name"], []).append(
-                (int(row["time_cell"]), float(row["value"]))
+                (cell, require_finite_real(f"{where}: value", value))
             )
     out = {}
     for name, pairs in series.items():

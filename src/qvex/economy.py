@@ -17,11 +17,12 @@ Both families are separable with invertible gradients, so an agent's best
 response on the capped budget set has an exact KKT solution (`demand`):
 one monotone root for the budget multiplier and one per binding cap, the
 continuous nonlinear resource-allocation problem (Patriksson 2008).  A
-LogShift agent's budget root starts from the exact root with every cap
-ignored, found from its sorted breakpoints, so a demand takes about three
-plan evaluations.  A Quadratic demand is a budget-and-caps projection,
-which starts from the same root, found by variable fixing, and takes one
-capped-cone evaluation unless a cap binds there.
+LogShift agent's budget search takes as its first trial the exact root with
+every cap ignored, found from its sorted breakpoints, so a demand takes one
+plan evaluation unless a cap binds there.  A Quadratic demand is a
+budget-and-caps projection, which starts from the same root, found by
+variable fixing, and takes one capped-cone evaluation unless a cap binds
+there.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .grids import GridFunction, PriceCurve, TimeGrid, split_components
 from .qvi import QVIProblem
 from .reports import CertReport
 from .sets import (
+    _MAX_NEWTON,
     _SEARCH_WINDOW,
     BudgetHalfspace,
     CapBox,
@@ -47,8 +49,6 @@ from .sets import (
 )
 from .vi import OperatorHandle
 
-# Newton steps each cap multiplier search of `LogShift.demand` may take
-_MAX_CAP_NEWTON = 100
 #: least factor by which `default_caps` may exceed the aggregate endowment
 MIN_CAP_SLACK = 1.05
 
@@ -180,14 +180,12 @@ class LogShift(UtilitySpec):
         search of the budget projection, each mu_j from `_logshift_plan`.
 
         Spend falls as lam grows.  At lam = 0 an uncapped good's demand is
-        unbounded, so with one the search starts instead from the lam at
-        which the uncapped goods alone, clamps ignored, spend the wealth.
-        The first trial is `_logshift_root`, the exact lam with every cap
-        ignored, aimed at the middle of the search's acceptance window.
-        With the caps ignored, the plan at the lower end still overspends,
-        since clamps and capped goods only add spend there; and caps only
-        cut spend.  So the trial lies between the lower end and the root:
-        its plan is accepted at once, or bounds the search above.
+        unbounded, so with one the search's lower end is instead the lam at
+        which the uncapped goods alone, clamps ignored, spend the wealth;
+        clamps and capped goods only add spend there.  Its first trial is
+        `_logshift_root`, the exact lam with every cap ignored, which lies
+        above that lower end; caps only cut spend, so the trial's plan is
+        the answer unless a cap binds there.
         """
         a = np.asarray(self.weights)
         budgets = _cap_budgets(caps, dt)
@@ -204,17 +202,12 @@ class LogShift(UtilitySpec):
         if uncapped.any():
             pu = p[:, uncapped]
             lo = dt * pu.shape[0] * a[uncapped].sum() / (wealth + dt * self.shift * pu.sum())
-        x = _logshift_plan(lo * p, a, self.shift, budgets)
-        spend = dt * float(np.vdot(p, x))
-        if spend <= wealth:
-            return x
-        # first trial: the root with every cap ignored, aimed at the middle
-        # of the search's acceptance window; a rounding onto lo moves it one ulp
+        # the root aims at the middle of the window the search accepts
         lam = _logshift_root(p, a, self.shift, wealth * (1.0 - 0.5 * _SEARCH_WINDOW) / dt)
         return _multiplier_search(
             lambda lam: _logshift_plan(lam * p, a, self.shift, budgets),
             lambda x: dt * float(np.vdot(p, x)),
-            wealth, lo, spend, max(lam, np.nextafter(lo, np.inf)),
+            wealth, lo, lam,
         )
 
     def check_domain(self, w):
@@ -261,9 +254,9 @@ def _logshift_plan(c, a, shift, budgets):
     cap of good j is slack.  Where it binds, mu_j is the root of the convex,
     decreasing column sum S_j(mu) = sum_k x_kj at `budgets[j]`, found by
     Newton's method from a lower bound, which never passes the root.  It
-    aims 1e-14 of the budget below the budget and takes the first iterate
-    at least half that margin below, so caps hold.  A step too small to
-    move mu moves it one ulp.  Running out of steps raises `NonConvergence`.
+    aims at the lower edge of the window `_SEARCH_WINDOW` below the budget
+    and stops in its lower half, so caps hold.  A step too small to move mu
+    moves it one ulp.  Running out of steps raises `NonConvergence`.
     """
     x = np.divide(a, c, out=np.full(c.shape, np.inf), where=c > 0)
     np.maximum(x - shift, 0.0, out=x)
@@ -278,8 +271,8 @@ def _logshift_plan(c, a, shift, budgets):
     mu = np.maximum(A / (shift + B / C.shape[0]) - C.max(axis=0), 0.0)
     free = np.count_nonzero(C == 0, axis=0)
     mu = np.where(free > 0, np.maximum(mu, A / (shift + B / np.maximum(free, 1))), mu)
-    margin = 1e-14 * B
-    for _ in range(_MAX_CAP_NEWTON):
+    margin = _SEARCH_WINDOW * B
+    for _ in range(_MAX_NEWTON):
         r = A / (C + mu)
         X = np.maximum(r - shift, 0.0)
         S = X.sum(axis=0)
@@ -294,7 +287,7 @@ def _logshift_plan(c, a, shift, budgets):
         slope = np.where(X > 0, r * r, 0.0).sum(axis=0) / A
         mu = np.maximum(mu + (S - B + margin) / np.maximum(slope, 1e-300), np.nextafter(mu, np.inf))
     raise NonConvergence(
-        f"LogShift cap multiplier search did not converge in {_MAX_CAP_NEWTON} steps",
+        f"LogShift cap multiplier search did not converge in {_MAX_NEWTON} steps",
         last_iterate=x,
         residuals={"cap_gap": float(np.max(S - B)), "unsettled": int(idx.size)},
     )

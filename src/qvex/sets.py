@@ -12,6 +12,7 @@ Every projection `project` takes is exact; Dykstra's alternation
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -189,59 +190,67 @@ def _ball_values(v: np.ndarray, radius: float, center: tuple, dt: float) -> np.n
     return c + d * (radius / r)
 
 
-# evaluations a budget multiplier search may spend before it gives up
+# evaluations a multiplier search may spend, its lower end aside
 _MAX_SEARCH = 200
-# width, relative to the bound, of the window below the bound in which a
-# multiplier search accepts a point; it aims at the window's middle
-_SEARCH_WINDOW = 2e-15
+# the one precision rule of the multiplier kernels: each stops at a point
+# that measures within this fraction of its bound below the bound
+_SEARCH_WINDOW = 1e-14
+# Newton steps the budget-cone and LogShift cap kernels may take
+_MAX_NEWTON = 100
 
 
-def _multiplier_search(evaluate, measure, bound, lo, size, lam, z=None):
+def _multiplier_search(evaluate, measure, bound, lo, lam, zlo=None):
     """Find the multiplier of a family of points z(lam) = evaluate(lam)
     whose `measure(z(lam))` does not increase with lam, at the positive
     `bound`: a budget multiplier (measure the spend, bound the wealth) or a
     ball multiplier (measure the norm, bound the radius).
 
-    `lo` is a multiplier whose point measures `size`, above the bound, and
-    `lam` > `lo` the first trial, whose point `z` the caller may have
-    evaluated already.  Until the measure crosses the bound, the
-    next trial is the secant step through the last two points, never more
-    than doubling lam.  Inside the bracket the search runs Illinois regula
-    falsi: when the same end survives two steps in a row, its stored value
-    is halved, so neither end stalls.  The search accepts a point that
-    measures between 1 - `_SEARCH_WINDOW` and 1 times the bound, or stops
-    when the bracket is a few ulps wide and takes its upper end, so the
-    result never exceeds the bound.  Running out of evaluations raises
-    `NonConvergence`.
+    The search accepts a point that measures between 1 - `_SEARCH_WINDOW`
+    and 1 times the bound.  `lam` is the caller's closed-form first trial,
+    aimed at the window's middle; a trial that lands in the window is the
+    answer, at one evaluation.  Only on a miss is the lower end `lo` < lam
+    evaluated (`zlo` is its point, when the caller holds it already): a
+    lower end within the bound is the answer.  Otherwise, until the measure
+    crosses the bound, the next trial is the secant step through the last
+    two points, never more than doubling lam.  Inside the bracket the
+    search runs Illinois regula falsi: when the same end survives two steps
+    in a row, its stored value is halved, so neither end stalls.  It stops
+    in the window, or when the bracket is a few ulps wide and takes its
+    upper end, so the result never exceeds the bound.  Running out of
+    evaluations raises `NonConvergence`.
     """
-    # accept a point that measures at most tol less than the bound; the
-    # search aims at the middle of that window, so g below is measured from
-    # there, with g(lo) > 0 > g(hi)
+    # g below is measured from the window's middle, with g(lo) > 0 > g(hi)
     tol = _SEARCH_WINDOW * bound
     target = bound - 0.5 * tol
-    glo = size - target
-    hi = ghi = zhi = None
+    # a trial that rounds onto the lower end moves one ulp above it
+    lam = max(lam, math.nextafter(lo, math.inf))
+    glo = hi = ghi = zhi = None
     kept = 0  # +1 when lo survived the last bracket step, -1 when hi did
     for _ in range(_MAX_SEARCH):
-        zl = evaluate(lam) if z is None else z
-        z = None
-        size = measure(zl)
+        z = evaluate(lam)
+        size = measure(z)
         if bound - tol <= size <= bound:
-            return zl
-        gl = size - target
-        if gl > 0.0:
+            return z
+        if glo is None:
+            zlo = evaluate(lo) if zlo is None else zlo
+            size_lo = measure(zlo)
+            if size_lo <= bound:
+                return zlo
+            glo = size_lo - target
+        g = size - target
+        if g > 0.0:
             if hi is None:
-                step = gl * (lam - lo) / (glo - gl) if glo > gl else lam
-                lo, glo = lam, gl
+                step = g * (lam - lo) / (glo - g) if glo > g else lam
+                lo, glo = lam, g
                 lam += min(lam, step)
                 continue
             if kept == -1:
                 ghi *= 0.5
-            lo, glo, kept = lam, gl, -1
+            lo, glo, kept = lam, g, -1
         else:
             if kept == 1:
                 glo *= 0.5
-            hi, ghi, zhi, kept = lam, gl, zl, 1
+            hi, ghi, zhi, kept = lam, g, z, 1
         if hi - lo <= 4.0 * np.spacing(hi):
             return zhi
         # keep the trial point inside, so a secant step that rounds onto an
@@ -250,7 +259,7 @@ def _multiplier_search(evaluate, measure, bound, lo, size, lam, z=None):
         lam = min(max(hi - ghi * (hi - lo) / (ghi - glo), lo + pad), hi - pad)
     raise NonConvergence(
         f"multiplier search did not converge in {_MAX_SEARCH} evaluations",
-        last_iterate=zl,
+        last_iterate=z,
         residuals={"gap": size - bound, "bracket_width": np.inf if hi is None else hi - lo},
     )
 
@@ -268,20 +277,23 @@ def _uncapped_root(v, p, d, dt, target):
     lam is its root.  lam never decreases, so the set only shrinks and the
     iteration ends after at most one step per entry.  It is the iteration
     `_project_budget_cone` runs on blocks, for one slice and direction d.
+    The dot products run on a 0/1 float copy of the positive mask, uncast.
     """
     pv = p * v
     pd = p * d
-    positive = v > 0.0
-    count = np.count_nonzero(positive)
+    active = v > 0.0
+    positive = active.astype(float)
+    count = np.count_nonzero(active)
     lam = 0.0
     while True:
         slope = max(dt * float(np.vdot(pd, positive)), 1e-300)
         lam = max(lam, (dt * float(np.vdot(pv, positive)) - target) / slope)
-        positive = v > lam * d
+        np.greater(v, lam * d, out=active)
         settled = count
-        count = np.count_nonzero(positive)
+        count = np.count_nonzero(active)
         if count == settled:
             return lam
+        np.copyto(positive, active)
 
 
 def _project_budget_capbox(v, p, e, caps, dt, weights=None):
@@ -295,12 +307,10 @@ def _project_budget_capbox(v, p, e, caps, dt, weights=None):
     good, so it ignores them).
 
     With every cap ignored the root has a closed form, `_uncapped_root`,
-    aimed at the middle of `_multiplier_search`'s acceptance window.  Caps
-    only cut spend, so that root is the answer whenever no cap binds there,
-    and one capped-cone evaluation settles the projection.  Where a cap
-    binds at the root its point underspends; the search then runs from
-    lam = 0 with the root's point as its first trial, so the result never
-    overspends.
+    which `_multiplier_search` takes as its first trial.  Caps only cut
+    spend, so that root is the answer whenever no cap binds there, and one
+    capped-cone evaluation settles the projection.  Where a cap binds at
+    the root its point underspends, and the search runs from lam = 0.
     """
     budgets = _cap_budgets(caps, dt)
     wealth = dt * float(np.vdot(p, e))
@@ -311,21 +321,12 @@ def _project_budget_capbox(v, p, e, caps, dt, weights=None):
         # worthless endowment: every component with positive price must vanish
         return _water_fill(np.where(p > 0, np.minimum(v, 0.0), v), budgets)
     d = p if weights is None else p / weights
-    # aim at the middle of the window `_multiplier_search` accepts
-    tol = _SEARCH_WINDOW * wealth
-    lam = _uncapped_root(v, p, d, dt, wealth - 0.5 * tol)
-    z = _water_fill(v - lam * d, budgets)
-    spend = dt * float(np.vdot(p, z))
-    if wealth - tol <= spend <= wealth:
-        return z
-    z0 = _water_fill(v, budgets)
-    spend0 = dt * float(np.vdot(p, z0))
-    if spend0 <= wealth:
-        return z0
+    # the root aims at the middle of the window the search accepts
+    lam = _uncapped_root(v, p, d, dt, wealth * (1.0 - 0.5 * _SEARCH_WINDOW))
     return _multiplier_search(
         lambda lam: _water_fill(v - lam * d, budgets),
         lambda z: dt * float(np.vdot(p, z)),
-        wealth, 0.0, spend0, lam, z,
+        wealth, 0.0, lam,
     )
 
 
@@ -336,6 +337,8 @@ def _project_budget_capbox_ball(v, p, e, caps, radius, dt):
     multiplier nu >= 0, whose norm does not increase with nu (Bauschke &
     Combettes, Lagrangian duality for projections).  The norm is measured as
     `membership_residual_values` measures it, so the result stays in the ball.
+    The search's first trial is the nu that would scale the nu = 0 point
+    onto the sphere (at least an ulp of 1, or v would not move).
     """
     z = _project_budget_capbox(v, p, e, caps, dt)
     size = float(np.sqrt(dt) * np.linalg.norm(z))
@@ -344,12 +347,8 @@ def _project_budget_capbox_ball(v, p, e, caps, radius, dt):
     return _multiplier_search(
         lambda nu: _project_budget_capbox(v / (1.0 + nu), p, e, caps, dt),
         lambda z: float(np.sqrt(dt) * np.linalg.norm(z)),
-        radius, 0.0, size, max(size / radius - 1.0, np.spacing(1.0)),
+        radius, 0.0, max(size / radius - 1.0, np.spacing(1.0)), z,
     )
-
-
-# Newton steps the budget-cone kernel may take before it gives up
-_MAX_NEWTON = 100
 
 
 def _spend(Z: np.ndarray, p: np.ndarray, dt: float) -> np.ndarray:
@@ -367,15 +366,14 @@ def _project_budget_cone(V, p, e, dt):
     at the wealth <<p, e>>.  Newton's method from lam = 0, with the slope
     taken over the components still positive, is Michelot's variable
     fixing: on a convex map it never passes the root, so it settles after
-    finitely many steps, all slices at once.  It aims at a spend 1e-14 of
-    the wealth below the wealth and takes the first iterate that spends at
-    least half that margin less than the wealth, so no slice overspends
-    however its spend is summed: summing the cells * m terms in another
-    order moves the sum far less.  A step too small to move lam moves it
-    one ulp.  Settled slices stay in the block with their lam frozen, so
-    each step recomputes their points unchanged instead of copying the
-    live slices out and back.  Running out of steps raises
-    `NonConvergence`.
+    finitely many steps, all slices at once.  It aims at the lower edge of
+    the window `_SEARCH_WINDOW` below the wealth and stops in its lower
+    half, so no slice overspends however its spend is summed: summing the
+    cells * m terms in another order moves the sum far less.  A step too
+    small to move lam moves it one ulp.  Settled slices stay in the block
+    with their lam frozen, so each step recomputes their points unchanged
+    instead of copying the live slices out and back.  Running out of steps
+    raises `NonConvergence`.
     """
     Z = np.maximum(V, 0.0)
     wealth = dt * float(np.vdot(p, e))
@@ -387,7 +385,7 @@ def _project_budget_cone(V, p, e, dt):
         # worthless endowment: every component with positive price must vanish
         Z[live] = np.where(p > 0, 0.0, Z[live])
         return Z
-    margin = 1e-14 * wealth
+    margin = _SEARCH_WINDOW * wealth
     p2 = p * p
     lam = np.zeros(len(V))
     step = np.zeros(len(V))

@@ -276,5 +276,5 @@ def newton_started_logshift_demand(spec, p, e, caps, dt):
     return _multiplier_search(
         lambda lam: _logshift_plan(lam * p, a, spec.shift, budgets),
         lambda x: dt * float(np.vdot(p, x)),
-        wealth, lo, spend, lam,
+        wealth, lo, lam, x,
     )

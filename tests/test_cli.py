@@ -7,6 +7,7 @@ import pytest
 
 import qvex
 from qvex.cli import _parse_radius_schedule, main
+from qvex.errors import NonConvergence
 
 
 def run(args):
@@ -105,9 +106,13 @@ def test_solve_rejects_a_bad_override_before_solving(
     assert not solves and not out.exists()
 
 
+def _failing_plan(*args):
+    raise NonConvergence("LogShift cap multiplier search did not converge")
+
+
 def test_solve_demand_failure_still_writes_files(scenario_dir, tmp_path, monkeypatch):
-    # one Newton step cannot settle the binding LogShift caps at lam = 0
-    monkeypatch.setattr(qvex.economy, "_MAX_CAP_NEWTON", 1)
+    # every LogShift plan evaluation fails, whichever the demand takes first
+    monkeypatch.setattr(qvex.economy, "_logshift_plan", _failing_plan)
     out = tmp_path / "run"
     assert run(["solve", "--scenario", scenario_dir / "sinusoid_seasonal.yaml", "--out", out]) == 1
     for name in ("report.txt", "prices.csv", "allocations.csv"):
@@ -244,6 +249,30 @@ def test_verify_rejects_a_series_with_a_repeated_or_missing_cell(scenario_dir, t
     (out / "prices.csv").write_text("\n".join(patched) + "\n")
     assert run(_verify_args(scn, out)) == 2
     assert "candidate rejected" in capsys.readouterr().err
+    assert not (out / "certification.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("1,price[0]", "expected the fields time_cell,series_name,value"),
+        ("1,price[0],abc", "could not convert string to float: 'abc'"),
+        ("1,price[0],nan", "value: must be a finite real number, got nan"),
+        ("1,price[0],inf", "value: must be a finite real number, got inf"),
+    ],
+    ids=["short-row", "not-a-number", "nan", "inf"],
+)
+def test_verify_names_the_line_of_a_malformed_row(scenario_dir, tmp_path, capsys, row, reason):
+    out = tmp_path / "run"
+    scn = scenario_dir / "symmetric_no_trade.yaml"
+    assert run(["solve", "--scenario", scn, "--out", out]) == 0
+    prices = out / "prices.csv"
+    rows = prices.read_text().splitlines()
+    assert rows[2].startswith("1,price[0],")
+    rows[2] = row
+    prices.write_text("\n".join(rows) + "\n")
+    assert run(_verify_args(scn, out)) == 2
+    assert f"candidate rejected: {prices}:3: {reason}" in capsys.readouterr().err
     assert not (out / "certification.txt").exists()
 
 

@@ -614,5 +614,6 @@ def test_logshift_demand_takes_few_plan_evaluations(monkeypatch, scenario_dir, b
     eco, caps, params = build(scenario_dir)
     rep = qvex.solve_qvi(assemble_qvi(eco, caps), params)
     assert rep.converged and rep.iterations == outer
-    # the search started by one Newton step took 11.2 and 17.0 per demand here
-    assert calls["demand"] > 0 and calls["plan"] <= 4 * calls["demand"]
+    # the search started by one Newton step took 11.2 and 17.0 per demand
+    # here; with the root tested before the lower end it takes one
+    assert calls["demand"] > 0 and calls["plan"] <= 1.5 * calls["demand"]

@@ -316,9 +316,11 @@ def test_many_agents_converge_in_few_outer_iterations():
 
 
 def test_demand_failure_ends_the_solve_with_the_warm_start_pair(monkeypatch):
-    # one Newton step: at lam = 0 every LogShift cap binds, and the cap
-    # search starts where the spend equals the cap, short of its margin
-    monkeypatch.setattr(qvex.economy, "_MAX_CAP_NEWTON", 1)
+    # every LogShift plan evaluation fails, whichever the demand takes first
+    def failing_plan(*args):
+        raise NonConvergence("LogShift cap multiplier search did not converge")
+
+    monkeypatch.setattr(qvex.economy, "_logshift_plan", failing_plan)
     eco = symmetric_economy()
     prob = assemble_qvi(eco, default_caps(eco, 1.1))
     d = PriceCurve.uniform(eco.grid, 2)

@@ -21,7 +21,17 @@ from qvex import (
     project_intersection,
 )
 from qvex.errors import DegenerateSet, NonConvergence
-from qvex.sets import _dykstra_values, _project_budget_capbox, _project_budget_cone, _spend
+from qvex.economy import LogShift, _logshift_plan
+from qvex.sets import (
+    _SEARCH_WINDOW,
+    _cap_budgets,
+    _dykstra_values,
+    _project_budget_capbox,
+    _project_budget_capbox_ball,
+    _project_budget_cone,
+    _spend,
+    _water_fill,
+)
 
 
 def grid1():
@@ -578,6 +588,76 @@ def test_budget_capbox_takes_one_evaluation_where_a_cap_binds_only_at_zero(monke
     assert calls[0] == 1
     np.testing.assert_allclose(z, np.ones((2, 1)), rtol=1e-14)
     assert 0.5 * z.sum() <= 1.0
+
+
+@st.composite
+def multiplier_kernel_problems(draw):
+    """One call of a multiplier kernel, with magnitudes from 1e-6 to 1e6:
+    (name, [(bound, measure, terms, binds)]).  `measure` is taken as the
+    kernel takes it; `terms` bounds the magnitude of the terms it sums and
+    of the move one ulp of the multiplier makes in it; `binds` says whether
+    the bound is active, so that the kernel must land in its window."""
+    kernel = draw(st.sampled_from(["budget-caps", "ball", "logshift", "logshift caps", "cone"]))
+    cells = draw(st.sampled_from([1, 16, 256]))
+    goods = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dt = 1.0 / cells
+    p = 0.05 + rng.random((cells, goods))
+    p /= p.sum(axis=1, keepdims=True)
+    e = scale * (0.1 + rng.random((cells, goods)))
+    v = e * rng.uniform(0.5, 3.0, e.shape) + scale * rng.normal(0.0, 1.0, e.shape)
+    caps = tuple(scale * rng.uniform(0.1, 2.0) if c else np.inf for c in rng.random(goods) < 0.6)
+    budgets = _cap_budgets(caps, dt)
+    wealth = dt * float(np.vdot(p, e))
+    positive_spend = dt * float(np.vdot(p, np.maximum(v, 0.0)))
+    if kernel == "budget-caps":
+        z = _project_budget_capbox(v, p, e, caps, dt)
+        binds = dt * float(np.vdot(p, _water_fill(v, budgets))) > wealth
+        return kernel, [(wealth, dt * float(np.vdot(p, z)), positive_spend, binds)]
+    if kernel == "ball":
+        # P_C is nonexpansive and fixes 0, so no point measures more than v
+        size = np.sqrt(dt) * np.linalg.norm(_project_budget_capbox(v, p, e, caps, dt))
+        radius = rng.uniform(0.05, 0.95) * size
+        z = _project_budget_capbox_ball(v, p, e, caps, radius, dt)
+        norm_z = float(np.sqrt(dt) * np.linalg.norm(z))
+        return kernel, [(radius, norm_z, np.sqrt(dt) * np.linalg.norm(v), True)]
+    a = scale * (0.5 + 1.5 * rng.random(goods))
+    shift = scale * 10.0 ** rng.uniform(-1.0, 1.0)
+    if kernel == "logshift":
+        x = LogShift(tuple(a), shift, cells).demand(p, e, caps, dt)
+        # an uncapped good's demand is unbounded at lam = 0
+        binds = dt * float(np.vdot(p, _logshift_plan(0.0 * p, a, shift, budgets))) > wealth
+        # each active term p x is a / (lam + mu / p) - shift p
+        terms = dt * float(np.sum(np.where(x > 0, p * (x + shift), 0.0)))
+        return kernel, [(wealth, dt * float(np.vdot(p, x)), terms, binds)]
+    if kernel == "logshift caps":
+        c = rng.random((cells, goods)) * rng.uniform(0.01, 1.0) / scale
+        budgets = np.full(goods, np.inf) if budgets is None else budgets
+        budgets[0] = caps[0] / dt if np.isfinite(caps[0]) else scale * rng.uniform(0.1, 2.0) / dt
+        x = _logshift_plan(c, a, shift, budgets)
+        free = _logshift_plan(c, a, shift, None).sum(axis=0)
+        # each active term x is a / (c + mu) - shift
+        terms = np.sum(np.where(x > 0, x + shift, 0.0), axis=0)
+        return kernel, list(zip(budgets, x.sum(axis=0), terms, free > budgets))
+    V = v + scale * rng.normal(0.0, 1.0, (8, cells, goods))
+    Z = _project_budget_cone(V, p, e, dt)
+    start = _spend(np.maximum(V, 0.0), p, dt)
+    return kernel, list(zip([wealth] * len(V), _spend(Z, p, dt), start, start > wealth))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(multiplier_kernel_problems())
+def test_every_multiplier_kernel_lands_in_the_window(problem):
+    # the window is relative to the bound; a point may miss its lower edge
+    # only by the rounding of the terms its measure sums, or by the move one
+    # ulp of the multiplier makes where the measure is that steep
+    kernel, cases = problem
+    slack = 8.0 * np.finfo(float).eps
+    for bound, measure, terms, binds in cases:
+        assert measure <= bound, kernel
+        if binds:
+            assert measure >= bound * (1.0 - _SEARCH_WINDOW) - slack * terms, kernel
 
 
 def test_budget_capbox_search_exhaustion_raises(monkeypatch):
