@@ -16,13 +16,13 @@ deliberately not provided.
 Both families are separable with invertible gradients, so an agent's best
 response on the capped budget set has an exact KKT solution (`demand`):
 one monotone root for the budget multiplier and one per binding cap, the
-continuous nonlinear resource-allocation problem (Patriksson 2008).  A
-LogShift agent's budget search takes as its first trial the exact root with
-every cap ignored, found from its sorted breakpoints, so a demand takes one
-plan evaluation unless a cap binds there.  A Quadratic demand is a
-budget-and-caps projection, which starts from the same root, found by
-variable fixing, and takes one capped-cone evaluation unless a cap binds
-there.
+continuous nonlinear resource-allocation problem (Patriksson 2008).  With
+every cap ignored, both families' spend is piecewise linear in a transform
+of the budget multiplier, and its exact root comes from one variable-fixing
+kernel (`sets._fixing_root`).  Each budget search takes that root as its
+first trial, so a LogShift demand takes one plan evaluation, and a
+Quadratic demand, a budget-and-caps projection, one capped-cone
+evaluation, unless a cap binds there.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .sets import (
     Intersection,
     PointwiseSimplex,
     _cap_budgets,
+    _fixing_root,
     _multiplier_search,
     _project_budget_capbox,
 )
@@ -183,9 +184,10 @@ class LogShift(UtilitySpec):
         unbounded, so with one the search's lower end is instead the lam at
         which the uncapped goods alone, clamps ignored, spend the wealth;
         clamps and capped goods only add spend there.  Its first trial is
-        `_logshift_root`, the exact lam with every cap ignored, which lies
-        above that lower end; caps only cut spend, so the trial's plan is
-        the answer unless a cap binds there.
+        `_logshift_root`, the exact lam with every cap ignored, found by
+        variable fixing in -1 / lam; it lies above that lower end, and caps
+        only cut spend, so the trial's plan is the answer unless a cap binds
+        there.
         """
         a = np.asarray(self.weights)
         budgets = _cap_budgets(caps, dt)
@@ -225,25 +227,13 @@ def _logshift_root(p, a, shift, target):
     equal to the positive `target`.
 
     With mu = 1 / lam each term p x = max(0, a_j mu - shift p_kj) is linear
-    in mu past its breakpoint shift p_kj / a_j, so the spend is piecewise
-    linear and increasing in mu.  Sorting the breakpoints and summing a and
-    p over each prefix gives the spend at every breakpoint; the last one
-    spending below the target fixes the active prefix, on which
-    mu = (target + shift sum p) / sum a (the breakpoint search of the
-    continuous knapsack problem, Kiwiel 2008).
+    in mu past its breakpoint, so in t = -mu the spend is
+    sum max(0, -shift p_kj - t a_j), whose root `_fixing_root` finds from
+    the lower end t = -inf, where every entry is active.
     """
     live = p > 0
-    A = np.broadcast_to(a, p.shape)[live]
-    P = p[live]
-    breaks = P / A
-    order = np.argsort(breaks)
-    breaks = breaks[order]
-    cum_a, cum_p = np.cumsum(A[order]), np.cumsum(P[order])
-    # spend at each breakpoint; the first is zero, whatever the rounding
-    below = shift * (breaks * cum_a - cum_p) < target
-    below[0] = True
-    r = below.size - 1 - np.argmax(below[::-1])
-    return cum_a[r] / (target + shift * cum_p[r])
+    t = _fixing_root(-shift * p[live], np.broadcast_to(a, p.shape)[live], target, -np.inf)
+    return -1.0 / t
 
 
 def _logshift_plan(c, a, shift, budgets):
@@ -253,16 +243,19 @@ def _logshift_plan(c, a, shift, budgets):
     x_kj = max(0, a_j / (c_kj + mu_j) - shift), with mu_j = 0 where the
     cap of good j is slack.  Where it binds, mu_j is the root of the convex,
     decreasing column sum S_j(mu) = sum_k x_kj at `budgets[j]`, found by
-    Newton's method from a lower bound, which never passes the root.  It
-    aims at the lower edge of the window `_SEARCH_WINDOW` below the budget
-    and stops in its lower half, so caps hold.  A step too small to move mu
-    moves it one ulp.  Running out of steps raises `NonConvergence`.
+    Newton's method from a lower bound, which never passes the root.  As
+    `_multiplier_search` does, it aims at the middle of the window
+    `_SEARCH_WINDOW` below the budget and stops once within the budget, so
+    caps hold.  Each column is summed on its own, in the order
+    `membership_residual` sums it, so which other columns bind does not
+    change its rounding.  A step too small to move mu moves it one ulp.
+    Running out of steps raises `NonConvergence`.
     """
     x = np.divide(a, c, out=np.full(c.shape, np.inf), where=c > 0)
     np.maximum(x - shift, 0.0, out=x)
     if budgets is None:
         return x
-    idx = np.nonzero(x.sum(axis=0) > budgets)[0]
+    idx = np.nonzero(x.T.copy().sum(axis=1) > budgets)[0]
     if idx.size == 0:
         return x
     C, A, B = c[:, idx], a[idx], budgets[idx]
@@ -271,21 +264,21 @@ def _logshift_plan(c, a, shift, budgets):
     mu = np.maximum(A / (shift + B / C.shape[0]) - C.max(axis=0), 0.0)
     free = np.count_nonzero(C == 0, axis=0)
     mu = np.where(free > 0, np.maximum(mu, A / (shift + B / np.maximum(free, 1))), mu)
-    margin = _SEARCH_WINDOW * B
+    aim = B * (1.0 - 0.5 * _SEARCH_WINDOW)
     for _ in range(_MAX_NEWTON):
         r = A / (C + mu)
         X = np.maximum(r - shift, 0.0)
-        S = X.sum(axis=0)
-        done = S <= B - 0.5 * margin
+        S = X.T.copy().sum(axis=1)
+        done = S <= B
         x[:, idx[done]] = X[:, done]
         if done.all():
             return x
         left = ~done
-        idx, C, A, B, margin = idx[left], C[:, left], A[left], B[left], margin[left]
+        idx, C, A, B, aim = idx[left], C[:, left], A[left], B[left], aim[left]
         r, X, S, mu = r[:, left], X[:, left], S[left], mu[left]
         # -S_j'(mu) is the sum over the positive terms of a / (c + mu)^2
         slope = np.where(X > 0, r * r, 0.0).sum(axis=0) / A
-        mu = np.maximum(mu + (S - B + margin) / np.maximum(slope, 1e-300), np.nextafter(mu, np.inf))
+        mu = np.maximum(mu + (S - aim) / np.maximum(slope, 1e-300), np.nextafter(mu, np.inf))
     raise NonConvergence(
         f"LogShift cap multiplier search did not converge in {_MAX_NEWTON} steps",
         last_iterate=x,

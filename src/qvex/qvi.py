@@ -46,7 +46,7 @@ from .errors import (
     require_integer,
     require_positive_real,
 )
-from .grids import GridFunction, PriceCurve, TimeGrid, norm, split_components, stack_components
+from .grids import GridFunction, PriceCurve, TimeGrid, _l2, norm, split_components, stack_components
 from .reports import CertReport
 from .sets import (
     Ball,
@@ -282,7 +282,7 @@ def outer_operator(d: PriceCurve, prob: QVIProblem, params: QVIParams) -> GridFu
 
 def _outer_residual(d_vals, h_vals, prob):
     proj = project_values(d_vals - RESIDUAL_GAUGE * h_vals, prob.price_set, prob.grid)
-    return float(np.sqrt(prob.grid.dt) * np.linalg.norm(d_vals - proj))
+    return float(np.sqrt(prob.grid.dt) * _l2(d_vals - proj))
 
 
 def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
@@ -331,8 +331,8 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
         if prev is not None:
             # skip a repeated price (say, held while the inner tolerance
             # tightens): its zero ratio would freeze the step for good
-            dd = float(np.linalg.norm(d.values - prev[0]))
-            dh = float(np.linalg.norm(h.values - prev[1]))
+            dd = float(_l2(d.values - prev[0]))
+            dh = float(_l2(h.values - prev[1]))
             if dd > 0 and dh > 0:
                 step = min(np.sqrt(1 + theta) * sigma, OUTER_STEP_SAFETY * dd / dh)
                 sigma, theta = step, step / sigma
@@ -562,8 +562,8 @@ def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveRep
         ]
         # the stacked operator is G = (h, F_1, ..., F_n), so h's change counts too
         dF = np.concatenate([f - fy for f, fy in zip(fs, fys)], axis=1)
-        dG = np.hypot(np.linalg.norm(h.values - hy.values), np.linalg.norm(dF))
-        gamma = adaptive_step(gamma, np.linalg.norm(x.values - y), dG)
+        dG = np.hypot(_l2(h.values - hy.values), _l2(dF))
+        gamma = adaptive_step(gamma, _l2(x.values - y), dG)
         sets = prob.constraint_map(d)
 
     d, x, outer_res, inner_res = best

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateSet, NonConvergence, require_finite_real, require_positive_real
-from .grids import GridFunction, PriceCurve, TimeGrid
+from .grids import GridFunction, PriceCurve, TimeGrid, _l2
 
 #: elements (samples x cells x goods) that `sample_feasible` and the
 #: certificate draw and project as one block; bounds their temporaries
@@ -109,29 +109,29 @@ class Intersection(SetDescriptor):
 
 
 def _thresholds(V: np.ndarray, budgets) -> np.ndarray:
-    """For each column j of V, the tau_j with sum_k max(0, V_kj - tau_j) =
-    budgets[j] > 0, by sort-and-threshold (Held, Wolfe & Crowder 1974;
-    Duchi et al. 2008): tau_j is (sum of the top k entries - budget) / k at
-    the largest k whose k-th entry exceeds it.  Ties give the same tau; the
-    top entry qualifies even when, far above the budget, it rounds onto tau."""
+    """The columns of V water-filled to `budgets`: max(0, V_kj - tau_j),
+    with tau_j such that column j sums to budgets[j] > 0, by
+    sort-and-threshold (Held, Wolfe & Crowder 1974; Duchi et al. 2008):
+    tau_j is (sum of the top k entries - budget) / k at the largest k whose
+    k-th entry exceeds it.  Ties give the same tau.
+
+    Each column is shifted by its top entry first.  The entries that stay
+    positive lie within the budget of that entry, so shifted they are at
+    most the budget in size, and tau keeps the precision of the budget
+    however far from 0 the entries sit.  With the top entry at 0 and
+    tau <= -budget / k, the top entry always qualifies."""
+    V = V - V.max(axis=0)
     U = np.sort(V, axis=0)[::-1]
     css = np.cumsum(U, axis=0)
     ks = np.arange(1, V.shape[0] + 1)[:, None]
     taus = (css - budgets) / ks
-    above = U > taus
-    above[0] = True
-    rho = V.shape[0] - 1 - np.argmax(above[::-1], axis=0)
-    return taus[rho, np.arange(V.shape[1])]
+    rho = V.shape[0] - 1 - np.argmax((U > taus)[::-1], axis=0)
+    return np.maximum(V - taus[rho, np.arange(V.shape[1])], 0.0)
 
 
 def _simplex_rows(v: np.ndarray) -> np.ndarray:
     """Project each row of v onto the unit simplex."""
-    out = np.maximum(v - _thresholds(v.T, 1.0)[:, None], 0.0)
-    flat = ~out.any(axis=1)
-    if flat.any():
-        # the threshold rounded onto the row's top entries: spread below the
-        # rounding, they share the mass equally
-        out[flat] = v[flat] == v[flat].max(axis=1, keepdims=True)
+    out = _thresholds(v.T, 1.0).T
     # renormalize so the constraint holds exactly, not just to threshold error
     return out / out.sum(axis=1, keepdims=True)
 
@@ -151,12 +151,8 @@ def _water_fill(v: np.ndarray, budgets) -> np.ndarray:
     components whose integral cap binds.
 
     The water-filling threshold per component solves
-    sum_k max(0, v_k - tau) = cap/dt, the KKT condition of the projection.
-    It is found with each column shifted by its top entry: the entries that
-    stay positive lie within cap/dt of that entry, so shifted they are at
-    most cap/dt in size, and the threshold keeps the precision of the cap
-    however far above it the entries sit.  `budgets` comes from
-    `_cap_budgets`.
+    sum_k max(0, v_k - tau) = cap/dt, the KKT condition of the projection
+    (`_thresholds`).  `budgets` comes from `_cap_budgets`.
     """
     out = np.maximum(v, 0.0)
     if budgets is None:
@@ -165,9 +161,7 @@ def _water_fill(v: np.ndarray, budgets) -> np.ndarray:
     if not need.any():
         return out
     idx = np.nonzero(need)[0]
-    V = v[:, idx]
-    V = V - V.max(axis=0)
-    out[:, idx] = np.maximum(V - _thresholds(V, budgets[idx]), 0.0)
+    out[:, idx] = _thresholds(v[:, idx], budgets[idx])
     return out
 
 
@@ -184,7 +178,7 @@ def _halfspace_values(v: np.ndarray, p: np.ndarray, e: np.ndarray, dt: float) ->
 def _ball_values(v: np.ndarray, radius: float, center: tuple, dt: float) -> np.ndarray:
     c = np.asarray(center) if center else 0.0
     d = v - c
-    r = np.sqrt(dt) * np.linalg.norm(d)
+    r = np.sqrt(dt) * _l2(d)
     if r <= radius:
         return v
     return c + d * (radius / r)
@@ -264,35 +258,33 @@ def _multiplier_search(evaluate, measure, bound, lo, lam, zlo=None):
     )
 
 
-def _uncapped_root(v, p, d, dt, target):
-    """The lam >= 0 at which the uncapped spend
-    s(lam) = dt <<p, max(0, v - lam d)>> equals the positive `target`,
-    given s(0) > target.
+def _fixing_root(alpha, beta, target, t):
+    """The t at which the spend s(t) = sum max(0, alpha - t beta), with
+    beta >= 0, equals the positive `target`, from a lower end t at which
+    s(t) > target (t = -inf makes every entry active; then beta > 0).
 
-    Newton's method from lam = 0, with the slope taken over the entries
-    still positive, is Michelot's variable fixing (Michelot 1986; Kiwiel
-    2008): s is convex and nonincreasing, so no step passes the root, and
-    each step lands on the root of s restricted to the entries still
-    positive.  Once that set stops shrinking, s is that linear piece, and
-    lam is its root.  lam never decreases, so the set only shrinks and the
-    iteration ends after at most one step per entry.  It is the iteration
-    `_project_budget_cone` runs on blocks, for one slice and direction d.
-    The dot products run on a 0/1 float copy of the positive mask, uncast.
+    s is convex, nonincreasing and piecewise linear: the root of the
+    continuous knapsack problem.  Newton's method from the lower end, with
+    the slope taken over the entries still positive, is Michelot's variable
+    fixing (Michelot 1986; Kiwiel 2008): no step passes the root, and each
+    step lands on the root of s restricted to the entries still positive.
+    Once that set stops shrinking, s is that linear piece, and t is its
+    root.  t never decreases, so the set only shrinks and the iteration
+    ends after at most one step per entry.  `_project_budget_cone` is its
+    block form.  The dot products run on a 0/1 float copy of the positive
+    mask, uncast.
     """
-    pv = p * v
-    pd = p * d
-    active = v > 0.0
+    active = alpha > t * beta
     positive = active.astype(float)
     count = np.count_nonzero(active)
-    lam = 0.0
     while True:
-        slope = max(dt * float(np.vdot(pd, positive)), 1e-300)
-        lam = max(lam, (dt * float(np.vdot(pv, positive)) - target) / slope)
-        np.greater(v, lam * d, out=active)
+        slope = max(float(np.vdot(beta, positive)), 1e-300)
+        t = max(t, (float(np.vdot(alpha, positive)) - target) / slope)
+        np.greater(alpha, t * beta, out=active)
         settled = count
         count = np.count_nonzero(active)
         if count == settled:
-            return lam
+            return t
         np.copyto(positive, active)
 
 
@@ -306,8 +298,9 @@ def _project_budget_capbox(v, p, e, caps, dt, weights=None):
     capped-cone projection (`_water_fill`; the weights are constant per
     good, so it ignores them).
 
-    With every cap ignored the root has a closed form, `_uncapped_root`,
-    which `_multiplier_search` takes as its first trial.  Caps only cut
+    With every cap ignored the spend is dt <<p, max(0, v - lam d)>>, whose
+    root `_fixing_root` finds from the lower end lam = 0;
+    `_multiplier_search` takes it as its first trial.  Caps only cut
     spend, so that root is the answer whenever no cap binds there, and one
     capped-cone evaluation settles the projection.  Where a cap binds at
     the root its point underspends, and the search runs from lam = 0.
@@ -322,7 +315,7 @@ def _project_budget_capbox(v, p, e, caps, dt, weights=None):
         return _water_fill(np.where(p > 0, np.minimum(v, 0.0), v), budgets)
     d = p if weights is None else p / weights
     # the root aims at the middle of the window the search accepts
-    lam = _uncapped_root(v, p, d, dt, wealth * (1.0 - 0.5 * _SEARCH_WINDOW))
+    lam = _fixing_root(p * v, p * d, wealth * (1.0 - 0.5 * _SEARCH_WINDOW) / dt, 0.0)
     return _multiplier_search(
         lambda lam: _water_fill(v - lam * d, budgets),
         lambda z: dt * float(np.vdot(p, z)),
@@ -341,12 +334,12 @@ def _project_budget_capbox_ball(v, p, e, caps, radius, dt):
     onto the sphere (at least an ulp of 1, or v would not move).
     """
     z = _project_budget_capbox(v, p, e, caps, dt)
-    size = float(np.sqrt(dt) * np.linalg.norm(z))
+    size = float(np.sqrt(dt) * _l2(z))
     if size <= radius:
         return z
     return _multiplier_search(
         lambda nu: _project_budget_capbox(v / (1.0 + nu), p, e, caps, dt),
-        lambda z: float(np.sqrt(dt) * np.linalg.norm(z)),
+        lambda z: float(np.sqrt(dt) * _l2(z)),
         radius, 0.0, max(size / radius - 1.0, np.spacing(1.0)), z,
     )
 
@@ -363,10 +356,10 @@ def _project_budget_cone(V, p, e, dt):
 
     A slice projects to max(0, v - lam p), where lam >= 0 is the root of
     the convex, nonincreasing spend map s(lam) = <<p, max(0, v - lam p)>>
-    at the wealth <<p, e>>.  Newton's method from lam = 0, with the slope
-    taken over the components still positive, is Michelot's variable
-    fixing: on a convex map it never passes the root, so it settles after
-    finitely many steps, all slices at once.  It aims at the lower edge of
+    at the wealth <<p, e>>.  This is the block form of the scalar root
+    `_fixing_root`: variable-fixing Newton steps from lam = 0, all slices
+    at once.  It keeps its own iteration, since the certificate's samples
+    are pinned to its bits, and it aims at the lower edge of
     the window `_SEARCH_WINDOW` below the wealth and stops in its lower
     half, so no slice overspends however its spend is summed: summing the
     cells * m terms in another order moves the sum far less.  A step too
@@ -484,7 +477,7 @@ def membership_residual_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) 
         return float(max(neg, excess))
     if isinstance(s, Ball):
         c = np.asarray(s.center) if s.center else 0.0
-        r = np.sqrt(dt) * np.linalg.norm(v - c)
+        r = np.sqrt(dt) * _l2(v - c)
         return float(max(0.0, r - s.radius))
     if isinstance(s, Intersection):
         return float(max(membership_residual_values(v, p, grid) for p in s.parts))

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericFailure, SamplingFailure, require_integer, require_positive_real
-from .grids import GridFunction, all_finite, inner_product, norm
+from .grids import GridFunction, _l2, all_finite, inner_product, norm
 from .reports import CertReport
 from .sets import SetDescriptor, project_values, sample_feasible, sample_feasible_blocks
 
@@ -32,12 +32,6 @@ from .sets import SetDescriptor, project_values, sample_feasible, sample_feasibl
 STEP_SAFETY = 0.5
 #: feasible point pairs `estimate_lipschitz` differences
 LIPSCHITZ_PROBES = 8
-
-
-def _l2(v: np.ndarray) -> np.float64:
-    """The Euclidean norm of an array: `np.linalg.norm`'s bits (both take
-    the root of one dot product) without its per-call dispatch."""
-    return np.sqrt(np.vdot(v, v))
 
 
 def adaptive_step(gamma: float, dx: float, dF: float) -> float:

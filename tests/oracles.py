@@ -5,8 +5,9 @@ verified against dense-grid minimization, VI solves against a long-run
 projected-gradient fixed point, and the two-agent quadratic equilibrium
 against closed-form KKT demands plus a grid-and-bisection price search,
 the batched certificate against the per-sample loop it replaced, the
-budget-cone kernel against the compacting loop it replaced, and the
-LogShift demand against the search start it replaced.
+budget-cone kernel against the compacting loop it replaced, the LogShift
+demand against the search start it replaced, and the LogShift budget root
+against the breakpoint sort it replaced.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def newton_started_logshift_demand(spec, p, e, caps, dt):
     multipliers held at the plan of the lower bound.
 
     It shares `_logshift_plan` and `_multiplier_search` with the kernel,
-    which starts the same search from the breakpoint root instead; the two
+    which starts the same search from the exact uncapped root instead; the two
     must agree to rounding.
     """
     a = np.asarray(spec.weights)
@@ -278,3 +279,29 @@ def newton_started_logshift_demand(spec, p, e, caps, dt):
         lambda x: dt * float(np.vdot(p, x)),
         wealth, lo, lam, x,
     )
+
+
+def breakpoint_logshift_root(p, a, shift, target):
+    """`qvex.economy._logshift_root` as it was first written: the lam at
+    which x_kj = max(0, a_j / (lam p_kj) - shift), over the entries with
+    p_kj > 0, spends sum_kj p_kj x_kj = `target`, from sorted breakpoints.
+
+    With mu = 1 / lam each term p x = max(0, a_j mu - shift p_kj) is linear
+    in mu past its breakpoint shift p_kj / a_j.  Prefix sums of a and p in
+    breakpoint order give the spend at every breakpoint; the last one
+    spending below the target fixes the active prefix, on which
+    mu = (target + shift sum p) / sum a (Kiwiel 2008).  The reference the
+    variable-fixing root must agree with to rounding.
+    """
+    live = p > 0
+    A = np.broadcast_to(a, p.shape)[live]
+    P = p[live]
+    breaks = P / A
+    order = np.argsort(breaks)
+    breaks = breaks[order]
+    cum_a, cum_p = np.cumsum(A[order]), np.cumsum(P[order])
+    # spend at each breakpoint; the first is zero, whatever the rounding
+    below = shift * (breaks * cum_a - cum_p) < target
+    below[0] = True
+    r = below.size - 1 - np.argmax(below[::-1])
+    return cum_a[r] / (target + shift * cum_p[r])

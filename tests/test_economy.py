@@ -5,7 +5,7 @@ import pytest
 from corpus import make_agent_ladder_economy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import newton_started_logshift_demand
+from oracles import breakpoint_logshift_root, newton_started_logshift_demand
 
 import qvex
 from qvex import (
@@ -583,6 +583,45 @@ def test_logshift_root_spends_the_target(seed, scale):
     x = np.maximum(a / (lam * np.where(live, p, 1.0)) - shift, 0.0)
     spend = float(np.sum(np.where(live, p * x, 0.0)))
     assert abs(spend - target) <= 1e-12 * (target + shift * p.sum())
+
+
+@st.composite
+def logshift_root_problems(draw):
+    """(p, a, shift, target) at scales 1e-6 to 1e6, with zero prices, tied
+    breakpoints (prices and weights from a few levels), and targets that
+    leave one breakpoint group active, every entry active, or any number."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells, goods = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    if draw(st.booleans()):
+        p = rng.choice([0.25, 0.5, 1.0], (cells, goods))
+        a = scale * rng.choice([1.0, 2.0], goods)
+    else:
+        p = rng.random((cells, goods))
+        a = scale * (0.5 + rng.random(goods))
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[0, 0] = 1.0
+    shift = scale * 10.0 ** rng.uniform(-1.0, 1.0)
+    live = p > 0
+    A, P = np.broadcast_to(a, p.shape)[live], p[live]
+    # the spend is sum max(0, a mu - shift p) at mu = 1 / lam
+    breaks = np.unique(shift * P / A)
+    regime = draw(st.sampled_from(["any", "one active", "all active"]))
+    if regime == "any":
+        return p, a, shift, scale * 10.0 ** rng.uniform(-3.0, 2.0)
+    if regime == "one active":
+        mu = 0.5 * (breaks[0] + breaks[1]) if breaks.size > 1 else 2.0 * breaks[0]
+    else:
+        mu = breaks[-1] * (1.0 + rng.random())
+    return p, a, shift, float(np.sum(np.maximum(A * mu - shift * P, 0.0)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(logshift_root_problems())
+def test_logshift_root_matches_the_breakpoint_sort(problem):
+    lam = _logshift_root(*problem)
+    ref = breakpoint_logshift_root(*problem)
+    assert abs(lam - ref) <= 1e-12 * ref
 
 
 def _seasonal(scenario_dir):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qvex
 from corpus import make_random_economy
@@ -27,6 +29,7 @@ from qvex import (
     solve_qvi,
     solve_qvi_truncated,
 )
+from qvex.economy import aggregate_endowment_integrals
 
 
 def test_zero_wealth_projection_masks_priced_goods():
@@ -97,6 +100,48 @@ def test_scaled_corpus_economy_certifies(seed, scale):
     assert rep.converged, rep.message
     assert rep.iterations <= 200
     cert = certify_equilibrium(eco, rep.price, rep.agent_allocations(), tol=1e-6, seed=seed)
+    assert cert.verdict, cert.residuals
+
+
+@st.composite
+def units_consistent_economies(draw):
+    """Economies in units s = 10^U(-4, 4), stated consistently: endowments
+    of order s, quadratic bliss of order 1 with weights of order 1 / s (so
+    satiation sits at order s), and LogShift shift s.  In some agents
+    endowment entries are zeroed, so a good may have no endowment at all."""
+    cells = draw(st.sampled_from([1, 2, 4, 16, 64]))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    s = 10.0 ** draw(st.floats(-4.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = make_grid(1.0, cells)
+    agents = []
+    for _ in range(n):
+        e = s * (0.4 + 1.2 * rng.random((cells, m)))
+        if rng.random() < 0.4:
+            e[rng.random(e.shape) < 0.3] = 0.0
+        if rng.random() < 0.5:
+            bliss = GridFunction.constant(grid, 1.6 * (2.0 + rng.random(m)))
+            spec = Quadratic(bliss, tuple((0.5 + rng.random(m)) / s))
+        else:
+            spec = LogShift(tuple(0.5 + 1.5 * rng.random(m)), s, cells)
+        agents.append(Agent(GridFunction(grid, e), spec))
+    return Economy(grid, m, tuple(agents))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(units_consistent_economies())
+def test_whole_economies_certify_or_say_why_not(eco):
+    # the one documented rejection: a good with no endowment has no cap
+    try:
+        caps = default_caps(eco, 1.1)
+    except ValueError:
+        assert np.any(aggregate_endowment_integrals(eco) <= 0)
+        return
+    rep = solve_qvi(assemble_qvi(eco, caps), QVIParams(max_outer=300))
+    if not rep.converged:
+        assert rep.message
+        return
+    cert = certify_equilibrium(eco, rep.price, rep.agent_allocations(), tol=1e-6)
     assert cert.verdict, cert.residuals
 
 

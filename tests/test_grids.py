@@ -12,6 +12,7 @@ from qvex import (
     stack_components,
 )
 from qvex.errors import ShapeMismatch
+from qvex.grids import _l2
 
 
 def test_make_grid_dt():
@@ -180,3 +181,15 @@ def test_from_callable_samples_midpoints():
     g = make_grid(2.0, 4)
     h = GridFunction.from_callable(g, lambda t: [t])
     np.testing.assert_allclose(h.values[:, 0], [0.25, 0.75, 1.25, 1.75])
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_l2_has_the_bits_of_numpy_norm(scale):
+    # the shapes the kernels measure: one agent's (cells, m) plan, a stacked
+    # (cells, n m) allocation, a (k, cells, m) block, and views of them
+    rng = np.random.default_rng(0)
+    for shape in [(1, 1), (16, 2), (1024, 3), (64, 24), (8, 16, 3)]:
+        for _ in range(20):
+            a = scale * rng.normal(size=shape)
+            for v in (a, a[..., :1], a[..., 1:], a[::2], a.T):
+                assert _l2(v) == np.linalg.norm(v), (shape, v.strides)
