@@ -20,7 +20,6 @@ from .grids import (
     PriceCurve,
     TimeGrid,
     inner_product,
-    integrate_component,
     make_grid,
     norm,
     split_components,
@@ -30,10 +29,8 @@ from .qvi import (
     QVIParams,
     QVIProblem,
     QVISolveReport,
-    agent_best_responses,
     check_truncation_interior,
     default_radius_schedule,
-    outer_operator,
     solve_qvi,
     solve_qvi_product,
     solve_qvi_truncated,
@@ -48,14 +45,12 @@ from .sets import (
     SetDescriptor,
     membership_residual,
     project,
-    project_intersection,
     sample_feasible,
 )
 from .vi import (
     OperatorHandle,
     SolveReport,
     estimate_lipschitz,
-    minty_certificate,
     solve_vi_extragradient,
     vi_residual,
 )

@@ -167,13 +167,6 @@ def norm(h: GridFunction) -> float:
     return float(np.sqrt(h.grid.dt) * _l2(h.values))
 
 
-def integrate_component(h: GridFunction, j: int) -> float:
-    """Time integral of one component, used by market clearing and cap sets."""
-    if not 0 <= j < h.components:
-        raise ValueError(f"component index {j} out of range [0, {h.components})")
-    return float(h.grid.dt * h.values[:, j].sum())
-
-
 def stack_components(fns: Sequence[GridFunction]) -> GridFunction:
     """Concatenate the component axes of same-grid functions into one function."""
     if not fns:

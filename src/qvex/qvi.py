@@ -39,13 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InnerSolveFailure,
-    NonConvergence,
-    ShapeMismatch,
-    require_integer,
-    require_positive_real,
-)
+from .errors import NonConvergence, ShapeMismatch, require_integer, require_positive_real
 from .grids import GridFunction, PriceCurve, TimeGrid, _l2, norm, split_components, stack_components
 from .reports import CertReport
 from .sets import (
@@ -254,30 +248,6 @@ def _agent_residuals(blocks, prob, sets, failed=()):
             for i, (x, op, s) in enumerate(zip(blocks, prob.agent_operators, sets))
         ]
     )
-
-
-def agent_best_responses(d: PriceCurve, prob: QVIProblem, params: QVIParams) -> GridFunction:
-    """Stacked inner solutions x(d), each certified on its own K_i(d).
-
-    Deterministic given the warm starts, the parameters and the seed; this
-    is the selection of the (generally set-valued) inner solution map that
-    the outer iteration works with.
-    """
-    if membership_residual(d, prob.price_set) > 1e-9:
-        raise ValueError("price curve is not in the price set")
-    blocks, _, inner_res = _best_responses(d, prob, params, params.inner_tol)
-    failed = np.flatnonzero(inner_res > params.inner_tol).tolist()
-    if failed:
-        raise InnerSolveFailure(
-            f"inner solves failed to certify at tol={params.inner_tol:g} for agents {failed}",
-            failed_agents=failed,
-        )
-    return stack_components(blocks)
-
-
-def outer_operator(d: PriceCurve, prob: QVIProblem, params: QVIParams) -> GridFunction:
-    """The price-space direction f(x(d)); for economies, e - demand aggregated."""
-    return prob.outer_map(agent_best_responses(d, prob, params))
 
 
 def _outer_residual(d_vals, h_vals, prob):

@@ -6,8 +6,7 @@ projections in the L2 geometry of the grid.  Because the grid is uniform,
 the dt weight cancels from every cellwise projection, so the per-cell
 rules coincide with plain Euclidean ones; only integral constraints
 (budget, caps, ball) see dt explicitly.
-Every projection `project` takes is exact; Dykstra's alternation
-(`project_intersection`) is the reference the tests check them against.
+Every projection `project` takes is exact.
 """
 
 from __future__ import annotations
@@ -83,9 +82,9 @@ class Intersection(SetDescriptor):
     """Intersection of the listed parts.
 
     `project` solves one budget set, one capped cone and at most one ball
-    centered at 0 exactly; `project_intersection` takes any parts.
-    `canonical` is that split, (budget, capbox, ball or None), resolved on
-    construction; None when the parts are of another kind.
+    centered at 0 exactly.  `canonical` is that split, (budget, capbox,
+    ball or None), resolved on construction; None when the parts are of
+    another kind.
     """
 
     parts: tuple
@@ -418,46 +417,16 @@ def project_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) -> np.ndarra
         return _ball_values(v, s.radius, s.center, dt)
     if isinstance(s, Intersection):
         if s.canonical is None:
-            raise TypeError(f"no exact projection; use project_intersection for {s!r}")
+            raise TypeError(
+                "no exact projection: an intersection must be one budget set, one capped"
+                f" cone and at most one ball centered at 0, got {s!r}"
+            )
         budget, capbox, ball = s.canonical
         args = (v, budget.price.values, budget.endowment.values, capbox.caps)
         if ball is None:
             return _project_budget_capbox(*args, dt)
         return _project_budget_capbox_ball(*args, ball.radius, dt)
     raise TypeError(f"not a projectable set descriptor: {s!r}")
-
-
-def _dykstra_values(v, parts, grid, tol, max_iter):
-    """Dykstra's alternating projections with per-part correction terms.
-
-    Plain alternation converges to a point of the intersection but not to
-    the metric projection; the corrections restore it for convex parts.
-    A sweep can leave the iterate in place while the corrections still
-    move, so the stop test asks both to have settled (Birgin & Raydan 2005).
-    """
-    x = np.array(v, dtype=float)
-    corrections = [np.zeros_like(x) for _ in parts]
-    scale = np.sqrt(grid.dt)
-    for _ in range(max_iter):
-        x_prev = x
-        change = 0.0
-        for i, part in enumerate(parts):
-            y = project_values(x + corrections[i], part, grid)
-            correction = x + corrections[i] - y
-            change = max(change, np.linalg.norm(correction - corrections[i]))
-            corrections[i] = correction
-            x = y
-        change = scale * max(change, np.linalg.norm(x - x_prev))
-        if change <= tol:
-            resid = max(membership_residual_values(x, part, grid) for part in parts)
-            if resid <= max(tol, 1e-12):
-                return x
-    resids = {repr(p): membership_residual_values(x, p, grid) for p in parts}
-    raise NonConvergence(
-        f"Dykstra projection did not reach tol={tol} in {max_iter} iterations",
-        last_iterate=x,
-        residuals=resids,
-    )
 
 
 def membership_residual_values(v: np.ndarray, s: SetDescriptor, grid: TimeGrid) -> float:
@@ -499,19 +468,6 @@ def project(x: GridFunction, s: SetDescriptor) -> GridFunction:
 def membership_residual(x: GridFunction, s: SetDescriptor) -> float:
     """Maximum constraint violation of `x` against `s`, in natural units."""
     return membership_residual_values(x.values, s, x.grid)
-
-
-def project_intersection(
-    x: GridFunction, parts: Sequence[SetDescriptor], tol: float = 1e-10, max_iter: int = 10000
-) -> GridFunction:
-    """Dykstra projection onto the intersection of `parts`.
-
-    The reference for the exact kernels: it projects onto any parts by the
-    general alternating scheme, with `tol` its stop test and `max_iter` its
-    sweep budget, while `project` takes only the intersections it can
-    solve exactly.  The tests cross-check the two.
-    """
-    return x.with_values(_dykstra_values(x.values, tuple(parts), x.grid, tol, max_iter))
 
 
 def sample_feasible_blocks(

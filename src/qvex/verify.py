@@ -120,10 +120,12 @@ def certify_equilibrium(
     every per-good clearing integral <= tol, every best-response residual
     <= tol.  The Walras aggregate is reported as metadata only.
 
-    Certification semantics: the optimality gates combine exact residual
-    evaluations with sampled checks, so a pass certifies the equilibrium
-    inequalities at the stated tolerance on the sampled directions; no
-    finite procedure certifies the continuum claim exactly.
+    Certification semantics: the simplex, budget and clearing gates and the
+    natural-map part of each best-response residual are exact evaluations
+    on the step functions; the Minty and utility parts are checked only on
+    the sampled plans.  A pass therefore certifies the exact gates at the
+    stated tolerance and the optimality inequalities on the sampled
+    directions, not optimality over the whole budget set.
 
     Raises ValueError unless `x` holds one plan per agent, `tol` is finite
     and positive, `samples` an integer >= 1 and `seed` an integer >= 0.

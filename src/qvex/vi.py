@@ -1,5 +1,5 @@
-"""Variational inequality core: natural-map residuals, an extragradient
-solver over any projectable set, and a sampled Minty cross-check.
+"""Variational inequality core: natural-map residuals and an extragradient
+solver over any projectable set.
 
 The solver is Korpelevich's two-projection extragradient iteration
     y = P_C(x - g F(x));   x+ = P_C(x - g F(y))
@@ -23,10 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericFailure, SamplingFailure, require_integer, require_positive_real
-from .grids import GridFunction, _l2, all_finite, inner_product, norm
-from .reports import CertReport
-from .sets import SetDescriptor, project_values, sample_feasible, sample_feasible_blocks
+from .errors import NumericFailure, require_integer, require_positive_real
+from .grids import GridFunction, _l2, all_finite, norm
+from .sets import SetDescriptor, project_values, sample_feasible_blocks
 
 #: fraction of the inverse local Lipschitz ratio the adaptive step may reach
 STEP_SAFETY = 0.5
@@ -51,7 +50,7 @@ class OperatorHandle:
     its image, of the same shape, and must not write to its argument (the
     solvers keep their iterates in it).  `values` is the checked array entry
     point the solvers call; `op(x)` on a `GridFunction` wraps it for
-    boundary callers (probes, Minty checks).  `monotonicity` is a declared
+    boundary callers (the probes).  `monotonicity` is a declared
     tag ("monotone", "pseudomonotone" or "unknown") for callers; the
     stacked operator carries it along, and nothing else in qvex reads it.
     """
@@ -172,46 +171,4 @@ def solve_vi_extragradient(
 
     return SolveReport(
         x0.with_values(best_vals), k + 1, best_res, np.asarray(history), False, best_gamma
-    )
-
-
-def minty_certificate(
-    x: GridFunction,
-    op: OperatorHandle,
-    C: SetDescriptor,
-    samples: int = 64,
-    seed: int = 0,
-    slack: float = 1e-9,
-) -> CertReport:
-    """Sampled Minty check: <<F(y), y - x>> >= 0 over random feasible y.
-
-    For continuous pseudomonotone operators the Minty and Stampacchia
-    solution sets coincide, so this certifies VI candidates from the other
-    direction than the natural-map residual.  `slack` must be a finite
-    number >= 0: an infinite slack would pass every point.
-    """
-    require_integer("samples", samples, 1)
-    require_integer("seed", seed, 0)
-    if isinstance(slack, bool) or not 0 <= slack < np.inf:
-        raise ValueError(f"slack: must be a finite number >= 0, got {slack!r}")
-    rng = np.random.default_rng(seed)
-    scale = 1.0 + norm(x)
-    try:
-        ys = sample_feasible(C, x, scale, rng, samples)
-    except Exception as exc:
-        raise SamplingFailure(f"could not sample feasible points: {exc}") from exc
-    worst_val, witness = np.inf, None
-    for y in ys:
-        val = inner_product(op(y), y - x)
-        if val < worst_val:
-            worst_val, witness = val, y
-    ok = worst_val >= -slack
-    return CertReport(
-        verdict=ok,
-        residuals={"min_inner_product": worst_val},
-        witness=None if ok else witness,
-        tolerance=slack,
-        samples_used=samples,
-        seed=seed,
-        name="minty",
     )

@@ -1,13 +1,19 @@
 """Independent oracles used to freeze expected values.
 
-Nothing in here may call the solver paths it checks: projections are
-verified against dense-grid minimization, VI solves against a long-run
-projected-gradient fixed point, and the two-agent quadratic equilibrium
-against closed-form KKT demands plus a grid-and-bisection price search,
-the batched certificate against the per-sample loop it replaced, the
-budget-cone kernel against the compacting loop it replaced, the LogShift
-demand against the search start it replaced, and the LogShift budget root
-against the breakpoint sort it replaced.
+Nothing in here may call the solver paths it checks.  The file holds:
+- a dense-grid minimizer, the reference for every projection;
+- Dykstra's alternating projections onto any intersection, the reference
+  for the exact intersection kernels;
+- a long-run projected-gradient fixed point, the reference for VI solves;
+- a sampled Minty check, which certifies a VI candidate from the other
+  direction than the natural-map residual;
+- a component integral, the reference for cap and clearing sums;
+- closed-form KKT demands plus a grid-and-bisection price search, the
+  two-agent quadratic equilibrium;
+- the per-sample loop the batched certificate replaced;
+- the compacting loop the in-place budget-cone kernel replaced;
+- the search start the LogShift demand replaced;
+- the breakpoint sort the LogShift budget root replaced.
 """
 
 from __future__ import annotations
@@ -27,8 +33,15 @@ from qvex import (
     vi_residual,
 )
 from qvex.economy import _logshift_plan
-from qvex.errors import NonConvergence
-from qvex.sets import _cap_budgets, _multiplier_search
+from qvex.errors import NonConvergence, SamplingFailure, require_integer
+from qvex.reports import CertReport
+from qvex.sets import (
+    _cap_budgets,
+    _multiplier_search,
+    membership_residual_values,
+    project_values,
+    sample_feasible,
+)
 
 
 def brute_force_project(v: np.ndarray, feasible, lows, highs, coarse=2e-3, fine=1e-5):
@@ -61,6 +74,48 @@ def brute_force_project(v: np.ndarray, feasible, lows, highs, coarse=2e-3, fine=
     return z
 
 
+def dykstra_values(v, parts, grid, tol, max_iter):
+    """Dykstra's alternating projections onto the intersection of `parts`,
+    with per-part correction terms (Boyle & Dykstra 1986).
+
+    Plain alternation converges to a point of the intersection but not to
+    the metric projection; the corrections restore it for convex parts.
+    A sweep can leave the iterate in place while the corrections still
+    move, so the stop test asks both to have settled (Birgin & Raydan 2005).
+    Each part is projected on its own, so any parts will do; `max_iter`
+    sweeps without settling raise `NonConvergence` with the last iterate.
+    """
+    x = np.array(v, dtype=float)
+    corrections = [np.zeros_like(x) for _ in parts]
+    scale = np.sqrt(grid.dt)
+    for _ in range(max_iter):
+        x_prev = x
+        change = 0.0
+        for i, part in enumerate(parts):
+            y = project_values(x + corrections[i], part, grid)
+            correction = x + corrections[i] - y
+            change = max(change, np.linalg.norm(correction - corrections[i]))
+            corrections[i] = correction
+            x = y
+        change = scale * max(change, np.linalg.norm(x - x_prev))
+        if change <= tol:
+            resid = max(membership_residual_values(x, part, grid) for part in parts)
+            if resid <= max(tol, 1e-12):
+                return x
+    resids = {repr(p): membership_residual_values(x, p, grid) for p in parts}
+    raise NonConvergence(
+        f"Dykstra projection did not reach tol={tol} in {max_iter} iterations",
+        last_iterate=x,
+        residuals=resids,
+    )
+
+
+def project_intersection(x, parts, tol=1e-10, max_iter=10000):
+    """`dykstra_values` on a grid function: its projection onto the
+    intersection of `parts`."""
+    return x.with_values(dykstra_values(x.values, tuple(parts), x.grid, tol, max_iter))
+
+
 def projected_gradient_vi(op_values, project, x0: np.ndarray, step=1e-3, iters=2_000_000, tol=1e-13):
     """Fixed point of x -> P(x - step * F(x)) by plain iteration (the VI oracle)."""
     x = project(np.asarray(x0, dtype=float))
@@ -70,6 +125,48 @@ def projected_gradient_vi(op_values, project, x0: np.ndarray, step=1e-3, iters=2
             return x_new
         x = x_new
     return x
+
+
+def minty_certificate(x, op, C, samples=64, seed=0, slack=1e-9):
+    """Sampled Minty check: <<F(y), y - x>> >= 0 over random feasible y.
+
+    For continuous pseudomonotone operators the Minty and Stampacchia
+    solution sets coincide, so this certifies VI candidates from the other
+    direction than the natural-map residual.  `slack` must be a finite
+    number >= 0: an infinite slack would pass every point.
+    """
+    require_integer("samples", samples, 1)
+    require_integer("seed", seed, 0)
+    if isinstance(slack, bool) or not 0 <= slack < np.inf:
+        raise ValueError(f"slack: must be a finite number >= 0, got {slack!r}")
+    rng = np.random.default_rng(seed)
+    scale = 1.0 + norm(x)
+    try:
+        ys = sample_feasible(C, x, scale, rng, samples)
+    except Exception as exc:
+        raise SamplingFailure(f"could not sample feasible points: {exc}") from exc
+    worst_val, witness = np.inf, None
+    for y in ys:
+        val = inner_product(op(y), y - x)
+        if val < worst_val:
+            worst_val, witness = val, y
+    ok = worst_val >= -slack
+    return CertReport(
+        verdict=ok,
+        residuals={"min_inner_product": worst_val},
+        witness=None if ok else witness,
+        tolerance=slack,
+        samples_used=samples,
+        seed=seed,
+        name="minty",
+    )
+
+
+def integrate_component(h, j):
+    """Time integral of component `j` of the grid function `h`."""
+    if not 0 <= j < h.components:
+        raise ValueError(f"component index {j} out of range [0, {h.components})")
+    return float(h.grid.dt * h.values[:, j].sum())
 
 
 def quadratic_kkt_demand(bliss, qweights, price, endow, caps, dt):

@@ -11,7 +11,12 @@ import pytest
 
 import qvex
 from corpus import CORPUS_SEEDS, make_random_economy
-from oracles import brute_force_project, cd_quad_oracle, projected_gradient_vi
+from oracles import (
+    brute_force_project,
+    cd_quad_oracle,
+    project_intersection,
+    projected_gradient_vi,
+)
 from qvex import (
     Agent,
     Ball,
@@ -265,7 +270,8 @@ def test_criterion_8_projection_suite():
             for z in sample_feasible(s, px, 1.0, rng, 3):
                 assert qvex.inner_product(x - px, z - px) <= 1e-10 * scale
 
-    # Dykstra vs brute force on 1-d and 2-d instances
+    # Dykstra and the solvers' exact kernel vs brute force on 1-d and 2-d
+    # instances; the kernel also agrees with Dykstra
     g1 = make_grid(1.0, 1)
     p1 = PriceCurve(g1, np.array([[1.0]]))
     e1 = GridFunction.constant(g1, [0.5])
@@ -275,9 +281,13 @@ def test_criterion_8_projection_suite():
         return (c[:, 0] >= 0) & (c[:, 0] <= 0.5 + 1e-12)
 
     for v in [3.0, -1.0, 0.4, 0.77]:
-        out = qvex.project_intersection(GridFunction.constant(g1, [v]), parts_1d)
+        x = GridFunction.constant(g1, [v])
+        out = project_intersection(x, parts_1d)
+        exact = project(x, Intersection(parts_1d))
         z = brute_force_project(np.array([v]), feasible_1d, [0.0], [1.0])
         assert abs(out.values[0, 0] - z[0]) <= 1e-4
+        assert abs(exact.values[0, 0] - z[0]) <= 1e-4
+        assert norm(exact - out) <= 1e-9
 
     p2 = PriceCurve(g1, np.array([[0.7, 0.3]]))
     e2 = GridFunction.constant(g1, [0.5, 0.5])
@@ -291,9 +301,13 @@ def test_criterion_8_projection_suite():
 
     for _ in range(15):
         v = rng.normal(0, 1.5, size=2)
-        out = qvex.project_intersection(GridFunction(g1, v[None, :]), parts_2d)
+        x = GridFunction(g1, v[None, :])
+        out = project_intersection(x, parts_2d)
+        exact = project(x, Intersection(parts_2d))
         z = brute_force_project(v, feasible_2d, [0, 0], [1.5, 1.5])
         assert np.abs(out.values[0] - z).max() <= 1e-4
+        assert np.abs(exact.values[0] - z).max() <= 1e-4
+        assert norm(exact - out) <= 1e-9
     _report(8, "projection-suite")
 
 

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import minty_certificate
 from qvex import (
     Agent,
     Ball,
@@ -29,7 +30,6 @@ from qvex import (
     coercivity_probe,
     default_caps,
     make_grid,
-    minty_certificate,
     pseudomonotonicity_probe,
     solve_qvi_truncated,
     solve_vi_extragradient,
@@ -82,6 +82,7 @@ ENTRY_POINTS = [
     ("caps[0]", lambda v: CapBox((v,)), [v for v in BAD if v != np.inf]),
     ("gamma", lambda v: vi_residual(X, OP, Ball(1.0), v), BAD),
     ("step", lambda v: solve_vi_extragradient(OP, Ball(1.0), X, step=v), BAD),
+    # the Minty oracle of the tests checks its arguments as the entry points do
     ("samples", lambda v: minty_certificate(X, OP, Ball(1.0), samples=v), BAD),
     # a slack of 0 asks for the exact Minty inequality
     ("slack", lambda v: minty_certificate(X, OP, Ball(1.0), slack=v), [v for v in BAD if v != 0]),

@@ -505,7 +505,9 @@ def _uncapped_plan_at_root(spec, p, e):
 
 def _logshift_case(name):
     """(spec, p, e, caps, dt) of one hand-built demand, each showing one
-    shape of the breakpoint root."""
+    shape of the budget root, which `_fixing_root` finds in t = -1/lam:
+    one entry or every entry active, a binding cap, a zero price, zero
+    wealth, or a root on the search's lower end."""
     rng = np.random.default_rng(7)
     cells, dt = 8, 0.125
     p = rng.uniform(0.2, 1.0, (cells, 2))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import integrate_component
 from qvex import (
     GridFunction,
     PriceCurve,
     inner_product,
-    integrate_component,
     make_grid,
     norm,
     split_components,

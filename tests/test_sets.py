@@ -4,7 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qvex
-from oracles import brute_force_project, compacting_budget_cone
+from oracles import (
+    brute_force_project,
+    compacting_budget_cone,
+    dykstra_values,
+    project_intersection,
+)
 from qvex import (
     Ball,
     BudgetHalfspace,
@@ -18,14 +23,12 @@ from qvex import (
     membership_residual,
     norm,
     project,
-    project_intersection,
 )
 from qvex.errors import DegenerateSet, NonConvergence
 from qvex.economy import LogShift, _logshift_plan
 from qvex.sets import (
     _SEARCH_WINDOW,
     _cap_budgets,
-    _dykstra_values,
     _project_budget_capbox,
     _project_budget_capbox_ball,
     _project_budget_cone,
@@ -195,9 +198,9 @@ def test_cap_box_keeps_infinite_caps_as_uncapped():
 
 @pytest.mark.parametrize("ratio", [10.0**k for k in range(21)])
 def test_projections_stay_feasible_at_extreme_scales(ratio):
-    # far above its budget an entry rounds onto its own threshold: the top
-    # entry must still qualify, and a simplex row left with no mass shares
-    # it among its largest entries
+    # far above its budget an entry would round onto its own threshold;
+    # `_thresholds` shifts each column by its top entry first, so the top
+    # entry keeps its mass and ties at the top share it evenly
     x = gf(make_grid(1.0, 2), [[ratio], [0.0]])
     capped = project(x, CapBox((1.0,)))
     assert capped.values.min() >= 0.0
@@ -325,7 +328,7 @@ def test_general_dykstra_matches_exact_dual_path():
     for _ in range(50):
         v = rng.normal(0, 2, size=(5, 2))
         exact = qvex.sets.project_values(v, S, g)
-        dyk = _dykstra_values(v, parts, g, 1e-12, 200000)
+        dyk = dykstra_values(v, parts, g, 1e-12, 200000)
         assert np.sqrt(g.dt) * np.linalg.norm(exact - dyk) <= 1e-9
 
 
@@ -484,7 +487,7 @@ def test_budget_capbox_property_from_the_uncapped_root(problem):
         CapBox(tuple(c * r for c, r in zip(caps, root_w))),
     )
     x = GridFunction(g, v * root_w)
-    dyk = GridFunction(g, _dykstra_values(x.values, parts, g, 1e-12, 200000))
+    dyk = GridFunction(g, dykstra_values(x.values, parts, g, 1e-12, 200000))
     y = GridFunction(g, z * root_w)
     assert abs(norm(y - x) - norm(dyk - x)) <= 1e-9 * (1.0 + norm(x))
 
@@ -557,7 +560,7 @@ def test_project_takes_only_the_intersections_it_solves_exactly():
     no_budget = (Ball(1.0), CapBox((2.0,)))
     centered = (budget, CapBox((2.0,)), Ball(1.0, center=(0.2,)))
     for parts in (no_budget, centered):
-        with pytest.raises(TypeError, match="project_intersection"):
+        with pytest.raises(TypeError, match="one budget set, one capped cone"):
             project(x, Intersection(parts))
         out = project_intersection(x, parts, tol=1e-12)
         assert membership_residual(out, Intersection(parts)) <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 import qvex
 from corpus import make_planted_pair, make_random_economy
-from oracles import per_sample_best_response
+from oracles import integrate_component, per_sample_best_response
 from qvex import (
     Agent,
     Ball,
@@ -170,7 +170,7 @@ def test_truncation_upgrade_capped_optima_pass_on_full_budget_set(
     assert rep.converged
     for i, block in enumerate(rep.agent_allocations()):
         for j in range(eco.goods):
-            assert qvex.integrate_component(block, j) < caps[j] - 1e-6
+            assert integrate_component(block, j) < caps[j] - 1e-6
         assert best_response_residual(eco, rep.price, block, i, seed=i) <= 1e-6
 
 

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import qvex
-from oracles import projected_gradient_vi
+from oracles import minty_certificate, projected_gradient_vi
 from qvex import (
     Ball,
     GridFunction,
     OperatorHandle,
     make_grid,
-    minty_certificate,
     norm,
     solve_vi_extragradient,
     vi_residual,
