@@ -45,7 +45,6 @@ from .sets import (
     SetDescriptor,
     membership_residual,
     project,
-    sample_feasible,
 )
 from .vi import (
     OperatorHandle,

@@ -337,7 +337,7 @@ def utility_gradient(agent: Agent, w: np.ndarray) -> np.ndarray:
 def agent_operator(agent: Agent) -> OperatorHandle:
     """The agent's VI operator: the negative utility gradient (monotone for concave u)."""
     # through the module global, so a rebinding of `utility_gradient` sees every call
-    return OperatorHandle(lambda w: -utility_gradient(agent, w), monotonicity="monotone")
+    return OperatorHandle(lambda w: -utility_gradient(agent, w))
 
 
 def aggregate_endowment_integrals(eco: Economy) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,12 +81,6 @@ class GridFunction:
         """Constant-in-time function with cell value `vec` (scalar or length-m)."""
         row = np.atleast_1d(np.asarray(vec, dtype=float))
         return cls(grid, np.tile(row, (grid.cells, 1)))
-
-    @classmethod
-    def from_callable(cls, grid: TimeGrid, fn: Callable[[float], Sequence[float]]) -> "GridFunction":
-        """Sample a closed-form curve at cell midpoints."""
-        rows = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in grid.midpoints()]
-        return cls(grid, np.vstack(rows))
 
     def with_values(self, vals: np.ndarray) -> "GridFunction":
         return GridFunction(self.grid, vals)

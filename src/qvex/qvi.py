@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonConvergence, ShapeMismatch, require_integer, require_positive_real
+from .errors import NonConvergence, require_integer, require_positive_real
 from .grids import GridFunction, PriceCurve, TimeGrid, _l2, norm, split_components, stack_components
 from .reports import CertReport
 from .sets import (
@@ -51,7 +51,6 @@ from .sets import (
     project_values,
 )
 from .vi import (
-    OperatorHandle,
     adaptive_step,
     estimate_lipschitz,
     solve_vi_extragradient,
@@ -152,23 +151,6 @@ class QVIProblem:
     @property
     def n_agents(self) -> int:
         return len(self.agent_operators)
-
-    @property
-    def operator(self) -> OperatorHandle:
-        """The stacked block-diagonal operator on agent-major components."""
-        n = self.n_agents
-
-        def fn(v: np.ndarray) -> np.ndarray:
-            if v.shape[1] % n != 0:
-                raise ShapeMismatch(f"cannot split {v.shape[1]} components into {n} blocks")
-            w = v.shape[1] // n
-            return np.hstack(
-                [op.values(v[:, i * w : (i + 1) * w]) for i, op in enumerate(self.agent_operators)]
-            )
-
-        tags = {op.monotonicity for op in self.agent_operators}
-        tag = tags.pop() if len(tags) == 1 else "unknown"
-        return OperatorHandle(fn, tag)
 
 
 @dataclass

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,8 +20,8 @@ import numpy as np
 from .errors import DegenerateSet, NonConvergence, require_finite_real, require_positive_real
 from .grids import GridFunction, PriceCurve, TimeGrid, _l2
 
-#: elements (samples x cells x goods) that `sample_feasible` and the
-#: certificate draw and project as one block; bounds their temporaries
+#: elements (samples x cells x goods) that `sample_feasible_blocks` draws
+#: and projects as one block; bounds its temporaries
 _SAMPLE_CHUNK = 2**14
 
 
@@ -504,27 +503,3 @@ def sample_feasible_blocks(
             for k, v in enumerate(block):
                 block[k] = project_values(v, s, grid)
         yield block
-
-
-def sample_feasible(
-    s: SetDescriptor,
-    center: GridFunction,
-    scale: float,
-    rng: np.random.Generator,
-    count: int,
-) -> list[GridFunction]:
-    """Feasible points obtained by projecting Gaussian clouds around `center`.
-
-    The noise is drawn in blocks (`sample_feasible_blocks`); on every set
-    but the uncapped budget cone the points are bit for bit those of one
-    draw and one `project` per sample.
-    """
-    if isinstance(s, PointwiseSimplex):
-        wrap = partial(PriceCurve, center.grid)
-    else:
-        wrap = center.with_values
-    return [
-        wrap(y)
-        for block in sample_feasible_blocks(s, center.values, center.grid, scale, rng, count)
-        for y in block
-    ]

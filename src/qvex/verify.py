@@ -12,7 +12,8 @@ bounds the memory a check takes, every block is projected onto the
 uncapped budget set at once by variable fixing, whose settled slices stay
 in the block with their multipliers frozen, and the utility family reduces
 each block to per-sample utility and Minty sums in one pass
-(`UtilitySpec.block_sums`).
+(`UtilitySpec.block_sums`).  The probes draw from the same sampler and
+evaluate operators on the value arrays; only their witnesses are wrapped.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .economy import Agent, Economy, agent_operator, utility_value
-from .errors import SamplingFailure, require_integer, require_positive_real
-from .grids import GridFunction, PriceCurve, inner_product, norm
+from .errors import NonConvergence, SamplingFailure, require_integer, require_positive_real
+from .grids import GridFunction, PriceCurve, _l2, inner_product, norm
 from .qvi import QVIProblem
 from .reports import CertReport
 from .sets import (
@@ -33,7 +34,7 @@ from .sets import (
     PointwiseSimplex,
     SetDescriptor,
     membership_residual,
-    sample_feasible,
+    membership_residual_values,
     sample_feasible_blocks,
 )
 from .vi import OperatorHandle, vi_residual
@@ -45,14 +46,22 @@ def full_budget_set(agent: Agent, p: PriceCurve) -> Intersection:
     return Intersection((BudgetHalfspace(p, agent.endowment), cone))
 
 
+def _require_plans(eco: Economy, x: Sequence[GridFunction]) -> None:
+    """ValueError, naming `x`, unless it holds one plan per agent."""
+    if len(x) != eco.n_agents:
+        raise ValueError(f"x: need one plan per agent ({eco.n_agents}), got {len(x)}")
+
+
 def market_clearing_residual(eco: Economy, x: Sequence[GridFunction]) -> np.ndarray:
     """Per-good integral of aggregate net demand; <= 0 certifies clearing."""
+    _require_plans(eco, x)
     total = sum(x_i.values - a.endowment.values for x_i, a in zip(x, eco.agents))
     return eco.grid.dt * total.sum(axis=0)
 
 
 def budget_residuals(eco: Economy, p: PriceCurve, x: Sequence[GridFunction]) -> np.ndarray:
     """Signed budget gaps <<p, x_i - e_i>> per agent; <= 0 certifies feasibility."""
+    _require_plans(eco, x)
     return np.array([inner_product(p, x_i - a.endowment) for x_i, a in zip(x, eco.agents)])
 
 
@@ -125,13 +134,13 @@ def certify_equilibrium(
     on the step functions; the Minty and utility parts are checked only on
     the sampled plans.  A pass therefore certifies the exact gates at the
     stated tolerance and the optimality inequalities on the sampled
-    directions, not optimality over the whole budget set.
+    directions, not optimality over the whole budget set.  An agent whose
+    check cannot finish (infeasible plan, projection out of steps) gets inf.
 
     Raises ValueError unless `x` holds one plan per agent, `tol` is finite
     and positive, `samples` an integer >= 1 and `seed` an integer >= 0.
     """
-    if len(x) != eco.n_agents:
-        raise ValueError(f"x: need one plan per agent ({eco.n_agents}), got {len(x)}")
+    _require_plans(eco, x)
     require_positive_real("tol", tol)
     require_integer("samples", samples, 1)
     require_integer("seed", seed, 0)
@@ -158,7 +167,7 @@ def certify_equilibrium(
             continue
         try:
             br = best_response_residual(eco, p, x[i], i, samples=samples, seed=seed + i)
-        except ValueError:
+        except (ValueError, NonConvergence):
             br = np.inf
         residuals[f"best_response[{i}]"] = br
         if not br <= tol:
@@ -188,33 +197,33 @@ def coercivity_probe(
     For each sampled feasible stacked x with ||x|| > r_d, look for a
     feasible y of smaller norm with <<F(x), x - y>> >= 0.  A pass with no
     sample beyond the radius is reported as vacuous; a NaN radius would be.
+    A stacked sample is one single-point draw per agent, kept as arrays.
     """
     require_positive_real("r_d", r_d)
     require_integer("samples", samples, 1)
     require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     sets = prob.constraint_map(d)
-    per_agent_scale = max(1.0, r_d)
+    grid, scale = prob.grid, max(1.0, r_d)
 
-    def sample_stacked(n):
-        out = []
-        for _ in range(n):
-            try:
-                blocks = [
-                    sample_feasible(s, w, per_agent_scale, rng, 1)[0]
-                    for s, w in zip(sets, prob.warm_starts)
-                ]
-            except Exception as exc:
-                raise SamplingFailure(f"feasible sampling failed: {exc}") from exc
-            out.append(blocks)
-        return out
+    def size(vs):
+        # the stacked norm, each agent's part measured as `norm` measures it
+        return float(np.sqrt(sum(float(np.sqrt(grid.dt) * _l2(v)) ** 2 for v in vs)))
 
-    candidates = sample_stacked(samples)
-    outside = [b for b in candidates if _stacked_norm(b) > r_d]
+    def draw(n):
+        try:
+            stacks = [[next(sample_feasible_blocks(s, w.values, grid, scale, rng, 1))[0]
+                       for s, w in zip(sets, prob.warm_starts)] for _ in range(n)]
+        except Exception as exc:
+            raise SamplingFailure(f"feasible sampling failed: {exc}") from exc
+        return [(vs, size(vs)) for vs in stacks]
+
+    candidates = draw(samples)
+    outside = [(vs, n) for vs, n in candidates if n > r_d]
     if not outside:
         return CertReport(
             verdict=True,
-            residuals={"max_sampled_norm": max(_stacked_norm(b) for b in candidates)},
+            residuals={"max_sampled_norm": max(n for _, n in candidates)},
             tolerance=0.0,
             samples_used=samples,
             seed=seed,
@@ -222,38 +231,30 @@ def coercivity_probe(
             name="coercivity",
         )
 
-    pool = sample_stacked(4 * samples)
+    pool = draw(4 * samples)
     failures = []
-    for blocks in outside:
-        nx = _stacked_norm(blocks)
-        fx = [op(b) for op, b in zip(prob.agent_operators, blocks)]
-        found = False
-        scaled = [[t * b for b in blocks] for t in (0.0, 0.1, 0.5, 0.9)]
-        for y_blocks in scaled + pool:
-            if _stacked_norm(y_blocks) >= nx:
+    for xs, nx in outside:
+        fx = [op.values(v) for op, v in zip(prob.agent_operators, xs)]
+        scaled = [[v * t for v in xs] for t in (0.0, 0.1, 0.5, 0.9)]
+        for ys, ny in [(vs, size(vs)) for vs in scaled] + pool:
+            if ny >= nx or any(membership_residual_values(y, s, grid) > 1e-9
+                               for y, s in zip(ys, sets)):
                 continue
-            if any(membership_residual(y, s) > 1e-9 for y, s in zip(y_blocks, sets)):
-                continue
-            val = sum(inner_product(f, b - y) for f, b, y in zip(fx, blocks, y_blocks))
-            if val >= -1e-12:
-                found = True
+            # <<F(x), x - y>>, summed over the agents as `inner_product` pairs each
+            if sum(grid.dt * np.sum(f * (x - y)) for f, x, y in zip(fx, xs, ys)) >= -1e-12:
                 break
-        if not found:
-            failures.append(blocks)
+        else:
+            failures.append(xs)
     ok = not failures
     return CertReport(
         verdict=ok,
         residuals={"samples_outside_radius": float(len(outside))},
-        witness=None if ok else failures[0],
+        witness=None if ok else [_point(s, grid, v) for s, v in zip(sets, failures[0])],
         tolerance=1e-12,
         samples_used=samples,
         seed=seed,
         name="coercivity",
     )
-
-
-def _stacked_norm(blocks: Sequence[GridFunction]) -> float:
-    return float(np.sqrt(sum(norm(b) ** 2 for b in blocks)))
 
 
 def pseudomonotonicity_probe(
@@ -272,20 +273,24 @@ def pseudomonotonicity_probe(
     concave utilities, far-apart pairs almost never satisfy the premise
     (curvature dominates), so close pairs are needed for real coverage.
     The scale must be finite and positive: at 0 every pair is x = y.
+    The first points are one block draw, each second point a single one.
     """
     require_integer("pairs", pairs, 1)
     require_positive_real("scale", scale)
     require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    xs = sample_feasible(C, center, scale, rng, pairs)
+    grid = center.grid
+    xs = np.concatenate(list(sample_feasible_blocks(C, center.values, grid, scale, rng, pairs)))
     worst, witness = np.inf, None
     triggered = 0
     for x in xs:
         sep = scale * 10.0 ** rng.uniform(-3, 0)
-        y = sample_feasible(C, x, sep, rng, 1)[0]
-        if inner_product(op(x), y - x) >= 0.0:
+        y = next(sample_feasible_blocks(C, x, grid, sep, rng, 1))[0]
+        step = y - x
+        # the pairings are `inner_product`'s: dt * sum(a * b)
+        if grid.dt * np.sum(op.values(x) * step) >= 0.0:
             triggered += 1
-            val = inner_product(op(y), y - x)
+            val = float(grid.dt * np.sum(op.values(y) * step))
             if val < worst:
                 worst, witness = val, (x, y)
     ok = worst >= -1e-9
@@ -293,10 +298,16 @@ def pseudomonotonicity_probe(
         verdict=ok,
         residuals={"min_conclusion_value": worst if triggered else np.inf,
                    "pairs_triggered": float(triggered)},
-        witness=None if ok else witness,
+        witness=None if ok else tuple(_point(C, grid, v) for v in witness),
         tolerance=1e-9,
         samples_used=pairs,
         seed=seed,
         vacuous=triggered == 0,
         name="pseudomonotonicity",
     )
+
+
+def _point(s: SetDescriptor, grid, v: np.ndarray) -> GridFunction:
+    """A sampled point as a grid function: a price curve on the simplex,
+    as `project` returns it."""
+    return PriceCurve(grid, v) if isinstance(s, PointwiseSimplex) else GridFunction(grid, v)

@@ -11,9 +11,9 @@ so it only ever shrinks, and only where the local Lipschitz ratio demands.
 `adaptive_step` is that rule; the product-space QVI solve uses it too.
 
 Operators map raw (cells, m) value arrays (`OperatorHandle.values`), and
-the solvers iterate on those arrays: the extragradient loop builds no
-`GridFunction` and wraps its result once, for the report.  Grid functions
-are the API boundary; `op(x)` on one wraps the array map.
+the solvers and probes iterate on those arrays: the extragradient loop
+builds no `GridFunction` and wraps its result once, for the report.  Grid
+functions are the API boundary; `op(x)` on one wraps the array map.
 """
 
 from __future__ import annotations
@@ -48,15 +48,12 @@ class OperatorHandle:
 
     `fn` maps the (cells, m) value array of a grid function to the array of
     its image, of the same shape, and must not write to its argument (the
-    solvers keep their iterates in it).  `values` is the checked array entry
-    point the solvers call; `op(x)` on a `GridFunction` wraps it for
-    boundary callers (the probes).  `monotonicity` is a declared
-    tag ("monotone", "pseudomonotone" or "unknown") for callers; the
-    stacked operator carries it along, and nothing else in qvex reads it.
+    solvers and probes keep their iterates and samples in it).  `values` is
+    the checked array entry point that every caller in qvex uses; `op(x)`
+    on a `GridFunction` wraps it for callers outside.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    monotonicity: str = "unknown"
 
     def values(self, v: np.ndarray) -> np.ndarray:
         """F at the values v; NumericFailure when F changes the shape,

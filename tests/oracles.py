@@ -13,16 +13,21 @@ Nothing in here may call the solver paths it checks.  The file holds:
 - the per-sample loop the batched certificate replaced;
 - the compacting loop the in-place budget-cone kernel replaced;
 - the search start the LogShift demand replaced;
-- the breakpoint sort the LogShift budget root replaced.
+- the breakpoint sort the LogShift budget root replaced;
+- feasible sampling on grid functions, and the pseudomonotonicity and
+  coercivity probes written on it, which the array probes replaced.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product as iproduct
 
 import numpy as np
 
 from qvex import (
+    PointwiseSimplex,
+    PriceCurve,
     agent_operator,
     full_budget_set,
     inner_product,
@@ -40,8 +45,17 @@ from qvex.sets import (
     _multiplier_search,
     membership_residual_values,
     project_values,
-    sample_feasible,
+    sample_feasible_blocks,
 )
+
+
+def sample_feasible(s, center, scale, rng, count):
+    """`count` feasible points around the grid function `center`, from
+    `qvex.sets.sample_feasible_blocks`, as grid functions: price curves on
+    the simplex, as `project` returns them."""
+    wrap = partial(PriceCurve, center.grid) if isinstance(s, PointwiseSimplex) else center.with_values
+    blocks = sample_feasible_blocks(s, center.values, center.grid, scale, rng, count)
+    return [wrap(y) for block in blocks for y in block]
 
 
 def brute_force_project(v: np.ndarray, feasible, lows, highs, coarse=2e-3, fine=1e-5):
@@ -402,3 +416,102 @@ def breakpoint_logshift_root(p, a, shift, target):
     below[0] = True
     r = below.size - 1 - np.argmax(below[::-1])
     return cum_a[r] / (target + shift * cum_p[r])
+
+
+def _stacked_norm(blocks):
+    return float(np.sqrt(sum(norm(b) ** 2 for b in blocks)))
+
+
+def grid_function_coercivity_probe(prob, d, r_d, samples=64, seed=0):
+    """`qvex.coercivity_probe` as it was written on grid functions: every
+    sample is drawn, wrapped and measured as a `GridFunction`.  The
+    reference the array probe must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    sets = prob.constraint_map(d)
+    per_agent_scale = max(1.0, r_d)
+
+    def sample_stacked(n):
+        out = []
+        for _ in range(n):
+            try:
+                blocks = [
+                    sample_feasible(s, w, per_agent_scale, rng, 1)[0]
+                    for s, w in zip(sets, prob.warm_starts)
+                ]
+            except Exception as exc:
+                raise SamplingFailure(f"feasible sampling failed: {exc}") from exc
+            out.append(blocks)
+        return out
+
+    candidates = sample_stacked(samples)
+    outside = [b for b in candidates if _stacked_norm(b) > r_d]
+    if not outside:
+        return CertReport(
+            verdict=True,
+            residuals={"max_sampled_norm": max(_stacked_norm(b) for b in candidates)},
+            tolerance=0.0,
+            samples_used=samples,
+            seed=seed,
+            vacuous=True,
+            name="coercivity",
+        )
+
+    pool = sample_stacked(4 * samples)
+    failures = []
+    for blocks in outside:
+        nx = _stacked_norm(blocks)
+        fx = [op(b) for op, b in zip(prob.agent_operators, blocks)]
+        found = False
+        scaled = [[t * b for b in blocks] for t in (0.0, 0.1, 0.5, 0.9)]
+        for y_blocks in scaled + pool:
+            if _stacked_norm(y_blocks) >= nx:
+                continue
+            if any(membership_residual(y, s) > 1e-9 for y, s in zip(y_blocks, sets)):
+                continue
+            val = sum(inner_product(f, b - y) for f, b, y in zip(fx, blocks, y_blocks))
+            if val >= -1e-12:
+                found = True
+                break
+        if not found:
+            failures.append(blocks)
+    ok = not failures
+    return CertReport(
+        verdict=ok,
+        residuals={"samples_outside_radius": float(len(outside))},
+        witness=None if ok else failures[0],
+        tolerance=1e-12,
+        samples_used=samples,
+        seed=seed,
+        name="coercivity",
+    )
+
+
+def grid_function_pseudomonotonicity_probe(op, C, center, pairs=200, seed=0, scale=1.0):
+    """`qvex.pseudomonotonicity_probe` as it was written on grid functions:
+    the first points come from one `sample_feasible` call, each second point
+    from another, and every pairing goes through `op(x)` and
+    `inner_product`.  The reference the array probe must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    xs = sample_feasible(C, center, scale, rng, pairs)
+    worst, witness = np.inf, None
+    triggered = 0
+    for x in xs:
+        sep = scale * 10.0 ** rng.uniform(-3, 0)
+        y = sample_feasible(C, x, sep, rng, 1)[0]
+        if inner_product(op(x), y - x) >= 0.0:
+            triggered += 1
+            val = inner_product(op(y), y - x)
+            if val < worst:
+                worst, witness = val, (x, y)
+    ok = worst >= -1e-9
+    return CertReport(
+        verdict=ok,
+        residuals={"min_conclusion_value": worst if triggered else np.inf,
+                   "pairs_triggered": float(triggered)},
+        witness=None if ok else witness,
+        tolerance=1e-9,
+        samples_used=pairs,
+        seed=seed,
+        vacuous=triggered == 0,
+        name="pseudomonotonicity",
+    )

@@ -16,6 +16,7 @@ from oracles import (
     cd_quad_oracle,
     project_intersection,
     projected_gradient_vi,
+    sample_feasible,
 )
 from qvex import (
     Agent,
@@ -42,7 +43,6 @@ from qvex import (
     norm,
     project,
     pseudomonotonicity_probe,
-    sample_feasible,
     solve_qvi,
     solve_qvi_product,
     solve_qvi_truncated,
@@ -172,7 +172,7 @@ def test_criterion_6_vi_core_affine_instance():
     A = M.T @ M + np.eye(dim)
     b = rng.normal(size=dim)
     g = make_grid(1.0, 1)
-    op = OperatorHandle(lambda x: (A @ x[0] + b)[None, :], "monotone")
+    op = OperatorHandle(lambda x: (A @ x[0] + b)[None, :])
     C = Ball(1.0)
 
     rep = solve_vi_extragradient(op, C, GridFunction(g, np.zeros((1, dim))), tol=1e-6, max_iter=10000, seed=1)

@@ -39,7 +39,7 @@ from qvex.scenario import parse_scenario
 
 G = make_grid(1.0, 2)
 X = GridFunction.constant(G, [0.5, 0.5])
-OP = OperatorHandle(lambda x: x - 0.3, "monotone")
+OP = OperatorHandle(lambda x: x - 0.3)
 AGENTS = (
     Agent(
         GridFunction.constant(G, [1.0, 0.2]),

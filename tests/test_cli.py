@@ -122,6 +122,23 @@ def test_solve_demand_failure_still_writes_files(scenario_dir, tmp_path, monkeyp
     assert "failed to certify" in report and "agents [0, 1]" in report
 
 
+def _stuck_cone(*args):
+    raise NonConvergence("budget-cone Newton iteration did not converge")
+
+
+def test_solve_certificate_failure_still_writes_files(scenario_dir, tmp_path, monkeypatch):
+    # the certificate's budget-cone projection never finishes: the solved
+    # pair is written and fails certification instead of being lost
+    monkeypatch.setattr(qvex.sets, "_project_budget_cone", _stuck_cone)
+    out = tmp_path / "run"
+    assert run(["solve", "--scenario", scenario_dir / "oracle_cd_quad.yaml", "--out", out]) == 1
+    for name in ("report.txt", "prices.csv", "allocations.csv"):
+        assert (out / name).is_file()
+    report = (out / "report.txt").read_text()
+    assert "converged: True" in report
+    assert "best_response[0]: inf" in report
+
+
 def test_csv_determinism(scenario_dir, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(["solve", "--scenario", scenario_dir / "oracle_cd_quad.yaml", "--out", out1]) == 0

@@ -177,12 +177,6 @@ def test_price_curve_validates_simplex():
         PriceCurve(g, np.array([[1.4, -0.4], [0.5, 0.5]]))
 
 
-def test_from_callable_samples_midpoints():
-    g = make_grid(2.0, 4)
-    h = GridFunction.from_callable(g, lambda t: [t])
-    np.testing.assert_allclose(h.values[:, 0], [0.25, 0.75, 1.25, 1.75])
-
-
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_l2_has_the_bits_of_numpy_norm(scale):
     # the shapes the kernels measure: one agent's (cells, m) plan, a stacked

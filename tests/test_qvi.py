@@ -6,6 +6,7 @@ import pytest
 
 import qvex
 from corpus import make_agent_ladder_economy, make_random_economy
+from oracles import sample_feasible
 from qvex import (
     Agent,
     Economy,
@@ -32,7 +33,7 @@ from qvex import (
     stack_components,
     vi_residual,
 )
-from qvex.errors import InnerSolveFailure, NonConvergence, ShapeMismatch
+from qvex.errors import InnerSolveFailure, NonConvergence
 from qvex.qvi import RESIDUAL_GAUGE, _best_responses
 
 
@@ -213,7 +214,7 @@ def test_theorem_reduction_combined_inequality(oracle_problem, skewed_start):
         )
         total = inner_product(fx, d - rep.price)
         for block, f, s in zip(blocks, fvals, sets):
-            z = qvex.sample_feasible(s, block, 1.0, rng, 1)[0]
+            z = sample_feasible(s, block, 1.0, rng, 1)[0]
             total += inner_product(f, z - block)
         worst = min(worst, total)
     assert worst >= -2e-8
@@ -514,7 +515,7 @@ def test_check_truncation_interior_rules(oracle_problem, skewed_start):
 def test_product_path_zero_operator_is_stationary():
     g = make_grid(1.0, 2)
     e = GridFunction.constant(g, [0.7, 0.7])
-    zero_op = OperatorHandle(lambda x: np.zeros_like(x), "monotone")
+    zero_op = OperatorHandle(lambda x: np.zeros_like(x))
 
     prob = QVIProblem(
         price_set=PointwiseSimplex(),
@@ -573,30 +574,3 @@ def test_each_product_check_logs_its_step(oracle_problem, skewed_start, caplog, 
         assert f"best residual {min(rep.residual_history):.3e}" in rep.message
         final_step = float(rep.message.rsplit("final step ", 1)[1].rstrip(")"))
         assert 0 < final_step <= records[-1].args[3]
-
-
-def test_stacked_operator_applies_blocks(oracle_problem):
-    g = oracle_problem.grid
-    x = stack_components(
-        [GridFunction.constant(g, [0.3, 0.4]), GridFunction.constant(g, [0.1, 0.2])]
-    )
-    out = oracle_problem.operator(x)
-    # blocks are the negative quadratic gradients q*x - b
-    np.testing.assert_allclose(out.values, [[0.3 - 2.0, 0.4 - 1.0, 0.1 - 1.0, 0.2 - 2.0]])
-
-
-def test_stacked_operator_on_arrays_matches_the_agent_operators_bit_for_bit():
-    g = make_grid(2.0, 4)
-    rng = np.random.default_rng(5)
-    e = GridFunction(g, 0.5 + rng.random((4, 2)))
-    bliss = GridFunction(g, 1.0 + rng.random((4, 2)))
-    agents = (Agent(e, Quadratic(bliss, (1.0, 3.0))), Agent(e, LogShift((1.0, 2.0), 0.5, 4)))
-    eco = Economy(g, 2, agents)
-    prob = assemble_qvi(eco, default_caps(eco, 1.1))
-    v = rng.random((4, 4))
-    blocks = [
-        op(GridFunction(g, v[:, 2 * i : 2 * i + 2])) for i, op in enumerate(prob.agent_operators)
-    ]
-    assert prob.operator.values(v).tobytes() == np.hstack([b.values for b in blocks]).tobytes()
-    with pytest.raises(ShapeMismatch, match="cannot split 3 components into 2 blocks"):
-        prob.operator.values(v[:, :3])

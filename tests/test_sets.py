@@ -9,6 +9,7 @@ from oracles import (
     compacting_budget_cone,
     dykstra_values,
     project_intersection,
+    sample_feasible,
 )
 from qvex import (
     Ball,
@@ -429,7 +430,7 @@ def test_budget_capbox_property_matches_dykstra(problem):
     assert abs(norm(unit_z - unit_x) - norm(dyk - unit_x)) <= 1e-9 * (1.0 + norm(unit_x))
 
     rng = np.random.default_rng(0)
-    feasible = qvex.sample_feasible(Intersection(unit_parts), unit_z, 1.0 + norm(unit_x), rng, 10)
+    feasible = sample_feasible(Intersection(unit_parts), unit_z, 1.0 + norm(unit_x), rng, 10)
     for y in [unit_z * 0.0, *feasible]:
         assert inner_product(unit_x - unit_z, y - unit_z) <= 1e-9 * (1.0 + norm(unit_x)) ** 2
 
@@ -547,7 +548,7 @@ def test_budget_capbox_ball_property_matches_dykstra(problem):
         assert abs(norm(unit_z - unit_x) - norm(dyk - unit_x)) <= 1e-9 * (1.0 + norm(unit_x))
 
     rng = np.random.default_rng(0)
-    feasible = qvex.sample_feasible(Intersection(unit_parts), unit_z, 1.0 + norm(unit_x), rng, 10)
+    feasible = sample_feasible(Intersection(unit_parts), unit_z, 1.0 + norm(unit_x), rng, 10)
     for y in [unit_z * 0.0, *feasible]:
         assert inner_product(unit_x - unit_z, y - unit_z) <= 1e-9 * (1.0 + norm(unit_x)) ** 2
 
@@ -800,7 +801,7 @@ def test_projection_variational_characterization(set_index):
         x = GridFunction(g, rng.normal(0, 2, size=(4, 2)))
         px = project(x, s)
         scale = 1.0 + norm(x)
-        for z in qvex.sample_feasible(s, px, 1.0, rng, 5):
+        for z in sample_feasible(s, px, 1.0, rng, 5):
             assert inner_product(x - px, z - px) <= 1e-10 * scale
 
 
@@ -808,7 +809,7 @@ def test_sample_feasible_returns_members():
     rng, g, sets = _random_cases(24)
     for s in sets:
         center = project(GridFunction(g, rng.normal(size=(4, 2))), s)
-        for y in qvex.sample_feasible(s, center, 2.0, rng, 20):
+        for y in sample_feasible(s, center, 2.0, rng, 20):
             assert membership_residual(y, s) <= 1e-9
 
 
@@ -826,7 +827,7 @@ def test_sample_feasible_matches_per_sample_draws(monkeypatch):
         monkeypatch.setattr(qvex.sets, "_SAMPLE_CHUNK", chunk)
         for s in sets:
             batched_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
-            batched = qvex.sample_feasible(s, center, 2.0, batched_rng, 30)
+            batched = sample_feasible(s, center, 2.0, batched_rng, 30)
             noises = [loop_rng.normal(0.0, 2.0, size=(4, 2)) for _ in range(30)]
             loop = [project(center.with_values(center.values + n), s) for n in noises]
             assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
@@ -888,7 +889,7 @@ def test_budget_cone_property_matches_budget_capbox(problem):
         zf = GridFunction(g, z)
         s = Intersection((budget, CapBox((np.inf,) * goods)))
         scale = 1.0 + np.sqrt(dt) * np.linalg.norm(v)
-        for y in [zf * 0.0, *qvex.sample_feasible(s, zf, scale, rng, 5)]:
+        for y in [zf * 0.0, *sample_feasible(s, zf, scale, rng, 5)]:
             assert inner_product(GridFunction(g, v) - zf, y - zf) <= 1e-9 * scale**2
 
 

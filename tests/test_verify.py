@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 import qvex
+import qvex.cli
 from corpus import make_planted_pair, make_random_economy
-from oracles import integrate_component, per_sample_best_response
+from oracles import (
+    grid_function_coercivity_probe,
+    grid_function_pseudomonotonicity_probe,
+    integrate_component,
+    per_sample_best_response,
+)
 from qvex import (
     Agent,
     Ball,
@@ -30,6 +36,7 @@ from qvex import (
     solve_qvi,
     walras_residual,
 )
+from qvex.errors import NonConvergence
 
 G = make_grid(1.0, 1)
 
@@ -240,6 +247,32 @@ def test_certify_matches_per_sample_reference(monkeypatch, case):
         assert abs(value - reference.residuals[key]) <= 1e-12, key
 
 
+def _stuck_cone(*args):
+    raise NonConvergence("budget-cone Newton iteration did not converge")
+
+
+def test_certify_records_a_best_response_check_that_cannot_finish(monkeypatch):
+    # a NonConvergence from an agent's check escaped, and the solve it
+    # certified was lost with it
+    eco, p, plans, _ = make_planted_pair(3, 2, 16, seed=5)
+    assert certify_equilibrium(eco, p, plans).verdict
+    monkeypatch.setattr(qvex.sets, "_project_budget_cone", _stuck_cone)
+    rep = certify_equilibrium(eco, p, plans)
+    assert not rep.verdict and rep.witness == ("best_response", 0)
+    assert [rep.residuals[f"best_response[{i}]"] for i in range(3)] == [np.inf] * 3
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("check", [market_clearing_residual, budget_residuals, walras_residual])
+def test_residuals_need_exactly_one_plan_per_agent(check, count):
+    # zip dropped the plans past the shorter of the two lists
+    eco = two_agent_economy()
+    x = [a.endowment for a in eco.agents * 2][:count]
+    args = (eco, x) if check is market_clearing_residual else (eco, PriceCurve.uniform(G, 2), x)
+    with pytest.raises(ValueError, match="^x: need one plan per agent"):
+        check(*args)
+
+
 def test_clearing_walras_identity_when_budgets_bind(oracle_economy, oracle_problem, skewed_start):
     # sum_j integral of p_j * (aggregate net demand)_j equals the Walras sum
     eco, _ = oracle_economy
@@ -335,7 +368,7 @@ def test_coercivity_vacuous_on_bounded_sets(oracle_economy, oracle_problem):
 def test_coercivity_passes_for_identity_on_cone():
     g = make_grid(1.0, 1)
     e = GridFunction.constant(g, [1.0])
-    ident = OperatorHandle(lambda x: x, "monotone")
+    ident = OperatorHandle(lambda x: x)
     prob = QVIProblem(
         price_set=PointwiseSimplex(),
         constraint_map=lambda p: [CapBox((np.inf,))],
@@ -366,6 +399,76 @@ def test_coercivity_fails_on_outward_constant_field():
     rep = coercivity_probe(prob, PriceCurve.uniform(g, 1), r_d=1.0, samples=64, seed=4)
     assert not rep.verdict
     assert rep.witness is not None
+
+
+def _run_probes_calls(scenario_dir, tmp_path, monkeypatch):
+    """The probe calls `run_probes` makes on the bundled scenarios, as
+    (probe name, args, kwargs)."""
+    calls = []
+    for name in ("pseudomonotonicity_probe", "coercivity_probe"):
+        probe = getattr(qvex.cli, name)
+        monkeypatch.setattr(
+            qvex.cli, name,
+            lambda *a, _n=name, _f=probe, **k: calls.append((_n, a, k)) or _f(*a, **k),
+        )
+    for path in sorted(scenario_dir.glob("*.yaml")):
+        qvex.cli.run_probes(path, tmp_path / path.stem)
+    monkeypatch.undo()
+    return calls
+
+
+def _criterion_7_calls():
+    """Criterion 7's failing fixtures and a passing one beyond the radius."""
+    g1 = make_grid(1.0, 1)
+    repulsion = (
+        OperatorHandle(lambda f: -f), Ball(1.0, center=(1.5, 1.5)),
+        GridFunction.constant(g1, [1.5, 1.5]),
+    )
+
+    def ray(op):
+        return QVIProblem(
+            price_set=PointwiseSimplex(),
+            constraint_map=lambda p: [CapBox((np.inf,))],
+            agent_operators=[op],
+            outer_map=lambda x: GridFunction(g1, np.zeros((1, 1))),
+            grid=g1,
+            goods=1,
+            warm_starts=[GridFunction.constant(g1, [1.0])],
+        )
+
+    uniform = PriceCurve.uniform(g1, 1)
+    outward, ident = OperatorHandle(lambda x: np.full_like(x, -1.0)), OperatorHandle(lambda x: x)
+    return [
+        ("pseudomonotonicity_probe", repulsion, {"pairs": 400, "seed": 2, "scale": 1.5}),
+        ("coercivity_probe", (ray(outward), uniform), {"r_d": 1.0, "samples": 64, "seed": 4}),
+        ("coercivity_probe", (ray(ident), uniform), {"r_d": 1.0, "samples": 64, "seed": 3}),
+    ]
+
+
+def test_probes_match_their_grid_function_reference(scenario_dir, tmp_path, monkeypatch):
+    # the array probes draw the same generator stream and pair and measure
+    # with the same formulas, so every number and witness keeps its bits
+    references = {
+        "pseudomonotonicity_probe": grid_function_pseudomonotonicity_probe,
+        "coercivity_probe": grid_function_coercivity_probe,
+    }
+    calls = _run_probes_calls(scenario_dir, tmp_path, monkeypatch) + _criterion_7_calls()
+    # four scenarios, each with two agents and one coercivity call
+    assert len(calls) == 4 * 3 + 3
+    verdicts = []
+    for name, args, kwargs in calls:
+        rep = getattr(qvex.verify, name)(*args, **kwargs)
+        ref = references[name](*args, **kwargs)
+        fields = ("verdict", "residuals", "samples_used", "seed", "vacuous", "tolerance", "name")
+        assert [getattr(rep, f) for f in fields] == [getattr(ref, f) for f in fields]
+        assert type(rep.witness) is type(ref.witness)
+        if ref.witness is not None:
+            assert len(rep.witness) == len(ref.witness)
+            for w, w_ref in zip(rep.witness, ref.witness):
+                assert type(w) is type(w_ref) and w.grid == w_ref.grid
+                assert w.values.tobytes() == w_ref.values.tobytes()
+        verdicts.append(rep.verdict)
+    assert verdicts[-3:] == [False, False, True]
 
 
 def test_certify_walras_reported_not_gated():

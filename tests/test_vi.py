@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-import qvex
-from oracles import minty_certificate, projected_gradient_vi
+from oracles import minty_certificate, projected_gradient_vi, sample_feasible
 from qvex import (
     Ball,
     GridFunction,
@@ -38,20 +37,20 @@ def affine_instance(seed=42, dim=10):
     def fn(x):
         return (A @ x[0] + b)[None, :]
 
-    return OperatorHandle(fn, "monotone"), Ball(1.0), g, A, b
+    return OperatorHandle(fn), Ball(1.0), g, A, b
 
 
 # --- vi_residual ---
 
 
 def test_residual_zero_at_interior_zero_of_operator():
-    op = OperatorHandle(lambda x: x, "monotone")
+    op = OperatorHandle(lambda x: x)
     zero = GridFunction(G1, np.zeros((1, 2)))
     assert vi_residual(zero, op, Ball(1.0), 0.7) == 0.0
 
 
 def test_residual_zero_at_boundary_solution():
-    op = OperatorHandle(lambda x: x, "monotone")
+    op = OperatorHandle(lambda x: x)
     C = interval(1.0, 2.0)
     assert vi_residual(scalar(1.0), op, C, 1.0) == pytest.approx(0.0, abs=1e-15)
 
@@ -72,7 +71,7 @@ def test_residual_rejects_nonpositive_gamma():
 
 
 def test_solver_finds_interior_zero():
-    op = OperatorHandle(lambda x: x, "monotone")
+    op = OperatorHandle(lambda x: x)
     g = make_grid(1.0, 2)
     x0 = GridFunction(g, np.array([[0.7, -0.3], [0.1, 0.9]]))
     rep = solve_vi_extragradient(op, Ball(1.0), x0, tol=1e-10)
@@ -81,7 +80,7 @@ def test_solver_finds_interior_zero():
 
 
 def test_solver_boundary_solution_1d():
-    op = OperatorHandle(lambda x: x - 3.0, "monotone")
+    op = OperatorHandle(lambda x: x - 3.0)
     C = interval(0.0, 1.0)
     rep = solve_vi_extragradient(op, C, scalar(0.2), tol=1e-10)
     assert rep.converged
@@ -132,7 +131,7 @@ def test_solver_nonconvergence_reports_best_iterate():
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
 def test_solver_adaptive_step_recovers_from_bad_step(scale):
     # step far above 1/L = 1/(4 scale) oscillates; the adaptive rule must bring it home
-    op = OperatorHandle(lambda x: scale * (4.0 * x - 2.0), "monotone")
+    op = OperatorHandle(lambda x: scale * (4.0 * x - 2.0))
     rep = solve_vi_extragradient(op, interval(0.0, 2.0), scalar(2.0), step=0.6, tol=1e-9, max_iter=5000)
     assert rep.converged
     assert rep.solution.values[0, 0] == pytest.approx(0.5, abs=1e-8)
@@ -150,7 +149,7 @@ def test_solver_raises_on_nan_operator():
 
 def shifted_identity():
     """F(x) = x - 0.3, whose VI on the unit ball is solved by x = 0.3 alone."""
-    return OperatorHandle(lambda x: x - 0.3, "monotone")
+    return OperatorHandle(lambda x: x - 0.3)
 
 
 @pytest.mark.parametrize("step", [0.0, -0.5, np.nan, np.inf, True])
@@ -185,20 +184,20 @@ def test_solution_insensitive_to_step_halving():
 
 
 def test_minty_passes_at_solution():
-    op = OperatorHandle(lambda x: x, "monotone")
+    op = OperatorHandle(lambda x: x)
     zero = GridFunction(G1, np.zeros((1, 2)))
     cert = minty_certificate(zero, op, Ball(1.0), samples=128, seed=0)
     assert cert.verdict
 
 
 def test_minty_passes_at_boundary_solution():
-    op = OperatorHandle(lambda x: x - 3.0, "monotone")
+    op = OperatorHandle(lambda x: x - 3.0)
     cert = minty_certificate(scalar(1.0), op, interval(0.0, 1.0), samples=128, seed=0)
     assert cert.verdict
 
 
 def test_minty_fails_with_witness_off_solution():
-    op = OperatorHandle(lambda x: x - 3.0, "monotone")
+    op = OperatorHandle(lambda x: x - 3.0)
     cert = minty_certificate(scalar(0.0), op, interval(0.0, 1.0), samples=256, seed=0)
     assert not cert.verdict
     assert cert.witness is not None
@@ -212,9 +211,9 @@ def test_minty_certified_points_have_small_stampacchia_residual():
     # solution sets coincide for continuous monotone operators); checked on
     # low-dimensional instances where the Gaussian cloud covers the set
     cases = [
-        (OperatorHandle(lambda x: x - 3.0, "monotone"), interval(0.0, 1.0), 1),
-        (OperatorHandle(lambda x: 2.0 * x + 0.3, "monotone"), Ball(1.0), 2),
-        (OperatorHandle(lambda x: x, "monotone"), Ball(2.0), 2),
+        (OperatorHandle(lambda x: x - 3.0), interval(0.0, 1.0), 1),
+        (OperatorHandle(lambda x: 2.0 * x + 0.3), Ball(1.0), 2),
+        (OperatorHandle(lambda x: x), Ball(2.0), 2),
     ]
     rng = np.random.default_rng(0)
     for op, C, m in cases:
@@ -222,7 +221,7 @@ def test_minty_certified_points_have_small_stampacchia_residual():
             op, C, GridFunction(G1, np.zeros((1, m))), tol=1e-10, seed=1
         ).solution
         checked = 0
-        for probe in [star] + qvex.sample_feasible(C, star, 1.0, rng, 40):
+        for probe in [star] + sample_feasible(C, star, 1.0, rng, 40):
             cert = minty_certificate(probe, op, C, samples=256, seed=3)
             if cert.verdict:
                 checked += 1
