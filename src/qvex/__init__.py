@@ -32,7 +32,6 @@ from .qvi import (
     check_truncation_interior,
     default_radius_schedule,
     solve_qvi,
-    solve_qvi_product,
     solve_qvi_truncated,
 )
 from .reports import CertReport

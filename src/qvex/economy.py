@@ -139,9 +139,6 @@ class Quadratic(UtilitySpec):
         q = np.asarray(self.weights)
         return _project_budget_capbox(self.bliss.values / q, p, e, caps, dt, weights=q)
 
-    def check_domain(self, w):
-        pass
-
 
 @dataclass(frozen=True)
 class LogShift(UtilitySpec):

@@ -14,12 +14,8 @@ Malitsky & Mishchenko (2020),
     s <- min(sqrt(1 + theta) s, OUTER_STEP_SAFETY ||d - d_prev|| / ||h - h_prev||)
 with theta the ratio of the last two steps, so it needs no setting.
 Each inner solution must certify at a tolerance tied to the last outer
-residual and split over the agents, since excess demand sums their errors.
-`solve_qvi_product` is an independent cross-check that runs one
-extragradient iteration on the stacked (price, allocation) pair with the
-constraint set frozen at the current price each step; its step shrinks by
-the same rule as the inner solves (`vi.adaptive_step`), and its steps count
-against `max_outer`.
+residual and split over the agents, since excess demand sums their errors;
+the run converges once both certificates hold at the stated tolerances.
 `solve_qvi_truncated` intersects the constraint sets with balls of growing
 radius and accepts the first radius whose solution stays strictly inside,
 which upgrades to the untruncated problem by the usual convex-combination
@@ -51,7 +47,6 @@ from .sets import (
     project_values,
 )
 from .vi import (
-    adaptive_step,
     estimate_lipschitz,
     solve_vi_extragradient,
     vi_residual,
@@ -89,12 +84,12 @@ class QVIParams:
     """Tolerances, outer budget, seed and start price; every solver adapts
     its own steps.
 
-    `max_outer` bounds the price updates of either solver: outer iterations
-    of `solve_qvi`, extragradient steps of `solve_qvi_product`.  Every
-    field but `start_price` is checked on construction (also through
+    `max_outer` bounds the outer iterations (price updates) of a solve.
+    Every field but `start_price` is checked on construction (also through
     `dataclasses.replace`): the tolerances must be finite and positive,
     `max_outer` an integer >= 1 and `seed` an integer >= 0; a ValueError
-    names the field first.  Scenario files set the same fields.
+    names the field first.  `start_price` is checked against the problem
+    when a solve starts.  Scenario files set the same fields.
     """
 
     outer_tol: float = 1e-7
@@ -176,9 +171,23 @@ class QVISolveReport:
         return len(self.inner_residuals)
 
 
+def _start_price(prob: QVIProblem, params: QVIParams) -> PriceCurve:
+    """`params.start_price`, or the uniform price without one; ValueError,
+    naming it, unless it lies on the problem's grid with one column per good."""
+    d = params.start_price
+    if d is None:
+        return PriceCurve.uniform(prob.grid, prob.goods)
+    if d.grid != prob.grid or d.components != prob.goods:
+        raise ValueError(
+            f"start_price: need {prob.goods} goods on {prob.grid}, "
+            f"got {d.components} goods on {d.grid}"
+        )
+    return d
+
+
 def _agent_steps(prob: QVIProblem, params: QVIParams) -> list:
     """Per-agent extragradient steps: 0.9 / Lipschitz estimate near the warm start."""
-    sets = prob.constraint_map(params.start_price or PriceCurve.uniform(prob.grid, prob.goods))
+    sets = prob.constraint_map(_start_price(prob, params))
     return [
         0.9 / estimate_lipschitz(op, s, w, seed=params.seed + i)
         for i, (op, s, w) in enumerate(zip(prob.agent_operators, sets, prob.warm_starts))
@@ -242,18 +251,22 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
 
     Convergence means both certificate families hold: the price-space
     natural-map residual at the gauge step is <= outer_tol, and every
-    agent's residual on K_i(d) is <= inner_tol.  An inner solve that fails
-    to certify ends the run with converged=False and the best certified
-    pair so far (the failing iteration's own pair if none certified yet).
+    agent's residual on K_i(d) is <= inner_tol; the run stops at the first
+    iterate where both hold.  The loose-then-tight inner tolerance schedule
+    only sets the inner extragradient tolerance and the failure level.
+    An inner solve that fails to certify ends the run with converged=False
+    and the best certified pair so far (the failing iteration's own pair if
+    none certified yet).
     An exhausted budget says why the step did not bring the price home when
     it can tell: the step never moved because excess demand never changed,
     or it collapsed to at most 1e-9 times `OUTER_STEP0`.
     Each outer iteration logs one DEBUG record: k, residual, price step,
     effective inner tolerance and the agents' extragradient iterations
-    (0 on exact demand).
+    (0 on exact demand).  A ValueError naming `start_price` rejects a start
+    price on another grid or with another number of goods.
     """
     params = params or QVIParams()
-    d = params.start_price or PriceCurve.uniform(prob.grid, prob.goods)
+    d = _start_price(prob, params)
     steps = _agent_steps(prob, params) if prob.demand is None else None
     sigma, theta = OUTER_STEP0, np.inf
 
@@ -308,7 +321,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
         if res < best_res:
             best_res = res
             best = (d, x, inner_res, res)
-        if res <= params.outer_tol and tol_eff <= params.inner_tol * (1 + 1e-12):
+        if res <= params.outer_tol and inner_res.max() <= params.inner_tol:
             return QVISolveReport(
                 price=d,
                 allocation=x,
@@ -318,9 +331,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
                 converged=True,
                 residual_history=np.asarray(history),
             )
-        d = PriceCurve(
-            prob.grid, project_values(d.values - sigma * h.values, prob.price_set, prob.grid)
-        )
+        d = project(d - sigma * h, prob.price_set)
 
     d, x, inner_res, res = best
     if not failure:
@@ -389,6 +400,7 @@ def solve_qvi_truncated(
     untruncated set (`_untruncated_inner_check`).  An exhausted
     schedule yields a converged=False report advising a larger radius,
     followed by the last radius's own failure message if it had one.
+    A start price off the problem's grid raises as in `solve_qvi`.
     """
     params = params or QVIParams()
     if radii is None:
@@ -437,98 +449,3 @@ def _make_truncated_map(constraint_map, r):
         return [Intersection((*s.parts, Ball(r))) for s in constraint_map(p)]
 
     return trunc_map
-
-
-def solve_qvi_product(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
-    """Single-loop extragradient on the stacked (price, allocation) pair.
-
-    The moving constraint set is frozen at the current price within each
-    step.  The step starts at 0.7 / max(sqrt(n), L) and then only shrinks,
-    by `vi.adaptive_step` on the stacked operator (h, F_1, ..., F_n).  Each
-    step moves the price once, so the run counts against `max_outer`.
-    Every 10th iteration checks both certificates and logs one DEBUG record:
-    k, outer residual, worst inner residual and step.  Contraction is not
-    guaranteed for this path; non-convergence is reported, never masked.
-    On convergence the certificates are identical to `solve_qvi`'s.
-    """
-    params = params or QVIParams()
-    grid = prob.grid
-
-    d = params.start_price or PriceCurve.uniform(grid, prob.goods)
-    sets = prob.constraint_map(d)
-    xs = [project(w, s) for w, s in zip(prob.warm_starts, sets)]
-
-    l_blocks = max(
-        estimate_lipschitz(op, s, w, seed=params.seed + i)
-        for i, (op, s, w) in enumerate(zip(prob.agent_operators, sets, prob.warm_starts))
-    )
-    # the price block of the operator is affine in x with gain <= sqrt(n)
-    gamma = 0.7 / max(np.sqrt(prob.n_agents), l_blocks)
-
-    check_every = 10
-    history = []
-    best = None
-    best_score = np.inf
-    k = 0
-    for k in range(params.max_outer):
-        x = stack_components(xs)
-        h = prob.outer_map(x)
-        fs = [op.values(x_i.values) for op, x_i in zip(prob.agent_operators, xs)]
-
-        if k % check_every == 0:
-            outer_res = _outer_residual(d.values, h.values, prob)
-            inner_res = _agent_residuals(xs, prob, sets)
-            worst_inner = float(inner_res.max())
-            logger.debug(
-                "product %d: residual %.3e worst inner residual %.3e step %.3e",
-                k, outer_res, worst_inner, gamma,
-            )
-            score = max(outer_res, worst_inner)
-            history.append(score)
-            if score < best_score:
-                best_score = score
-                best = (d, x, outer_res, inner_res)
-            if outer_res <= params.outer_tol and np.all(inner_res <= params.inner_tol):
-                return QVISolveReport(
-                    price=d,
-                    allocation=x,
-                    outer_residual=outer_res,
-                    inner_residuals=inner_res,
-                    iterations=k + 1,
-                    converged=True,
-                    residual_history=np.asarray(history),
-                    message="product-space path",
-                )
-
-        # extragradient step with the constraint set frozen at the current price
-        ys = [
-            project_values(x_i.values - gamma * f, s, grid) for x_i, f, s in zip(xs, fs, sets)
-        ]
-        y = np.hstack(ys)
-        hy = prob.outer_map(GridFunction(grid, y))
-        fys = [op.values(y_i) for op, y_i in zip(prob.agent_operators, ys)]
-        d = PriceCurve(grid, project_values(d.values - gamma * hy.values, prob.price_set, grid))
-        xs = [
-            x_i.with_values(project_values(x_i.values - gamma * fy, s, grid))
-            for x_i, fy, s in zip(xs, fys, sets)
-        ]
-        # the stacked operator is G = (h, F_1, ..., F_n), so h's change counts too
-        dF = np.concatenate([f - fy for f, fy in zip(fs, fys)], axis=1)
-        dG = np.hypot(_l2(h.values - hy.values), _l2(dF))
-        gamma = adaptive_step(gamma, _l2(x.values - y), dG)
-        sets = prob.constraint_map(d)
-
-    d, x, outer_res, inner_res = best
-    return QVISolveReport(
-        price=d,
-        allocation=x,
-        outer_residual=outer_res,
-        inner_residuals=inner_res,
-        iterations=k + 1,
-        converged=False,
-        residual_history=np.asarray(history),
-        message=(
-            "product-space path: iteration budget exhausted "
-            f"(best residual {best_score:.3e}, final step {gamma:.3e})"
-        ),
-    )

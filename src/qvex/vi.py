@@ -8,7 +8,7 @@ starts at 0.9 / L_hat with L_hat a finite-difference Lipschitz estimate and
 adapts after every iteration by the self-adaptive rule of Yang & Liu (2019),
     g <- min(g, STEP_SAFETY * ||x - y|| / ||F(x) - F(y)||),
 so it only ever shrinks, and only where the local Lipschitz ratio demands.
-`adaptive_step` is that rule; the product-space QVI solve uses it too.
+`adaptive_step` is that rule.
 
 Operators map raw (cells, m) value arrays (`OperatorHandle.values`), and
 the solvers and probes iterate on those arrays: the extragradient loop

@@ -15,30 +15,38 @@ Nothing in here may call the solver paths it checks.  The file holds:
 - the search start the LogShift demand replaced;
 - the breakpoint sort the LogShift budget root replaced;
 - feasible sampling on grid functions, and the pseudomonotonicity and
-  coercivity probes written on it, which the array probes replaced.
+  coercivity probes written on it, which the array probes replaced;
+- a single-loop extragradient on the stacked (price, allocation) pair,
+  the cross-solver reference for `qvex.solve_qvi`.
 """
 
 from __future__ import annotations
 
+import logging
 from functools import partial
 from itertools import product as iproduct
 
 import numpy as np
 
 from qvex import (
+    GridFunction,
     PointwiseSimplex,
     PriceCurve,
+    QVIParams,
     agent_operator,
     full_budget_set,
     inner_product,
     membership_residual,
     norm,
     project,
+    stack_components,
     utility_value,
     vi_residual,
 )
 from qvex.economy import _logshift_plan
 from qvex.errors import NonConvergence, SamplingFailure, require_integer
+from qvex.grids import _l2
+from qvex.qvi import QVISolveReport, _agent_residuals, _outer_residual
 from qvex.reports import CertReport
 from qvex.sets import (
     _cap_budgets,
@@ -47,6 +55,9 @@ from qvex.sets import (
     project_values,
     sample_feasible_blocks,
 )
+from qvex.vi import adaptive_step, estimate_lipschitz
+
+logger = logging.getLogger(__name__)
 
 
 def sample_feasible(s, center, scale, rng, count):
@@ -514,4 +525,100 @@ def grid_function_pseudomonotonicity_probe(op, C, center, pairs=200, seed=0, sca
         seed=seed,
         vacuous=triggered == 0,
         name="pseudomonotonicity",
+    )
+
+
+def solve_qvi_product(prob, params=None):
+    """Single-loop extragradient on the stacked (price, allocation) pair, a
+    second solver to cross-check `qvex.solve_qvi` against.
+
+    The moving constraint set is frozen at the current price within each
+    step.  The step starts at 0.7 / max(sqrt(n), L) and then only shrinks,
+    by `qvex.vi.adaptive_step` on the stacked operator (h, F_1, ..., F_n).
+    Each step moves the price once, so the run counts against `max_outer`.
+    Every 10th iteration checks both certificates of `solve_qvi` and logs
+    one DEBUG record: k, outer residual, worst inner residual and step.
+    Contraction is not guaranteed for this path; non-convergence is
+    reported, never masked.
+    """
+    params = params or QVIParams()
+    grid = prob.grid
+
+    d = params.start_price or PriceCurve.uniform(grid, prob.goods)
+    sets = prob.constraint_map(d)
+    xs = [project(w, s) for w, s in zip(prob.warm_starts, sets)]
+
+    l_blocks = max(
+        estimate_lipschitz(op, s, w, seed=params.seed + i)
+        for i, (op, s, w) in enumerate(zip(prob.agent_operators, sets, prob.warm_starts))
+    )
+    # the price block of the operator is affine in x with gain <= sqrt(n)
+    gamma = 0.7 / max(np.sqrt(prob.n_agents), l_blocks)
+
+    check_every = 10
+    history = []
+    best = None
+    best_score = np.inf
+    k = 0
+    for k in range(params.max_outer):
+        x = stack_components(xs)
+        h = prob.outer_map(x)
+        fs = [op.values(x_i.values) for op, x_i in zip(prob.agent_operators, xs)]
+
+        if k % check_every == 0:
+            outer_res = _outer_residual(d.values, h.values, prob)
+            inner_res = _agent_residuals(xs, prob, sets)
+            worst_inner = float(inner_res.max())
+            logger.debug(
+                "product %d: residual %.3e worst inner residual %.3e step %.3e",
+                k, outer_res, worst_inner, gamma,
+            )
+            score = max(outer_res, worst_inner)
+            history.append(score)
+            if score < best_score:
+                best_score = score
+                best = (d, x, outer_res, inner_res)
+            if outer_res <= params.outer_tol and np.all(inner_res <= params.inner_tol):
+                return QVISolveReport(
+                    price=d,
+                    allocation=x,
+                    outer_residual=outer_res,
+                    inner_residuals=inner_res,
+                    iterations=k + 1,
+                    converged=True,
+                    residual_history=np.asarray(history),
+                    message="product-space path",
+                )
+
+        # extragradient step with the constraint set frozen at the current price
+        ys = [
+            project_values(x_i.values - gamma * f, s, grid) for x_i, f, s in zip(xs, fs, sets)
+        ]
+        y = np.hstack(ys)
+        hy = prob.outer_map(GridFunction(grid, y))
+        fys = [op.values(y_i) for op, y_i in zip(prob.agent_operators, ys)]
+        d = PriceCurve(grid, project_values(d.values - gamma * hy.values, prob.price_set, grid))
+        xs = [
+            x_i.with_values(project_values(x_i.values - gamma * fy, s, grid))
+            for x_i, fy, s in zip(xs, fys, sets)
+        ]
+        # the stacked operator is G = (h, F_1, ..., F_n), so h's change counts too
+        dF = np.concatenate([f - fy for f, fy in zip(fs, fys)], axis=1)
+        dG = np.hypot(_l2(h.values - hy.values), _l2(dF))
+        gamma = adaptive_step(gamma, _l2(x.values - y), dG)
+        sets = prob.constraint_map(d)
+
+    d, x, outer_res, inner_res = best
+    return QVISolveReport(
+        price=d,
+        allocation=x,
+        outer_residual=outer_res,
+        inner_residuals=inner_res,
+        iterations=k + 1,
+        converged=False,
+        residual_history=np.asarray(history),
+        message=(
+            "product-space path: iteration budget exhausted "
+            f"(best residual {best_score:.3e}, final step {gamma:.3e})"
+        ),
     )

@@ -17,6 +17,7 @@ from oracles import (
     project_intersection,
     projected_gradient_vi,
     sample_feasible,
+    solve_qvi_product,
 )
 from qvex import (
     Agent,
@@ -44,7 +45,6 @@ from qvex import (
     project,
     pseudomonotonicity_probe,
     solve_qvi,
-    solve_qvi_product,
     solve_qvi_truncated,
     solve_vi_extragradient,
     vi_residual,

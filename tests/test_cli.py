@@ -74,7 +74,8 @@ def test_solve_inner_failure_still_writes_files(scenario_dir, tmp_path, monkeypa
 
 def test_solve_overrides_replace_the_scenario_settings(scenario_dir, tmp_path):
     out = tmp_path / "run"
-    scn = scenario_dir / "oracle_cd_quad.yaml"
+    # sinusoid_seasonal takes 10 outer iterations, so one leaves it unconverged
+    scn = scenario_dir / "sinusoid_seasonal.yaml"
     args = ["--tol", "1e-6", "--max-iter", "1", "--seed", "4"]
     assert run(["solve", "--scenario", scn, "--out", out, *args]) == 1
     report = (out / "report.txt").read_text()

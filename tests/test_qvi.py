@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import qvex
-from corpus import make_agent_ladder_economy, make_random_economy
-from oracles import sample_feasible
+from corpus import CORPUS_SEEDS, make_agent_ladder_economy, make_random_economy
+from oracles import sample_feasible, solve_qvi_product
 from qvex import (
     Agent,
     Economy,
@@ -27,7 +27,6 @@ from qvex import (
     membership_residual,
     norm,
     solve_qvi,
-    solve_qvi_product,
     solve_qvi_truncated,
     split_components,
     stack_components,
@@ -35,6 +34,7 @@ from qvex import (
 )
 from qvex.errors import InnerSolveFailure, NonConvergence
 from qvex.qvi import RESIDUAL_GAUGE, _best_responses
+from qvex.scenario import build_economy, load_scenario
 
 
 def symmetric_economy(cells=4, family="logshift"):
@@ -218,6 +218,65 @@ def test_theorem_reduction_combined_inequality(oracle_problem, skewed_start):
             total += inner_product(f, z - block)
         worst = min(worst, total)
     assert worst >= -2e-8
+
+
+def _scenario_solve(scenario_dir, name):
+    scn = load_scenario(scenario_dir / f"{name}.yaml")
+    eco = build_economy(scn)
+    return eco, solve_qvi(assemble_qvi(eco, default_caps(eco, scn.cap_slack)), scn.solver)
+
+
+def test_a_start_price_that_certifies_ends_the_solve_at_once(scenario_dir):
+    # both bundled economies are in equilibrium at the uniform start price,
+    # so the first iterate certifies and no second one is computed
+    from oracles import cd_quad_oracle
+
+    eco, rep = _scenario_solve(scenario_dir, "oracle_cd_quad")
+    assert rep.converged and rep.iterations == 1
+    price, _ = cd_quad_oracle(
+        [np.array([2.0, 1.0]), np.array([1.0, 2.0])],
+        [np.ones(2), np.ones(2)],
+        [np.array([1.0, 0.2]), np.array([0.2, 1.0])],
+        caps=np.array([1.32, 1.32]),
+        dt=1.0,
+    )
+    assert np.abs(rep.price.values[0] - price).max() <= 1e-4
+
+    eco, rep = _scenario_solve(scenario_dir, "symmetric_no_trade")
+    assert rep.converged and rep.iterations == 1
+    np.testing.assert_allclose(rep.price.values, 0.5, atol=1e-8)
+    for block, agent in zip(rep.agent_allocations(), eco.agents):
+        np.testing.assert_allclose(block.values, agent.endowment.values, atol=1e-8)
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["plain", "truncated"])
+def test_converged_means_both_certificates_hold_over_the_corpus(truncated):
+    solve = solve_qvi_truncated if truncated else solve_qvi
+    for seed in CORPUS_SEEDS:
+        eco = make_random_economy(seed)
+        params = QVIParams(seed=seed)
+        rep = solve(assemble_qvi(eco, default_caps(eco, 1.1)), params=params)
+        assert rep.converged, f"seed {seed}: {rep.message}"
+        assert rep.outer_residual <= params.outer_tol, f"seed {seed}"
+        assert rep.inner_residuals.max() <= params.inner_tol, f"seed {seed}"
+
+
+@pytest.mark.parametrize(
+    "horizon, cells, goods",
+    [
+        pytest.param(1.0, 1, 2, id="cells"),
+        pytest.param(2.0, 16, 2, id="horizon"),
+        pytest.param(1.0, 16, 3, id="goods"),
+    ],
+)
+def test_a_start_price_off_the_problem_grid_is_rejected(scenario_dir, horizon, cells, goods):
+    eco = build_economy(load_scenario(scenario_dir / "sinusoid_seasonal.yaml"))
+    prob = assemble_qvi(eco, default_caps(eco, 1.1))
+    params = QVIParams(start_price=PriceCurve.uniform(make_grid(horizon, cells), goods))
+    with pytest.raises(ValueError, match="^start_price: "):
+        solve_qvi(prob, params)
+    with pytest.raises(ValueError, match="^start_price: "):
+        solve_qvi_truncated(prob, params=params)
 
 
 def test_solver_determinism(oracle_problem, skewed_start):
@@ -560,9 +619,9 @@ def test_product_path_converges_within_the_outer_budget():
 @pytest.mark.parametrize("max_outer", [3, 2000])
 def test_each_product_check_logs_its_step(oracle_problem, skewed_start, caplog, max_outer):
     params = QVIParams(start_price=skewed_start, max_outer=max_outer)
-    with caplog.at_level(logging.DEBUG, logger="qvex.qvi"):
+    with caplog.at_level(logging.DEBUG, logger="oracles"):
         rep = solve_qvi_product(oracle_problem, params)
-    records = [r for r in caplog.records if r.name == "qvex.qvi"]
+    records = [r for r in caplog.records if r.name == "oracles"]
     # args: k, outer residual, worst inner residual, step; a check every 10th step
     assert [r.args[0] for r in records] == list(range(0, rep.iterations, 10))
     assert [max(r.args[1], r.args[2]) for r in records] == list(rep.residual_history)
