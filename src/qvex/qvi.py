@@ -7,7 +7,8 @@ evaluate the inner best responses x(d) on K(d), then move prices by a
 projected step against h(d) = f(x(d)) (tatonnement: prices rise where
 excess demand is positive).  A problem with an exact demand map (economies
 of the built-in utility families) takes each best response from it; other
-problems, and every truncated solve, run extragradient on the inner VIs.
+problems, and every truncated solve, run forward-reflected-backward
+(`solve_vi_extragradient`) on the inner VIs.
 Either way each inner solution is certified by its natural-map residual.
 The price step s starts at `OUTER_STEP0` and then follows the rule of
 Malitsky & Mishchenko (2020),
@@ -20,7 +21,8 @@ the run converges once both certificates hold at the stated tolerances.
 radius and accepts the first radius whose solution stays strictly inside,
 which upgrades to the untruncated problem by the usual convex-combination
 argument; the accepted pair must also certify on the untruncated sets.
-Its inner VIs run extragradient on the exact budget-caps-ball projection.
+Its inner VIs run forward-reflected-backward, one exact budget-caps-ball
+projection per iteration.
 
 Residual conventions: every certificate below is a natural-map residual
 evaluated at the fixed gauge step `RESIDUAL_GAUGE` = 1.0, independent of
@@ -58,7 +60,7 @@ RESIDUAL_GAUGE = 1.0
 OUTER_STEP0 = 0.5
 #: fraction of the inverse local Lipschitz ratio of h the price step may reach
 OUTER_STEP_SAFETY = 0.9
-#: extragradient iteration budget of each inner solve; economy solves take
+#: iteration budget of each iterative inner solve; economy solves take
 #: exact demand, so only truncated solves and problems without a demand map
 #: spend it
 MAX_INNER = 20000
@@ -116,7 +118,8 @@ class QVIProblem:
     produce (probed on construction at the uniform price).  `demand`, when
     given, is an exact inner solver: `demand(i, d)` returns the values of
     agent i's solution on K_i(d) and raises `NonConvergence` when its
-    search runs out; without it the inner VIs are solved by extragradient.
+    search runs out; without it the inner VIs are solved iteratively by
+    `solve_vi_extragradient`.
     """
 
     price_set: SetDescriptor
@@ -186,7 +189,7 @@ def _start_price(prob: QVIProblem, params: QVIParams) -> PriceCurve:
 
 
 def _agent_steps(prob: QVIProblem, params: QVIParams) -> list:
-    """Per-agent extragradient steps: 0.9 / Lipschitz estimate near the warm start."""
+    """Per-agent first inner steps: 0.9 / Lipschitz estimate near the warm start."""
     sets = prob.constraint_map(_start_price(prob, params))
     return [
         0.9 / estimate_lipschitz(op, s, w, seed=params.seed + i)
@@ -195,12 +198,12 @@ def _agent_steps(prob: QVIProblem, params: QVIParams) -> list:
 
 
 def _best_responses(d, prob, params, tol, steps=None, starts=None):
-    """Solve all inner VIs on K(d); returns (blocks, summed extragradient
+    """Solve all inner VIs on K(d); returns (blocks, summed iterative-solver
     iterations, gauge residuals).
 
     With an exact demand map each agent's block is its demand, and a demand
     search that runs out leaves the agent's start with residual inf;
-    otherwise each block comes from extragradient.
+    otherwise each block comes from `solve_vi_extragradient`.
     `starts` overrides the warm starts; the inner operators are strictly
     monotone for the supported utility families, so the certified limit is
     the same from any start and a continuation start only buys speed.
@@ -253,7 +256,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     natural-map residual at the gauge step is <= outer_tol, and every
     agent's residual on K_i(d) is <= inner_tol; the run stops at the first
     iterate where both hold.  The loose-then-tight inner tolerance schedule
-    only sets the inner extragradient tolerance and the failure level.
+    only sets the iterative inner solves' tolerance and the failure level.
     An inner solve that fails to certify ends the run with converged=False
     and the best certified pair so far (the failing iteration's own pair if
     none certified yet).
@@ -261,7 +264,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     it can tell: the step never moved because excess demand never changed,
     or it collapsed to at most 1e-9 times `OUTER_STEP0`.
     Each outer iteration logs one DEBUG record: k, residual, price step,
-    effective inner tolerance and the agents' extragradient iterations
+    effective inner tolerance and the agents' iterative-solver iterations
     (0 on exact demand).  A ValueError naming `start_price` rejects a start
     price on another grid or with another number of goods.
     """
@@ -306,7 +309,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
                 flat_steps += 1
         prev = (d.values, h.values)
         logger.debug(
-            "outer %d: residual %.3e step %.3e inner tol %.1e extragradient iterations %d",
+            "outer %d: residual %.3e step %.3e inner tol %.1e inner iterations %d",
             k, res, sigma, tol_eff, eg_iters,
         )
         failed = np.flatnonzero(inner_res > tol_eff)
@@ -418,7 +421,7 @@ def solve_qvi_truncated(
             w if norm(w) < r else (0.99 * r / norm(w)) * w for w in prob.warm_starts
         ]
         # the exact demand map knows no ball, so the truncated inner VIs run
-        # on extragradient
+        # on the iterative solver
         sub = replace(prob, constraint_map=trunc_map, warm_starts=warm, demand=None)
         report = solve_qvi(sub, params)
         last = report

@@ -1,19 +1,22 @@
-"""Variational inequality core: natural-map residuals and an extragradient
-solver over any projectable set.
+"""Variational inequality core: natural-map residuals and a
+forward-reflected-backward solver over any projectable set.
 
-The solver is Korpelevich's two-projection extragradient iteration
-    y = P_C(x - g F(x));   x+ = P_C(x - g F(y))
-which converges for monotone Lipschitz operators when g < 1/L.  The step
-starts at 0.9 / L_hat with L_hat a finite-difference Lipschitz estimate and
-adapts after every iteration by the self-adaptive rule of Yang & Liu (2019),
-    g <- min(g, STEP_SAFETY * ||x - y|| / ||F(x) - F(y)||),
-so it only ever shrinks, and only where the local Lipschitz ratio demands.
-`adaptive_step` is that rule.
+The solver is the forward-reflected-backward iteration of Malitsky & Tam
+(2020),
+    x+ = P_C(x - g F(x) - g_prev (F(x) - F(x_prev))),
+one projection and one operator evaluation per step, which converges for
+monotone Lipschitz operators when g < 1/(2L).  The step starts at 0.9 / L_hat
+with L_hat a finite-difference Lipschitz estimate and adapts after every
+iteration by the self-adaptive rule of Yang & Liu (2019),
+    g <- min(g, STEP_SAFETY * ||x+ - x|| / ||F(x+) - F(x)||),
+so it only ever shrinks, and only where the local Lipschitz ratio demands;
+`STEP_SAFETY` < 1/2 keeps it inside that bound.  `adaptive_step` is that
+rule.
 
 Operators map raw (cells, m) value arrays (`OperatorHandle.values`), and
-the solvers and probes iterate on those arrays: the extragradient loop
-builds no `GridFunction` and wraps its result once, for the report.  Grid
-functions are the API boundary; `op(x)` on one wraps the array map.
+the solvers and probes iterate on those arrays: the solver loop builds no
+`GridFunction` and wraps its result once, for the report.  Grid functions
+are the API boundary; `op(x)` on one wraps the array map.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from .errors import NumericFailure, require_integer, require_positive_real
 from .grids import GridFunction, _l2, all_finite, norm
 from .sets import SetDescriptor, project_values, sample_feasible_blocks
 
-#: fraction of the inverse local Lipschitz ratio the adaptive step may reach
-STEP_SAFETY = 0.5
+#: fraction of the inverse local Lipschitz ratio the adaptive step may reach;
+#: forward-reflected-backward needs it below 1/2
+STEP_SAFETY = 0.45
 #: feasible point pairs `estimate_lipschitz` differences
 LIPSCHITZ_PROBES = 8
 
@@ -127,17 +131,24 @@ def solve_vi_extragradient(
     max_iter: int = 10000,
     seed: int = 0,
 ) -> SolveReport:
-    """Run the extragradient iteration from x0 until it is certified at `tol`.
+    """Run forward-reflected-backward from x0 until it is certified at `tol`.
 
-    The iteration stops when the residual at the current step g satisfies
-    res <= tol * min(1, g).  Since ||R_g|| is nondecreasing in g and
-    ||R_g|| / g is nonincreasing (Gafni & Bertsekas 1984), this bounds the
-    natural-map residual at unit step by `tol` as well.  On budget
-    exhaustion the best iterate seen is returned with converged=False, and
-    `step_used` is the step its residual was measured at; nothing is
-    raised, so callers can inspect the trace.  A `step` of 0 or an infinite
-    `tol` would pass any point, so a given step and `tol` must be finite
-    and positive, and `max_iter` an integer >= 1.
+    Despite the name, the iteration is the forward-reflected-backward one
+    of the module docstring, started from x_0 = P_C(x0) with no reflected
+    term.  P_C is nonexpansive, so the step's own projection bounds the
+    natural-map residual of x_k:
+        ||R_{g_k}(x_k)|| <= ||x_k - x_{k+1}|| + g_{k-1} ||F(x_k) - F(x_{k-1})||.
+    The iteration stops when that bound is <= tol * min(1, g_k) and returns
+    x_k, a projection output and so feasible.  Since ||R_g|| is
+    nondecreasing in g and ||R_g|| / g is nonincreasing (Gafni & Bertsekas
+    1984), this bounds the natural-map residual at unit step by `tol` as
+    well.  `residual_history` holds the bound of every iterate.  On budget
+    exhaustion the iterate with the least bound is returned with
+    converged=False, that bound as `final_residual` and the step g_k it
+    bounds the residual at as `step_used`; nothing is raised, so callers
+    can inspect the trace.  A `step` of 0 or an infinite `tol` would pass
+    any point, so a given step and `tol` must be finite and positive, and
+    `max_iter` an integer >= 1.
     """
     require_positive_real("tol", tol)
     require_integer("max_iter", max_iter, 1)
@@ -148,23 +159,27 @@ def solve_vi_extragradient(
     sqdt = np.sqrt(grid.dt)
 
     x = project_values(x0.values, C, grid)
+    fx = op.values(x)
+    # g_{k-1} (F(x_k) - F(x_{k-1})) and its norm; no reflection at the start
+    reflect, reflect_gap = 0.0, 0.0
     history = []
     best_vals, best_res, best_gamma = x, np.inf, gamma
     k = 0
     for k in range(max_iter):
-        fx = op.values(x)
-        y = project_values(x - gamma * fx, C, grid)
-        gap = _l2(x - y)
-        res = float(sqdt * gap)
+        x_next = project_values(x - gamma * fx - reflect, C, grid)
+        gap = float(_l2(x - x_next))
+        res = float(sqdt * (gap + reflect_gap))
         history.append(res)
         if res < best_res:
             best_vals, best_res, best_gamma = x, res, gamma
         if res <= tol * min(1.0, gamma):
             return SolveReport(x0.with_values(x), k, res, np.asarray(history), True, gamma)
-        fy = op.values(y)
-        x_next = project_values(x - gamma * fy, C, grid)
-        gamma = adaptive_step(gamma, float(gap), float(_l2(fx - fy)))
-        x = x_next
+        f_next = op.values(x_next)
+        df = f_next - fx
+        df_gap = float(_l2(df))
+        reflect, reflect_gap = gamma * df, gamma * df_gap
+        gamma = adaptive_step(gamma, gap, df_gap)
+        x, fx = x_next, f_next
 
     return SolveReport(
         x0.with_values(best_vals), k + 1, best_res, np.asarray(history), False, best_gamma

@@ -56,7 +56,7 @@ def test_solve_nonconvergent_budget_exits_nonzero(scenario_dir, tmp_path):
 
 
 def test_solve_inner_failure_still_writes_files(scenario_dir, tmp_path, monkeypatch):
-    # starve the extragradient inner solves, which run when the problem
+    # starve the iterative inner solves, which run when the problem
     # carries no exact demand map
     assemble = qvex.cli.assemble_qvi
     monkeypatch.setattr(

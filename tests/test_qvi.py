@@ -108,7 +108,7 @@ def test_best_response_rejects_infeasible_price():
 
 
 def test_best_response_inner_failure_lists_agents(monkeypatch):
-    # bliss away from the warm start: two extragradient iterations cannot
+    # bliss away from the warm start: two iterations of the inner solver cannot
     # reach tolerance (without the exact demand map they solve the inner VIs)
     monkeypatch.setattr(qvex.qvi, "MAX_INNER", 2)
     eco = bliss_inside_economy()
@@ -290,10 +290,11 @@ def test_solver_determinism(oracle_problem, skewed_start):
 def test_inner_failure_returns_a_pair_instead_of_raising(
     oracle_problem, skewed_start, monkeypatch
 ):
-    # without the exact demand map the inner VIs run on extragradient, and
-    # two of its iterations cannot certify even the first, loose inner solve
+    # without the exact demand map the inner VIs run on the iterative
+    # solver, and four of its iterations certify agent 1's first, loose
+    # inner solve but not agent 0's
     oracle_problem = replace(oracle_problem, demand=None)
-    monkeypatch.setattr(qvex.qvi, "MAX_INNER", 2)
+    monkeypatch.setattr(qvex.qvi, "MAX_INNER", 4)
     rep = solve_qvi(oracle_problem, QVIParams(start_price=skewed_start))
     assert not rep.converged and rep.iterations == 1
     assert "failed to certify" in rep.message and "agents [0]" in rep.message
@@ -452,17 +453,33 @@ def test_agent_ladder_solves_on_exact_demand_alone(monkeypatch):
 
 def test_truncated_solve_runs_extragradient(oracle_problem, monkeypatch):
     # the exact demand map knows nothing of the ball, so the truncated
-    # solve must not use it
-    calls = []
-    solve = qvex.qvi.solve_vi_extragradient
+    # solve must not use it.  Its inner solves project once per iteration
+    # (forward-reflected-backward), once more for each solve's start, and
+    # once in the step that certifies the returned iterate; a
+    # two-projection iteration (extragradient) takes 244 projections for
+    # 118 iterations here.
+    solve, project_values = qvex.qvi.solve_vi_extragradient, qvex.vi.project_values
+    inside, iterations, projections = [], [], []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counting_projection(*args):
+        projections.extend(inside)
+        return project_values(*args)
 
-    monkeypatch.setattr(qvex.qvi, "solve_vi_extragradient", counting)
+    def counting_solve(*args, **kwargs):
+        inside.append(1)
+        try:
+            rep = solve(*args, **kwargs)
+        finally:
+            inside.pop()
+        iterations.append(rep.iterations)
+        return rep
+
+    monkeypatch.setattr(qvex.vi, "project_values", counting_projection)
+    monkeypatch.setattr(qvex.qvi, "solve_vi_extragradient", counting_solve)
     rep = solve_qvi_truncated(oracle_problem, [50.0, 100.0])
-    assert rep.converged and rep.truncation_radius_used == 50.0 and calls
+    assert rep.converged and rep.truncation_radius_used == 50.0 and iterations
+    assert len(projections) <= sum(iterations) + 2 * len(iterations)
+    assert sum(iterations) <= 110
 
 
 @pytest.mark.parametrize("radii", [[True, 2.0], [float("nan"), 50.0], [50.0, float("inf")]])

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import minty_certificate, projected_gradient_vi, sample_feasible
 from qvex import (
     Ball,
+    BudgetHalfspace,
+    CapBox,
     GridFunction,
+    Intersection,
     OperatorHandle,
     make_grid,
+    membership_residual,
     norm,
     solve_vi_extragradient,
     vi_residual,
@@ -67,7 +73,7 @@ def test_residual_rejects_nonpositive_gamma():
         vi_residual(scalar(0.0), op, Ball(1.0), 0.0)
 
 
-# --- extragradient solver ---
+# --- forward-reflected-backward solver (solve_vi_extragradient) ---
 
 
 def test_solver_finds_interior_zero():
@@ -126,6 +132,54 @@ def test_solver_nonconvergence_reports_best_iterate():
     assert vi_residual(rep.solution, op, C, rep.step_used) == pytest.approx(
         rep.final_residual, abs=1e-14
     )
+
+
+@st.composite
+def monotone_affine_vis(draw):
+    """(op, C, x0): F(v) = A v + b with A a PSD part plus a skew part, on an
+    interval, a ball, or a budget set cut by integral caps (and a ball);
+    the start need not lie in C."""
+    kind = draw(st.sampled_from(["interval", "ball", "budget-caps", "budget-caps-ball"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = G1 if kind == "interval" else make_grid(1.0, draw(st.integers(1, 4)))
+    shape = (grid.cells, 1 if kind == "interval" else draw(st.integers(1, 3)))
+    n = shape[0] * shape[1]
+    M, S = rng.normal(size=(2, n, n)) / np.sqrt(n)
+    A = draw(st.sampled_from([0.0, 0.01, 1.0])) * M.T @ M
+    A = A + draw(st.sampled_from([0.0, 1.0, 10.0])) * (S - S.T)
+    b = rng.normal(size=n)
+    op = OperatorHandle(lambda v: (A @ v.ravel() + b).reshape(v.shape))
+    if kind == "interval":
+        lo = rng.uniform(-1.0, 1.0)
+        C = interval(lo, lo + rng.uniform(0.1, 2.0))
+    elif kind == "ball":
+        C = Ball(rng.uniform(0.1, 2.0))
+    else:
+        p = GridFunction(grid, rng.uniform(0.0, 1.0, shape))
+        e = GridFunction(grid, rng.uniform(0.0, 1.0, shape))
+        parts = (BudgetHalfspace(p, e), CapBox(tuple(rng.uniform(0.2, 2.0, shape[1]))))
+        C = Intersection(parts + ((Ball(rng.uniform(0.1, 2.0)),) if kind.endswith("ball") else ()))
+    return op, C, GridFunction(grid, 2.0 * rng.normal(size=shape))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    monotone_affine_vis(),
+    st.sampled_from([1e-4, 1e-6, 1e-8]),
+    st.integers(1, 300),
+    st.sampled_from([None, 0.05, 10.0]),
+)
+def test_solver_stop_certifies_the_returned_point(vi, tol, max_iter, step):
+    op, C, x0 = vi
+    rep = solve_vi_extragradient(op, C, x0, step=step, tol=tol, max_iter=max_iter, seed=1)
+    assert membership_residual(rep.solution, C) <= 1e-12
+    if rep.converged:
+        assert vi_residual(rep.solution, op, C, 1.0) <= tol
+    else:
+        # the bound is a triangle inequality, tight in one dimension, so
+        # the two sides may differ by rounding
+        rounding = 1e-13 * (1.0 + norm(rep.solution))
+        assert vi_residual(rep.solution, op, C, rep.step_used) <= rep.final_residual + rounding
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
