@@ -37,7 +37,6 @@ from .grids import GridFunction, PriceCurve, TimeGrid, split_components
 from .qvi import QVIProblem
 from .reports import CertReport
 from .sets import (
-    _MAX_NEWTON,
     _SEARCH_WINDOW,
     BudgetHalfspace,
     CapBox,
@@ -184,14 +183,18 @@ class LogShift(UtilitySpec):
         `_logshift_root`, the exact lam with every cap ignored, found by
         variable fixing in -1 / lam; it lies above that lower end, and caps
         only cut spend, so the trial's plan is the answer unless a cap binds
-        there.
+        there.  A good that is uncapped and free in some cell has unbounded
+        demand: `NonConvergence` names the first such good and cell.
         """
         a = np.asarray(self.weights)
         budgets = _cap_budgets(caps, dt)
         uncapped = np.ones(a.size, bool) if budgets is None else ~np.isfinite(budgets)
-        if np.any((p == 0) & uncapped):
+        free = (p == 0) & uncapped
+        if free.any():
+            k, j = np.argwhere(free)[0]
             raise NonConvergence(
-                "LogShift demand is unbounded: an uncapped good is free in some cell"
+                f"LogShift demand is unbounded: good {j} is uncapped and free in cell {k}"
+                " (solve an uncapped economy by truncation: solve_qvi_truncated)"
             )
         wealth = dt * float(np.vdot(p, e))
         if wealth <= 1e-300:
@@ -240,47 +243,40 @@ def _logshift_plan(c, a, shift, budgets):
     x_kj = max(0, a_j / (c_kj + mu_j) - shift), with mu_j = 0 where the
     cap of good j is slack.  Where it binds, mu_j is the root of the convex,
     decreasing column sum S_j(mu) = sum_k x_kj at `budgets[j]`, found by
-    Newton's method from a lower bound, which never passes the root.  As
-    `_multiplier_search` does, it aims at the middle of the window
-    `_SEARCH_WINDOW` below the budget and stops once within the budget, so
-    caps hold.  Each column is summed on its own, in the order
+    `_multiplier_search` from a lower end at which S_j still exceeds the
+    budget.  Its first trial is one Newton step from there, aimed at the
+    middle of the window; S_j is convex, so that step never passes the
+    root.  Each column is summed on its own, in the order
     `membership_residual` sums it, so which other columns bind does not
-    change its rounding.  A step too small to move mu moves it one ulp.
-    Running out of steps raises `NonConvergence`.
+    change its rounding.  A search that runs out raises `NonConvergence`
+    naming the good, with the plan so far as its last iterate.
     """
     x = np.divide(a, c, out=np.full(c.shape, np.inf), where=c > 0)
     np.maximum(x - shift, 0.0, out=x)
     if budgets is None:
         return x
-    idx = np.nonzero(x.T.copy().sum(axis=1) > budgets)[0]
-    if idx.size == 0:
-        return x
-    C, A, B = c[:, idx], a[idx], budgets[idx]
-    # S_j >= cap at both bounds: every term is at least a / (max c + mu) - shift,
-    # and the zero-cost cells alone reach the cap at the second
-    mu = np.maximum(A / (shift + B / C.shape[0]) - C.max(axis=0), 0.0)
-    free = np.count_nonzero(C == 0, axis=0)
-    mu = np.where(free > 0, np.maximum(mu, A / (shift + B / np.maximum(free, 1))), mu)
-    aim = B * (1.0 - 0.5 * _SEARCH_WINDOW)
-    for _ in range(_MAX_NEWTON):
-        r = A / (C + mu)
-        X = np.maximum(r - shift, 0.0)
-        S = X.T.copy().sum(axis=1)
-        done = S <= B
-        x[:, idx[done]] = X[:, done]
-        if done.all():
-            return x
-        left = ~done
-        idx, C, A, B, aim = idx[left], C[:, left], A[left], B[left], aim[left]
-        r, X, S, mu = r[:, left], X[:, left], S[left], mu[left]
+    for j in np.nonzero(x.T.copy().sum(axis=1) > budgets)[0]:
+        cj, aj, bound = c[:, j], a[j], budgets[j]
+        # S_j >= cap at both bounds: every term is at least a / (max c + mu) - shift,
+        # and the zero-cost cells alone reach the cap at the second
+        lo = max(aj / (shift + bound / cj.size) - cj.max(), 0.0)
+        free = np.count_nonzero(cj == 0)
+        if free:
+            lo = max(lo, aj / (shift + bound / free))
+        r = aj / (cj + lo)
+        zlo = np.maximum(r - shift, 0.0)
         # -S_j'(mu) is the sum over the positive terms of a / (c + mu)^2
-        slope = np.where(X > 0, r * r, 0.0).sum(axis=0) / A
-        mu = np.maximum(mu + (S - aim) / np.maximum(slope, 1e-300), np.nextafter(mu, np.inf))
-    raise NonConvergence(
-        f"LogShift cap multiplier search did not converge in {_MAX_NEWTON} steps",
-        last_iterate=x,
-        residuals={"cap_gap": float(np.max(S - B)), "unsettled": int(idx.size)},
-    )
+        slope = max(float(np.sum(r[zlo > 0] ** 2)) / aj, 1e-300)
+        lam = lo + (float(zlo.sum()) - bound * (1.0 - 0.5 * _SEARCH_WINDOW)) / slope
+        try:
+            x[:, j] = _multiplier_search(
+                lambda mu: np.maximum(aj / (cj + mu) - shift, 0.0), np.sum, bound, lo, lam, zlo
+            )
+        except NonConvergence as exc:
+            x[:, j] = exc.last_iterate
+            message = f"LogShift cap multiplier search for good {j}: {exc}"
+            raise NonConvergence(message, last_iterate=x, residuals=exc.residuals) from exc
+    return x
 
 
 @dataclass(frozen=True)

@@ -199,11 +199,12 @@ def _agent_steps(prob: QVIProblem, params: QVIParams) -> list:
 
 def _best_responses(d, prob, params, tol, steps=None, starts=None):
     """Solve all inner VIs on K(d); returns (blocks, summed iterative-solver
-    iterations, gauge residuals).
+    iterations, gauge residuals, why each failed demand failed).
 
     With an exact demand map each agent's block is its demand, and a demand
-    search that runs out leaves the agent's start with residual inf;
-    otherwise each block comes from `solve_vi_extragradient`.
+    that raises `NonConvergence` leaves the agent's start with residual inf
+    and its error text under the agent's index; otherwise each block comes
+    from `solve_vi_extragradient`.
     `starts` overrides the warm starts; the inner operators are strictly
     monotone for the supported utility families, so the certified limit is
     the same from any start and a continuation start only buys speed.
@@ -211,7 +212,7 @@ def _best_responses(d, prob, params, tol, steps=None, starts=None):
     """
     sets = prob.constraint_map(d)
     starts = starts if starts is not None else prob.warm_starts
-    failed = set()
+    failed = {}
     iterations = 0
     if prob.demand is None:
         steps = steps if steps is not None else _agent_steps(prob, params)
@@ -227,10 +228,9 @@ def _best_responses(d, prob, params, tol, steps=None, starts=None):
             try:
                 blocks.append(x0.with_values(prob.demand(i, d)))
             except NonConvergence as exc:
-                logger.debug("demand of agent %d: %s", i, exc)
                 blocks.append(x0)
-                failed.add(i)
-    return blocks, iterations, _agent_residuals(blocks, prob, sets, failed)
+                failed[i] = str(exc)
+    return blocks, iterations, _agent_residuals(blocks, prob, sets, failed), failed
 
 
 def _agent_residuals(blocks, prob, sets, failed=()):
@@ -259,7 +259,8 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     only sets the iterative inner solves' tolerance and the failure level.
     An inner solve that fails to certify ends the run with converged=False
     and the best certified pair so far (the failing iteration's own pair if
-    none certified yet).
+    none certified yet); the message ends with each failed demand's own
+    error text.
     An exhausted budget says why the step did not bring the price home when
     it can tell: the step never moved because excess demand never changed,
     or it collapsed to at most 1e-9 times `OUTER_STEP0`.
@@ -290,7 +291,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
             tol_eff = float(np.clip(0.05 * prev_res / prob.n_agents, params.inner_tol, 1e-4))
         else:
             tol_eff = params.inner_tol
-        blocks, eg_iters, inner_res = _best_responses(d, prob, params, tol_eff, steps, starts)
+        blocks, eg_iters, inner_res, why = _best_responses(d, prob, params, tol_eff, steps, starts)
         starts = blocks
         x = stack_components(blocks)
         h = prob.outer_map(x)
@@ -317,6 +318,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
             failure = (
                 f"inner solves failed to certify at tol={tol_eff:g} for agents "
                 f"{failed.tolist()} (residuals {[f'{r:.3e}' for r in inner_res[failed]]})"
+                + "".join(f"; agent {i}: {text}" for i, text in why.items())
             )
             best = best or (d, x, inner_res, res)
             break

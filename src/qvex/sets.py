@@ -187,15 +187,16 @@ _MAX_SEARCH = 200
 # the one precision rule of the multiplier kernels: each stops at a point
 # that measures within this fraction of its bound below the bound
 _SEARCH_WINDOW = 1e-14
-# Newton steps the budget-cone and LogShift cap kernels may take
+# Newton steps the certificate's budget-cone kernel may take
 _MAX_NEWTON = 100
 
 
 def _multiplier_search(evaluate, measure, bound, lo, lam, zlo=None):
     """Find the multiplier of a family of points z(lam) = evaluate(lam)
     whose `measure(z(lam))` does not increase with lam, at the positive
-    `bound`: a budget multiplier (measure the spend, bound the wealth) or a
-    ball multiplier (measure the norm, bound the radius).
+    `bound`: a budget multiplier (measure the spend, bound the wealth), a
+    ball multiplier (measure the norm, bound the radius) or a cap
+    multiplier (measure a column's sum, bound its budget).
 
     The search accepts a point that measures between 1 - `_SEARCH_WINDOW`
     and 1 times the bound.  `lam` is the caller's closed-form first trial,

@@ -1,5 +1,8 @@
 import argparse
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +124,7 @@ def test_solve_demand_failure_still_writes_files(scenario_dir, tmp_path, monkeyp
     report = (out / "report.txt").read_text()
     assert "converged: False" in report
     assert "failed to certify" in report and "agents [0, 1]" in report
+    assert "agent 0: LogShift cap multiplier search did not converge" in report
 
 
 def _stuck_cone(*args):
@@ -418,3 +422,18 @@ def test_bad_scenario_is_a_diagnostic_not_a_traceback(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "qvex: error:" in err
+
+
+def test_importing_qvex_loads_neither_the_command_line_nor_yaml():
+    # the library's import stays as light as its core modules: the CLI and
+    # the scenario parser, with yaml behind them, load only when used
+    src = os.path.dirname(os.path.dirname(qvex.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, qvex; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "qvex.economy" in loaded
+    assert not {"yaml", "qvex.cli", "qvex.scenario"} & set(loaded)

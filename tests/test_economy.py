@@ -445,8 +445,11 @@ def test_demand_property_matches_extragradient(problem):
     grid = e.grid
     if isinstance(spec, LogShift) and np.any((p == 0) & ~np.isfinite(caps)):
         # an uncapped free good: utility grows without bound, so no demand
-        with pytest.raises(NonConvergence, match="unbounded"):
+        with pytest.raises(NonConvergence, match="unbounded") as err:
             spec.demand(p, e.values, caps, grid.dt)
+        # the first such entry in cell-major order is named
+        k, j = np.argwhere((p == 0) & ~np.isfinite(caps))[0]
+        assert f"good {j} is uncapped and free in cell {k}" in str(err.value)
         return
     x = GridFunction(grid, spec.demand(p, e.values, caps, grid.dt))
     K = Intersection((BudgetHalfspace(GridFunction(grid, p), e), CapBox(caps)))

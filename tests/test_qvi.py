@@ -60,7 +60,7 @@ def agent_best_responses(d, prob, params):
     selection of the inner solution map that the outer iteration works with."""
     if membership_residual(d, prob.price_set) > 1e-9:
         raise ValueError("price curve is not in the price set")
-    blocks, _, inner_res = _best_responses(d, prob, params, params.inner_tol)
+    blocks, _, inner_res, _ = _best_responses(d, prob, params, params.inner_tol)
     failed = np.flatnonzero(inner_res > params.inner_tol).tolist()
     if failed:
         raise InnerSolveFailure(
@@ -411,6 +411,8 @@ def test_demand_failure_ends_the_solve_with_the_warm_start_pair(monkeypatch):
     rep = solve_qvi(prob, QVIParams())
     assert not rep.converged and rep.iterations == 1
     assert "failed to certify" in rep.message and "agents [0, 1]" in rep.message
+    for i in (0, 1):
+        assert f"agent {i}: LogShift cap multiplier search did not converge" in rep.message
     assert np.all(np.isinf(rep.inner_residuals))
     np.testing.assert_array_equal(
         rep.allocation.values, stack_components(prob.warm_starts).values
@@ -430,8 +432,30 @@ def test_demand_failure_keeps_the_best_certified_pair(oracle_problem, skewed_sta
     rep = solve_qvi(replace(oracle_problem, demand=flaky), QVIParams(start_price=skewed_start))
     assert not rep.converged and rep.iterations == 4
     assert "failed to certify" in rep.message and "agents [1]" in rep.message
+    assert rep.message.endswith("; agent 1: search budget exhausted")
     assert rep.outer_residual == rep.residual_history[:-1].min()
     assert np.all(rep.inner_residuals <= 1e-12)
+
+
+def test_unbounded_demand_says_which_good_and_cell_in_the_message():
+    # uncapped goods, and good 1 free in cell 0: no LogShift agent has a
+    # best response there, and the message says why, not only "inf"
+    g = make_grid(1.0, 2)
+    agents = tuple(
+        Agent(GridFunction.constant(g, e), LogShift((1.0, 1.0), 1.0, 2))
+        for e in ([1.0, 0.5], [0.5, 1.0])
+    )
+    prob = assemble_qvi(Economy(g, 2, agents), [np.inf, np.inf])
+    start = PriceCurve(g, np.array([[1.0, 0.0], [0.5, 0.5]]))
+    rep = solve_qvi(prob, QVIParams(start_price=start))
+    assert not rep.converged and rep.iterations == 1
+    assert "agents [0, 1] (residuals ['inf', 'inf'])" in rep.message
+    for i in (0, 1):
+        assert (
+            f"agent {i}: LogShift demand is unbounded: good 1 is uncapped and free in cell 0"
+            in rep.message
+        )
+    assert "solve_qvi_truncated" in rep.message
 
 
 def test_agent_ladder_solves_on_exact_demand_alone(monkeypatch):

@@ -701,8 +701,8 @@ def test_every_multiplier_kernel_lands_in_the_window(problem):
 
 
 def test_logshift_cap_columns_land_below_the_window_only_by_rare_rounding():
-    # the cap Newton aims at the window's middle, as the multiplier search
-    # does; aimed at its lower edge, 28 % of binding columns landed below it
+    # the cap search aims at the window's middle; aimed at its lower edge,
+    # 28 % of binding columns landed below it
     rng = np.random.default_rng(0)
     binding = below = 0
     for _ in range(2000):
@@ -724,6 +724,23 @@ def test_budget_capbox_search_exhaustion_raises(monkeypatch):
         project(x, Intersection(parts))
     assert err.value.last_iterate is not None
     assert err.value.residuals
+
+
+def test_logshift_cap_search_exhaustion_names_the_good(monkeypatch):
+    # one evaluation: the first trial, one Newton step from the lower end,
+    # misses the window on these costs, and the search has none left
+    monkeypatch.setattr(qvex.sets, "_MAX_SEARCH", 1)
+    c = np.random.default_rng(0).random((16, 2))
+    budgets = np.array([np.inf, 2.0])
+    with pytest.raises(NonConvergence, match="cap multiplier search for good 1") as err:
+        _logshift_plan(c, np.ones(2), 0.01, budgets)
+    assert err.value.residuals["gap"] > 0.0
+    assert err.value.residuals["bracket_width"] == np.inf
+    plan = err.value.last_iterate
+    assert plan.shape == (16, 2)
+    # the slack column is already final, the binding one holds the last trial
+    np.testing.assert_array_equal(plan[:, 0], _logshift_plan(c, np.ones(2), 0.01, None)[:, 0])
+    assert plan[:, 1].sum() - budgets[1] == err.value.residuals["gap"]
 
 
 def test_dykstra_waits_for_the_corrections_to_settle():
