@@ -87,6 +87,9 @@ class QVIParams:
     its own steps.
 
     `max_outer` bounds the outer iterations (price updates) of a solve.
+    The solves draw no random numbers, so `seed` does not move them: it
+    seeds the sampled certificate that `qvex solve` runs on the result and
+    the structural probes of `qvex probes`.
     Every field but `start_price` is checked on construction (also through
     `dataclasses.replace`): the tolerances must be finite and positive,
     `max_outer` an integer >= 1 and `seed` an integer >= 0; a ValueError
@@ -192,8 +195,8 @@ def _agent_steps(prob: QVIProblem, params: QVIParams) -> list:
     """Per-agent first inner steps: 0.9 / Lipschitz estimate near the warm start."""
     sets = prob.constraint_map(_start_price(prob, params))
     return [
-        0.9 / estimate_lipschitz(op, s, w, seed=params.seed + i)
-        for i, (op, s, w) in enumerate(zip(prob.agent_operators, sets, prob.warm_starts))
+        0.9 / estimate_lipschitz(op, s, w)
+        for op, s, w in zip(prob.agent_operators, sets, prob.warm_starts)
     ]
 
 
@@ -367,9 +370,11 @@ def check_truncation_interior(report: QVISolveReport, r: float) -> bool:
 
 def default_radius_schedule(prob: QVIProblem) -> list:
     """`RADIUS_COUNT` doubling radii from 1 + sum of finite caps (caps bound
-    the feasible set)."""
-    if prob.caps is not None:
-        base = 1.0 + float(sum(c for c in prob.caps if np.isfinite(c)))
+    the feasible set), or, with no finite cap, from 1 + 4 times the largest
+    warm-start norm, which follows the economy's scale."""
+    finite = [c for c in prob.caps or () if np.isfinite(c)]
+    if finite:
+        base = 1.0 + float(sum(finite))
     else:
         base = 1.0 + 4.0 * max(norm(w) for w in prob.warm_starts)
     return [base * 2.0**k for k in range(RADIUS_COUNT)]

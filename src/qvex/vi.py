@@ -6,8 +6,10 @@ The solver is the forward-reflected-backward iteration of Malitsky & Tam
     x+ = P_C(x - g F(x) - g_prev (F(x) - F(x_prev))),
 one projection and one operator evaluation per step, which converges for
 monotone Lipschitz operators when g < 1/(2L).  The step starts at 0.9 / L_hat
-with L_hat a finite-difference Lipschitz estimate and adapts after every
-iteration by the self-adaptive rule of Yang & Liu (2019),
+with L_hat the ratio ||F(y) - F(x)|| / ||y - x|| between the start x and
+its natural-map point y = P_C(x - F(x)) (`estimate_lipschitz`), so no
+random numbers are drawn, and adapts after every iteration by the
+self-adaptive rule of Yang & Liu (2019),
     g <- min(g, STEP_SAFETY * ||x+ - x|| / ||F(x+) - F(x)||),
 so it only ever shrinks, and only where the local Lipschitz ratio demands;
 `STEP_SAFETY` < 1/2 keeps it inside that bound.  `adaptive_step` is that
@@ -27,14 +29,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericFailure, require_integer, require_positive_real
-from .grids import GridFunction, _l2, all_finite, norm
-from .sets import SetDescriptor, project_values, sample_feasible_blocks
+from .grids import GridFunction, _l2, all_finite
+from .sets import SetDescriptor, project_values
 
 #: fraction of the inverse local Lipschitz ratio the adaptive step may reach;
 #: forward-reflected-backward needs it below 1/2
 STEP_SAFETY = 0.45
-#: feasible point pairs `estimate_lipschitz` differences
-LIPSCHITZ_PROBES = 8
 
 
 def adaptive_step(gamma: float, dx: float, dF: float) -> float:
@@ -93,33 +93,25 @@ def vi_residual(x: GridFunction, op: OperatorHandle, C: SetDescriptor, gamma: fl
     return float(np.sqrt(x.grid.dt) * _l2(r))
 
 
-def estimate_lipschitz(
-    op: OperatorHandle,
-    C: SetDescriptor,
-    around: GridFunction,
-    seed: int = 0,
-) -> float:
-    """Finite-difference Lipschitz estimate from `LIPSCHITZ_PROBES` random
-    feasible probe pairs.
+def estimate_lipschitz(op: OperatorHandle, C: SetDescriptor, around: GridFunction) -> float:
+    """Two-point Lipschitz ratio ||F(y) - F(x)|| / ||y - x|| at x = P_C(around)
+    and its natural-map point at the unit step, y = P_C(x - F(x)).
 
-    The probe scale is local to `around`; an optimistic (small) estimate
-    gives a long step and relies on the solver's adaptive step rule to
-    shrink it where needed, which beats a globally safe but tiny step.
+    Two projections and two operator evaluations.  The ratio is local and
+    optimistic: it gives a long first step and relies on the solver's
+    adaptive step rule to shrink it where needed, which beats a globally
+    safe but tiny step.  It is floored at 1e-8.  Where it measures nothing
+    (x = y, or F equal at both) it is 1: no ratio then bounds the step,
+    and a long one would only buy rounding in the projection of the far
+    point it reaches, so the first step stays just under the unit step.
     """
-    rng = np.random.default_rng(seed)
-    scale = 0.25 * (1.0 + norm(around))
     grid = around.grid
-    pts = np.concatenate(
-        list(sample_feasible_blocks(C, around.values, grid, scale, rng, 2 * LIPSCHITZ_PROBES))
-    )
-    sqdt = np.sqrt(grid.dt)
-    best = 0.0
-    for a, b in zip(pts[::2], pts[1::2]):
-        gap = float(sqdt * _l2(a - b))
-        if gap < 1e-12:
-            continue
-        best = max(best, float(sqdt * _l2(op.values(a) - op.values(b))) / gap)
-    return max(best, 1e-8)
+    x = project_values(around.values, C, grid)
+    fx = op.values(x)
+    y = project_values(x - fx, C, grid)
+    gap = float(_l2(y - x))
+    dF = float(_l2(op.values(y) - fx)) if gap > 0.0 else 0.0
+    return max(dF / gap, 1e-8) if dF > 0.0 else 1.0
 
 
 def solve_vi_extragradient(
@@ -129,7 +121,6 @@ def solve_vi_extragradient(
     step: Optional[float] = None,
     tol: float = 1e-8,
     max_iter: int = 10000,
-    seed: int = 0,
 ) -> SolveReport:
     """Run forward-reflected-backward from x0 until it is certified at `tol`.
 
@@ -154,7 +145,7 @@ def solve_vi_extragradient(
     require_integer("max_iter", max_iter, 1)
     grid = x0.grid
     if step is None:
-        step = 0.9 / estimate_lipschitz(op, C, x0, seed=seed)
+        step = 0.9 / estimate_lipschitz(op, C, x0)
     gamma = require_positive_real("step", step)
     sqdt = np.sqrt(grid.dt)
 

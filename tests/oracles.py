@@ -549,8 +549,8 @@ def solve_qvi_product(prob, params=None):
     xs = [project(w, s) for w, s in zip(prob.warm_starts, sets)]
 
     l_blocks = max(
-        estimate_lipschitz(op, s, w, seed=params.seed + i)
-        for i, (op, s, w) in enumerate(zip(prob.agent_operators, sets, prob.warm_starts))
+        estimate_lipschitz(op, s, w)
+        for op, s, w in zip(prob.agent_operators, sets, prob.warm_starts)
     )
     # the price block of the operator is affine in x with gain <= sqrt(n)
     gamma = 0.7 / max(np.sqrt(prob.n_agents), l_blocks)

@@ -175,7 +175,7 @@ def test_criterion_6_vi_core_affine_instance():
     op = OperatorHandle(lambda x: (A @ x[0] + b)[None, :])
     C = Ball(1.0)
 
-    rep = solve_vi_extragradient(op, C, GridFunction(g, np.zeros((1, dim))), tol=1e-6, max_iter=10000, seed=1)
+    rep = solve_vi_extragradient(op, C, GridFunction(g, np.zeros((1, dim))), tol=1e-6, max_iter=10000)
     assert rep.converged
     assert rep.iterations <= 10000
     assert vi_residual(rep.solution, op, C, rep.step_used) <= 1e-6

@@ -152,6 +152,27 @@ def test_default_radius_schedule_doubles_from_caps(oracle_problem):
     assert all(b == pytest.approx(2 * a) for a, b in zip(radii, radii[1:]))
 
 
+def test_default_radius_schedule_without_finite_caps_follows_the_economys_scale():
+    # uncapped, corpus economy 5 in units 100 times larger has plans far
+    # beyond radius 32: a base of 1 plus no caps would exhaust the schedule
+    base = make_random_economy(5)
+    agents = []
+    for a in base.agents:
+        spec = a.utility
+        if isinstance(spec, Quadratic):
+            spec = Quadratic(100 * spec.bliss, spec.weights)
+        agents.append(Agent(100 * a.endowment, spec))
+    eco = Economy(base.grid, base.goods, tuple(agents))
+    prob = assemble_qvi(eco, [np.inf, np.inf])
+    radii = default_radius_schedule(prob)
+    assert radii[0] == pytest.approx(1.0 + 4.0 * max(norm(w) for w in prob.warm_starts))
+    rep = solve_qvi_truncated(prob)
+    assert rep.converged, rep.message
+    assert rep.truncation_radius_used == radii[0]
+    cert = certify_equilibrium(eco, rep.price, rep.agent_allocations(), tol=1e-6, seed=0)
+    assert cert.verdict, cert.residuals
+
+
 def test_truncated_solve_with_default_schedule(oracle_problem, skewed_start):
     params = QVIParams(start_price=skewed_start)
     rep = solve_qvi_truncated(oracle_problem, None, params)

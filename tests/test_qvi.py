@@ -220,10 +220,15 @@ def test_theorem_reduction_combined_inequality(oracle_problem, skewed_start):
     assert worst >= -2e-8
 
 
-def _scenario_solve(scenario_dir, name):
+def _scenario_problem(scenario_dir, name):
     scn = load_scenario(scenario_dir / f"{name}.yaml")
     eco = build_economy(scn)
-    return eco, solve_qvi(assemble_qvi(eco, default_caps(eco, scn.cap_slack)), scn.solver)
+    return scn, eco, assemble_qvi(eco, default_caps(eco, scn.cap_slack))
+
+
+def _scenario_solve(scenario_dir, name):
+    scn, eco, prob = _scenario_problem(scenario_dir, name)
+    return eco, solve_qvi(prob, scn.solver)
 
 
 def test_a_start_price_that_certifies_ends_the_solve_at_once(scenario_dir):
@@ -437,6 +442,36 @@ def test_demand_failure_keeps_the_best_certified_pair(oracle_problem, skewed_sta
     assert np.all(rep.inner_residuals <= 1e-12)
 
 
+def _assert_inner_residuals_are_the_returned_pairs(rep, prob, failed=()):
+    """Each reported inner residual is a fresh gauge residual of the returned
+    block on its set at the returned price, inf for the `failed` agents."""
+    sets = prob.constraint_map(rep.price)
+    blocks = rep.agent_allocations()
+    for i, (block, op, s) in enumerate(zip(blocks, prob.agent_operators, sets)):
+        fresh = np.inf if i in failed else vi_residual(block, op, s, RESIDUAL_GAUGE)
+        assert rep.inner_residuals[i] == fresh, i
+
+
+def test_an_exhausted_budget_reports_the_returned_pairs_inner_residuals(scenario_dir):
+    scn, _, prob = _scenario_problem(scenario_dir, "tiny_budget")
+    rep = solve_qvi(prob, scn.solver)
+    assert not rep.converged and "budget exhausted" in rep.message
+    _assert_inner_residuals_are_the_returned_pairs(rep, prob)
+
+
+def test_a_failed_demand_reports_the_returned_pairs_inner_residuals(oracle_problem, skewed_start):
+    # agent 1's demand fails at once, so the failing iteration's pair returns
+    def failing(i, d):
+        if i == 1:
+            raise NonConvergence("search budget exhausted")
+        return oracle_problem.demand(i, d)
+
+    prob = replace(oracle_problem, demand=failing)
+    rep = solve_qvi(prob, QVIParams(start_price=skewed_start))
+    assert not rep.converged and rep.iterations == 1 and "agents [1]" in rep.message
+    _assert_inner_residuals_are_the_returned_pairs(rep, prob, failed=(1,))
+
+
 def test_unbounded_demand_says_which_good_and_cell_in_the_message():
     # uncapped goods, and good 1 free in cell 0: no LogShift agent has a
     # best response there, and the message says why, not only "inf"
@@ -504,6 +539,20 @@ def test_truncated_solve_runs_extragradient(oracle_problem, monkeypatch):
     assert rep.converged and rep.truncation_radius_used == 50.0 and iterations
     assert len(projections) <= sum(iterations) + 2 * len(iterations)
     assert sum(iterations) <= 110
+
+
+@pytest.mark.parametrize(
+    "name,radii", [("sinusoid_seasonal", [5.0, 10.0]), ("oracle_cd_quad", [50.0, 100.0])]
+)
+def test_truncated_solves_give_the_same_bits_whatever_the_seed(scenario_dir, name, radii):
+    # the solvers draw no random numbers; the seed seeds only the
+    # certificate and the probes
+    scn, _, prob = _scenario_problem(scenario_dir, name)
+    reps = [solve_qvi_truncated(prob, radii, replace(scn.solver, seed=k)) for k in (0, 3)]
+    assert all(rep.converged for rep in reps)
+    for field in ("price", "allocation"):
+        first, second = (getattr(rep, field).values.tobytes() for rep in reps)
+        assert first == second, field
 
 
 @pytest.mark.parametrize("radii", [[True, 2.0], [float("nan"), 50.0], [50.0, float("inf")]])

@@ -11,6 +11,7 @@ from qvex import (
     GridFunction,
     Intersection,
     OperatorHandle,
+    estimate_lipschitz,
     make_grid,
     membership_residual,
     norm,
@@ -99,7 +100,7 @@ def test_solver_boundary_solution_1d():
 def test_solver_matches_projected_gradient_oracle():
     op, C, g, A, b = affine_instance()
     x0 = GridFunction(g, np.zeros((1, 10)))
-    rep = solve_vi_extragradient(op, C, x0, tol=1e-8, max_iter=10000, seed=1)
+    rep = solve_vi_extragradient(op, C, x0, tol=1e-8, max_iter=10000)
     assert rep.converged
 
     def proj(v):
@@ -112,7 +113,7 @@ def test_solver_matches_projected_gradient_oracle():
 def test_solver_report_consistency_and_history():
     op, C, g, A, b = affine_instance()
     x0 = GridFunction(g, np.zeros((1, 10)))
-    rep = solve_vi_extragradient(op, C, x0, tol=1e-8, seed=1)
+    rep = solve_vi_extragradient(op, C, x0, tol=1e-8)
     assert rep.converged
     assert rep.final_residual <= 1e-8
     # independent re-evaluation at the report's own step
@@ -126,7 +127,7 @@ def test_solver_report_consistency_and_history():
 def test_solver_nonconvergence_reports_best_iterate():
     op, C, g, A, b = affine_instance()
     x0 = GridFunction(g, np.zeros((1, 10)))
-    rep = solve_vi_extragradient(op, C, x0, tol=1e-12, max_iter=3, seed=1)
+    rep = solve_vi_extragradient(op, C, x0, tol=1e-12, max_iter=3)
     assert not rep.converged
     assert rep.final_residual == min(rep.residual_history)
     assert vi_residual(rep.solution, op, C, rep.step_used) == pytest.approx(
@@ -171,7 +172,7 @@ def monotone_affine_vis(draw):
 )
 def test_solver_stop_certifies_the_returned_point(vi, tol, max_iter, step):
     op, C, x0 = vi
-    rep = solve_vi_extragradient(op, C, x0, step=step, tol=tol, max_iter=max_iter, seed=1)
+    rep = solve_vi_extragradient(op, C, x0, step=step, tol=tol, max_iter=max_iter)
     assert membership_residual(rep.solution, C) <= 1e-12
     if rep.converged:
         assert vi_residual(rep.solution, op, C, 1.0) <= tol
@@ -180,6 +181,35 @@ def test_solver_stop_certifies_the_returned_point(vi, tol, max_iter, step):
         # the two sides may differ by rounding
         rounding = 1e-13 * (1.0 + norm(rep.solution))
         assert vi_residual(rep.solution, op, C, rep.step_used) <= rep.final_residual + rounding
+
+
+def test_lipschitz_estimate_is_the_two_point_ratio_at_the_start():
+    # F(x) = 3x - 1 on [0, 1] from 0.2: y = P(0.2 + 0.4) = 0.6, and the
+    # ratio of an affine map is its slope
+    op = OperatorHandle(lambda v: 3.0 * v - 1.0)
+    assert estimate_lipschitz(op, interval(0.0, 1.0), scalar(0.2)) == pytest.approx(3.0)
+    assert estimate_lipschitz(op, interval(0.0, 1.0), scalar(-5.0)) == pytest.approx(3.0)
+    # nothing measured: F equal at x and y, or x = y (0 solves F(x) = x + 1)
+    flat = OperatorHandle(lambda v: np.full_like(v, -0.7))
+    shifted = OperatorHandle(lambda v: v + 1.0)
+    assert estimate_lipschitz(flat, interval(0.0, 1.0), scalar(0.2)) == 1.0
+    assert estimate_lipschitz(shifted, interval(0.0, 1.0), scalar(0.0)) == 1.0
+    # a positive ratio is floored, not replaced
+    tiny = OperatorHandle(lambda v: 1e-12 * v - 1.0)
+    assert estimate_lipschitz(tiny, Ball(1e3), scalar(0.0)) == 1e-8
+
+
+def test_a_constant_operator_solve_certifies_at_the_unit_step():
+    # a constant F measures no Lipschitz ratio; a first step as long as
+    # 0.9 / 1e-8 throws the start 6.5e7 past the budget line, and rounding
+    # lands its projection back 2e-8 inside it, which the solver's bound at
+    # that step cannot see
+    p, e = GridFunction(G1, np.array([[0.74478467]])), GridFunction(G1, np.array([[0.52634508]]))
+    C = Intersection((BudgetHalfspace(p, e), CapBox((1.6249619667438888,))))
+    op = OperatorHandle(lambda v: np.full_like(v, -0.72144189))
+    rep = solve_vi_extragradient(op, C, scalar(2.08961765), tol=1e-8, max_iter=2)
+    assert rep.converged
+    assert vi_residual(rep.solution, op, C, 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
@@ -228,8 +258,8 @@ def test_minty_rejects_a_slack_that_is_not_finite_and_nonnegative(slack):
 def test_solution_insensitive_to_step_halving():
     op, C, g, A, b = affine_instance()
     x0 = GridFunction(g, np.zeros((1, 10)))
-    rep1 = solve_vi_extragradient(op, C, x0, step=0.4, tol=1e-10, seed=1)
-    rep2 = solve_vi_extragradient(op, C, x0, step=0.2, tol=1e-10, seed=1)
+    rep1 = solve_vi_extragradient(op, C, x0, step=0.4, tol=1e-10)
+    rep2 = solve_vi_extragradient(op, C, x0, step=0.2, tol=1e-10)
     assert rep1.converged and rep2.converged
     assert norm(rep1.solution - rep2.solution) <= 1e-6
 
@@ -272,7 +302,7 @@ def test_minty_certified_points_have_small_stampacchia_residual():
     rng = np.random.default_rng(0)
     for op, C, m in cases:
         star = solve_vi_extragradient(
-            op, C, GridFunction(G1, np.zeros((1, m))), tol=1e-10, seed=1
+            op, C, GridFunction(G1, np.zeros((1, m))), tol=1e-10
         ).solution
         checked = 0
         for probe in [star] + sample_feasible(C, star, 1.0, rng, 40):
@@ -325,8 +355,8 @@ def test_extragradient_builds_no_grid_function_per_iteration(monkeypatch):
     counts = {}
     for max_iter in (50, 10000):
         built.clear()
-        # no step given, so the Lipschitz probes run as well
-        rep = solve_vi_extragradient(op, C, x0, tol=1e-12, max_iter=max_iter, seed=1)
+        # no step given, so the two-point Lipschitz ratio runs as well
+        rep = solve_vi_extragradient(op, C, x0, tol=1e-12, max_iter=max_iter)
         counts[rep.iterations] = len(built)
     # 50 iterations cut short and a longer run to convergence each wrap
     # only the report's solution
