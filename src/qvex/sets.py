@@ -21,8 +21,9 @@ from .errors import DegenerateSet, NonConvergence, require_finite_real, require_
 from .grids import GridFunction, PriceCurve, TimeGrid, _l2
 
 #: elements (samples x cells x goods) that `sample_feasible_blocks` draws
-#: and projects as one block; bounds its temporaries
-_SAMPLE_CHUNK = 2**14
+#: and projects as one block; bounds its temporaries, and is large enough
+#: that concurrent best-response checks spend little of it waiting on the GIL
+_SAMPLE_CHUNK = 2**16
 
 
 class SetDescriptor:

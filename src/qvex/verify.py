@@ -12,16 +12,24 @@ bounds the memory a check takes, every block is projected onto the
 uncapped budget set at once by variable fixing, whose settled slices stay
 in the block with their multipliers frozen, and the utility family reduces
 each block to per-sample utility and Minty sums in one pass
-(`UtilitySpec.block_sums`).  The probes draw from the same sampler and
+(`UtilitySpec.block_sums`).  A check holds about three blocks at a time:
+the one being drawn, its projection and the projection's temporaries.
+Agents whose samples fill a block are checked concurrently, one thread per
+CPU the process may use, the caller among them; each agent draws from its
+own generator and the results are gathered by agent index, so the report
+has the bits of the serial loop.  The probes draw from the same sampler and
 evaluate operators on the value arrays; only their witnesses are wrapped.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import os
+import threading
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import sets as _sets
 from .economy import Agent, Economy, agent_operator, utility_value
 from .errors import NonConvergence, SamplingFailure, require_integer, require_positive_real
 from .grids import GridFunction, PriceCurve, _l2, inner_product, norm
@@ -87,7 +95,9 @@ def best_response_residual(
     fixed element count (`sets._SAMPLE_CHUNK`, which bounds the memory a
     block takes) and projected a block at a time by variable fixing
     (`sets._project_budget_cone`); the utility family's `block_sums` gives
-    the Minty values and utilities of a block, one per sample.
+    the Minty values and utilities of a block, one per sample.  A block is
+    released before the next one is drawn, so a check holds about three
+    blocks at a time.
     """
     require_integer("samples", samples, 1)
     require_integer("seed", seed, 0)
@@ -112,6 +122,7 @@ def best_response_residual(
         gains = dt * values - u_x
         minty_viol = max(minty_viol, float(minty.max()) - 1e-9)
         utility_gain = max(utility_gain, float(gains.max()) - 1e-8)
+        del ys  # the next block is drawn and projected without this one
     return float(max(nat, minty_viol, utility_gain, 0.0))
 
 
@@ -160,17 +171,24 @@ def certify_equilibrium(
     ok = residuals["price_simplex"] <= tol
     ok = ok and bool(np.all(budgets <= tol)) and bool(np.all(clearing <= tol))
 
+    def check(i):
+        try:
+            return best_response_residual(eco, p, x[i], i, samples=samples, seed=seed + i)
+        except (ValueError, NonConvergence):
+            return np.inf
+
+    checked = [i for i in range(eco.n_agents) if budgets[i] <= tol]
+    # concurrent only where an agent's samples fill a block: on smaller
+    # blocks the ops take microseconds, and the hand-offs of the GIL swamp them
+    fills_block = samples * eco.grid.cells * eco.goods >= _sets._SAMPLE_CHUNK
+    brs = dict(zip(checked, _map_in_order(check, checked, fills_block)))
     for i in range(eco.n_agents):
-        if budgets[i] > tol:
+        if i not in brs:
             residuals[f"best_response[{i}]"] = np.inf
             ok = False
             continue
-        try:
-            br = best_response_residual(eco, p, x[i], i, samples=samples, seed=seed + i)
-        except (ValueError, NonConvergence):
-            br = np.inf
-        residuals[f"best_response[{i}]"] = br
-        if not br <= tol:
+        residuals[f"best_response[{i}]"] = brs[i]
+        if not brs[i] <= tol:
             ok = False
             witness = witness or ("best_response", i)
 
@@ -183,6 +201,58 @@ def certify_equilibrium(
         seed=seed,
         name="equilibrium",
     )
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_in_order(fn: Callable[[int], float], args: Sequence[int], concurrent: bool) -> list:
+    """[fn(a) for a in args], as a serial loop gives it.
+
+    With `concurrent`, the caller and up to one helper thread per further
+    usable CPU pull the arguments in order until none is left.  The
+    exception of the lowest failing argument is raised, as the serial loop
+    would raise it: every argument below it has been pulled by then, and
+    none is pulled once a call has failed.  The helpers are joined before
+    anything returns.
+    """
+    workers = min(len(args), _usable_cpus()) if concurrent else 1
+    if workers < 2:
+        return [fn(a) for a in args]
+    results, errors = [None] * len(args), [None] * len(args)
+    pending = iter(range(len(args)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                k = None if any(e is not None for e in errors) else next(pending, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(args[k])
+            except BaseException as exc:  # re-raised in the caller below
+                errors[k] = exc
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            helpers.append(thread)
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def coercivity_probe(

@@ -133,11 +133,14 @@ def solve_vi_extragradient(
     x_k, a projection output and so feasible.  Since ||R_g|| is
     nondecreasing in g and ||R_g|| / g is nonincreasing (Gafni & Bertsekas
     1984), this bounds the natural-map residual at unit step by `tol` as
-    well.  `residual_history` holds the bound of every iterate.  On budget
-    exhaustion the iterate with the least bound is returned with
-    converged=False, that bound as `final_residual` and the step g_k it
-    bounds the residual at as `step_used`; nothing is raised, so callers
-    can inspect the trace.  A `step` of 0 or an infinite `tol` would pass
+    well.  Above the unit step that argument can lose to rounding in the
+    projection of a far forward point, so there a stop also needs the
+    unit-step residual itself at most `tol`; without it the iteration
+    restarts from x_k at the unit step.  `residual_history` holds the bound
+    of every iterate.  On budget exhaustion the iterate with the least bound
+    is returned with converged=False, that bound as `final_residual` and the
+    step g_k it bounds the residual at as `step_used`; nothing is raised, so
+    callers can inspect the trace.  A `step` of 0 or an infinite `tol` would pass
     any point, so a given step and `tol` must be finite and positive, and
     `max_iter` an integer >= 1.
     """
@@ -164,7 +167,15 @@ def solve_vi_extragradient(
         if res < best_res:
             best_vals, best_res, best_gamma = x, res, gamma
         if res <= tol * min(1.0, gamma):
-            return SolveReport(x0.with_values(x), k, res, np.asarray(history), True, gamma)
+            if gamma > 1.0:
+                # above the unit step the bound can lose to rounding in the
+                # projection of a far forward point: confirm at g = 1, and where
+                # that fails restart from x at g = 1, with no reflected term
+                x_next = project_values(x - fx, C, grid)
+                gap = float(_l2(x - x_next))
+            if gamma <= 1.0 or sqdt * gap <= tol:
+                return SolveReport(x0.with_values(x), k, res, np.asarray(history), True, gamma)
+            gamma = 1.0
         f_next = op.values(x_next)
         df = f_next - fx
         df_gap = float(_l2(df))

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -260,6 +263,115 @@ def test_certify_records_a_best_response_check_that_cannot_finish(monkeypatch):
     rep = certify_equilibrium(eco, p, plans)
     assert not rep.verdict and rep.witness == ("best_response", 0)
     assert [rep.residuals[f"best_response[{i}]"] for i in range(3)] == [np.inf] * 3
+
+
+def _planted_block_pair():
+    """A 4 x 2 x 256 planted pair: 200 samples of 512 values fill a block,
+    so its agents are checked concurrently wherever two CPUs are usable."""
+    eco, p, plans, endowments = make_planted_pair(4, 2, 256, seed=5)
+    assert 200 * 256 * 2 >= qvex.sets._SAMPLE_CHUNK
+    return eco, p, plans, endowments
+
+
+@pytest.fixture(params=["usable-cpus", "three-workers"])
+def workers(request, monkeypatch):
+    """The worker count of the concurrent path: the CPUs this process may
+    use, or three whatever they are, so one CPU still reaches the threads."""
+    if request.param == "three-workers":
+        monkeypatch.setattr(qvex.verify, "_usable_cpus", lambda: 3)
+    return min(4, qvex.verify._usable_cpus())
+
+
+def _record_threads(monkeypatch, workers=1):
+    """Wrap the per-agent check to record the thread each agent ran on.
+
+    The first `workers` agents wait for each other before they are checked,
+    so they run on as many threads, or the wait times out."""
+    threads, check = {}, qvex.verify.best_response_residual
+    together = threading.Barrier(workers)
+
+    def recorded(eco, p, x_i, i, **kwargs):
+        threads[i] = threading.get_ident()
+        if i < workers:
+            together.wait(timeout=10)
+        return check(eco, p, x_i, i, **kwargs)
+
+    monkeypatch.setattr(qvex.verify, "best_response_residual", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("candidate", ["plans", "endowments", "mixed"])
+def test_concurrent_checks_match_a_serial_loop_in_index_order(monkeypatch, workers, candidate):
+    eco, p, plans, endowments = _planted_block_pair()
+    x = {"plans": plans, "endowments": endowments, "mixed": plans[:2] + endowments[2:]}[candidate]
+    serial = [best_response_residual(eco, p, x[i], i, samples=200, seed=7 + i) for i in range(4)]
+    threads = _record_threads(monkeypatch, workers)
+
+    rep = certify_equilibrium(eco, p, x, tol=1e-6, seed=7)
+
+    assert [rep.residuals[f"best_response[{i}]"] for i in range(4)] == serial
+    failing = [i for i, br in enumerate(serial) if not br <= 1e-6]
+    assert failing == {"plans": [], "endowments": [0, 1, 2, 3], "mixed": [2, 3]}[candidate]
+    assert rep.witness == (("best_response", failing[0]) if failing else None)
+    assert rep.verdict == (candidate == "plans")
+    assert len({threads[i] for i in range(workers)}) == workers
+
+
+def test_checks_stay_serial_below_one_block(monkeypatch, workers):
+    # the cutoff is read at call time: a block larger than an agent's
+    # samples keeps every check on the caller's thread
+    eco, p, plans, _ = _planted_block_pair()
+    threads = _record_threads(monkeypatch)
+    monkeypatch.setattr(qvex.sets, "_SAMPLE_CHUNK", 200 * 256 * 2 + 1)
+    assert certify_equilibrium(eco, p, plans).verdict
+    assert set(threads.values()) == {threading.get_ident()}
+
+
+def test_a_concurrent_check_raises_the_lowest_agents_error(monkeypatch, workers):
+    # a serial loop raises agent 1's error and never reaches agent 3; on
+    # threads agent 1 fails only after agent 3 has, so both errors are held
+    eco, p, plans, _ = _planted_block_pair()
+    check, third_failed = qvex.verify.best_response_residual, threading.Event()
+
+    def planted(eco, p, x_i, i, **kwargs):
+        if i == 1 and workers > 1:
+            assert third_failed.wait(timeout=10)
+        if i in (1, 3):
+            if i == 3:
+                third_failed.set()
+            raise RuntimeError(f"planted failure in agent {i}")
+        return check(eco, p, x_i, i, **kwargs)
+
+    monkeypatch.setattr(qvex.verify, "best_response_residual", planted)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^planted failure in agent 1$"):
+        certify_equilibrium(eco, p, plans)
+    assert threading.active_count() == before
+
+
+def test_concurrent_map_pulls_every_argument_once_under_fast_thread_switches(monkeypatch):
+    # more workers than cores, switching threads every microsecond: a pull
+    # that raced another would call an argument twice or skip one
+    monkeypatch.setattr(qvex.verify, "_usable_cpus", lambda: 8)
+    calls, before, interval = [], threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = qvex.verify._map_in_order(lambda a: calls.append(a) or a * a, range(2000), True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [a * a for a in range(2000)]
+    assert sorted(calls) == list(range(2000))
+    assert threading.active_count() == before
+
+
+def test_concurrent_checks_record_a_check_that_cannot_finish(monkeypatch, workers):
+    eco, p, plans, _ = _planted_block_pair()
+    monkeypatch.setattr(qvex.sets, "_project_budget_cone", _stuck_cone)
+    before = threading.active_count()
+    rep = certify_equilibrium(eco, p, plans)
+    assert not rep.verdict and rep.witness == ("best_response", 0)
+    assert [rep.residuals[f"best_response[{i}]"] for i in range(4)] == [np.inf] * 4
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("count", [1, 3])

@@ -212,6 +212,19 @@ def test_a_constant_operator_solve_certifies_at_the_unit_step():
     assert vi_residual(rep.solution, op, C, 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("slope", [1e-10, 1e-12])
+def test_a_nearly_flat_operator_solve_certifies_at_the_unit_step(slope):
+    # a two-point ratio under the 1e-8 floor gives a first step of 9e7;
+    # rounding in the projection of the far forward point left the stop
+    # bound at that step below tol at a point 2.07e-8 off at the unit step
+    p, e = GridFunction(G1, np.array([[0.74478467]])), GridFunction(G1, np.array([[0.52634508]]))
+    C = Intersection((BudgetHalfspace(p, e), CapBox((1.625,))))
+    op = OperatorHandle(lambda v: slope * v - 0.72144189)
+    rep = solve_vi_extragradient(op, C, scalar(0.1), tol=1e-8)
+    assert rep.converged
+    assert vi_residual(rep.solution, op, C, 1.0) <= 1e-8
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
 def test_solver_adaptive_step_recovers_from_bad_step(scale):
     # step far above 1/L = 1/(4 scale) oscillates; the adaptive rule must bring it home
