@@ -14,11 +14,13 @@ in the block with their multipliers frozen, and the utility family reduces
 each block to per-sample utility and Minty sums in one pass
 (`UtilitySpec.block_sums`).  A check holds about three blocks at a time:
 the one being drawn, its projection and the projection's temporaries.
-Agents whose samples fill a block are checked concurrently, one thread per
-CPU the process may use, the caller among them; each agent draws from its
-own generator and the results are gathered by agent index, so the report
-has the bits of the serial loop.  The probes draw from the same sampler and
-evaluate operators on the value arrays; only their witnesses are wrapped.
+Agents whose samples fill at least three quarters of a block are checked
+concurrently, one thread per CPU the process may use, the caller among
+them; smaller checks stay serial, their GIL hand-offs costing more than
+the threads win back.  Each agent draws from its own generator and the
+results are gathered by agent index, so the report has the bits of the
+serial loop.  The probes draw from the same sampler and evaluate operators
+on the value arrays; only their witnesses are wrapped.
 """
 
 from __future__ import annotations
@@ -178,10 +180,12 @@ def certify_equilibrium(
             return np.inf
 
     checked = [i for i in range(eco.n_agents) if budgets[i] <= tol]
-    # concurrent only where an agent's samples fill a block: on smaller
-    # blocks the ops take microseconds, and the hand-offs of the GIL swamp them
-    fills_block = samples * eco.grid.cells * eco.goods >= _sets._SAMPLE_CHUNK
-    brs = dict(zip(checked, _map_in_order(check, checked, fills_block)))
+    # threads only where an agent's samples fill three quarters of a block:
+    # on smaller blocks the hand-offs of the GIL outweigh the overlap (2-CPU
+    # x86 VM: serial was faster at 6,400 to 38,400 values, threads at 51,200)
+    concurrent = 4 * samples * eco.grid.cells * eco.goods >= 3 * _sets._SAMPLE_CHUNK
+    workers = min(len(checked), _usable_cpus()) if concurrent else 1
+    brs = dict(zip(checked, _map_in_order(check, checked, workers)))
     for i in range(eco.n_agents):
         if i not in brs:
             residuals[f"best_response[{i}]"] = np.inf
@@ -211,19 +215,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_in_order(fn: Callable[[int], float], args: Sequence[int], concurrent: bool) -> list:
-    """[fn(a) for a in args], as a serial loop gives it.
+def _map_in_order(fn: Callable[[int], float], args: Sequence[int], workers: int) -> list:
+    """[fn(a) for a in args], on the caller and `workers` - 1 helper threads.
 
-    With `concurrent`, the caller and up to one helper thread per further
-    usable CPU pull the arguments in order until none is left.  The
-    exception of the lowest failing argument is raised, as the serial loop
-    would raise it: every argument below it has been pulled by then, and
-    none is pulled once a call has failed.  The helpers are joined before
-    anything returns.
+    Each pulls the next argument in order until none is left, and results
+    are written back by position.  `fn` must be pure: after a failure the
+    remaining arguments are still called, and the exception of the lowest
+    failing argument is raised, as the serial loop would raise it.  The
+    helpers are joined before anything returns.
     """
-    workers = min(len(args), _usable_cpus()) if concurrent else 1
-    if workers < 2:
-        return [fn(a) for a in args]
     results, errors = [None] * len(args), [None] * len(args)
     pending = iter(range(len(args)))
     lock = threading.Lock()
@@ -231,12 +231,12 @@ def _map_in_order(fn: Callable[[int], float], args: Sequence[int], concurrent: b
     def work():
         while True:
             with lock:
-                k = None if any(e is not None for e in errors) else next(pending, None)
+                k = next(pending, None)
             if k is None:
                 return
             try:
                 results[k] = fn(args[k])
-            except BaseException as exc:  # re-raised in the caller below
+            except Exception as exc:  # re-raised in the caller below
                 errors[k] = exc
 
     helpers = []

@@ -36,6 +36,9 @@ from .sets import SetDescriptor, project_values
 #: forward-reflected-backward needs it below 1/2
 STEP_SAFETY = 0.45
 
+#: factor by which the rounding of the first forward point stays below `tol`
+_ROUNDING_MARGIN = 64
+
 
 def adaptive_step(gamma: float, dx: float, dF: float) -> float:
     """The Yang & Liu step update from ||x - y|| = dx and ||F(x) - F(y)|| = dF.
@@ -126,7 +129,10 @@ def solve_vi_extragradient(
 
     Despite the name, the iteration is the forward-reflected-backward one
     of the module docstring, started from x_0 = P_C(x0) with no reflected
-    term.  P_C is nonexpansive, so the step's own projection bounds the
+    term.  Where no `step` is given the first one is 0.9 over
+    `estimate_lipschitz`, cut so that the rounding of the forward point
+    x_0 - g F(x_0), about eps g ||F(x_0)||, stays `_ROUNDING_MARGIN` times
+    below `tol`.  P_C is nonexpansive, so the step's own projection bounds the
     natural-map residual of x_k:
         ||R_{g_k}(x_k)|| <= ||x_k - x_{k+1}|| + g_{k-1} ||F(x_k) - F(x_{k-1})||.
     The iteration stops when that bound is <= tol * min(1, g_k) and returns
@@ -147,13 +153,21 @@ def solve_vi_extragradient(
     require_positive_real("tol", tol)
     require_integer("max_iter", max_iter, 1)
     grid = x0.grid
-    if step is None:
-        step = 0.9 / estimate_lipschitz(op, C, x0)
-    gamma = require_positive_real("step", step)
     sqdt = np.sqrt(grid.dt)
+    if step is not None:
+        step = require_positive_real("step", step)
 
     x = project_values(x0.values, C, grid)
     fx = op.values(x)
+    if step is None:
+        # a forward point x - g F(x) is rounded by about eps g ||F(x)||; past
+        # tol / (margin eps ||F(x)||) that rounding, not the iteration, would
+        # set the stop bound
+        step = 0.9 / estimate_lipschitz(op, C, x0)
+        blur = _ROUNDING_MARGIN * np.finfo(float).eps * float(sqdt * _l2(fx))
+        if blur * step > tol:
+            step = tol / blur
+    gamma = step
     # g_{k-1} (F(x_k) - F(x_{k-1})) and its norm; no reflection at the start
     reflect, reflect_gap = 0.0, 0.0
     history = []

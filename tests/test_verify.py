@@ -317,19 +317,28 @@ def test_concurrent_checks_match_a_serial_loop_in_index_order(monkeypatch, worke
     assert len({threads[i] for i in range(workers)}) == workers
 
 
-def test_checks_stay_serial_below_one_block(monkeypatch, workers):
-    # the cutoff is read at call time: a block larger than an agent's
-    # samples keeps every check on the caller's thread
+def test_checks_stay_serial_below_three_quarters_of_a_block(monkeypatch, workers):
+    # the cutoff is read at call time: a block of more than 4/3 of an
+    # agent's sampled values keeps every check on the caller's thread
     eco, p, plans, _ = _planted_block_pair()
     threads = _record_threads(monkeypatch)
-    monkeypatch.setattr(qvex.sets, "_SAMPLE_CHUNK", 200 * 256 * 2 + 1)
+    monkeypatch.setattr(qvex.sets, "_SAMPLE_CHUNK", 4 * 200 * 256 * 2 // 3 + 1)
     assert certify_equilibrium(eco, p, plans).verdict
     assert set(threads.values()) == {threading.get_ident()}
 
 
+def test_checks_run_on_threads_from_three_quarters_of_a_block(monkeypatch, workers):
+    eco, p, plans, _ = _planted_block_pair()
+    threads = _record_threads(monkeypatch, workers)
+    monkeypatch.setattr(qvex.sets, "_SAMPLE_CHUNK", 4 * 200 * 256 * 2 // 3)
+    assert certify_equilibrium(eco, p, plans).verdict
+    assert len({threads[i] for i in range(workers)}) == workers
+
+
 def test_a_concurrent_check_raises_the_lowest_agents_error(monkeypatch, workers):
     # a serial loop raises agent 1's error and never reaches agent 3; on
-    # threads agent 1 fails only after agent 3 has, so both errors are held
+    # threads agent 1 fails only after agent 3 has, and its error is still
+    # the one raised
     eco, p, plans, _ = _planted_block_pair()
     check, third_failed = qvex.verify.best_response_residual, threading.Event()
 
@@ -349,14 +358,13 @@ def test_a_concurrent_check_raises_the_lowest_agents_error(monkeypatch, workers)
     assert threading.active_count() == before
 
 
-def test_concurrent_map_pulls_every_argument_once_under_fast_thread_switches(monkeypatch):
+def test_concurrent_map_pulls_every_argument_once_under_fast_thread_switches():
     # more workers than cores, switching threads every microsecond: a pull
     # that raced another would call an argument twice or skip one
-    monkeypatch.setattr(qvex.verify, "_usable_cpus", lambda: 8)
     calls, before, interval = [], threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = qvex.verify._map_in_order(lambda a: calls.append(a) or a * a, range(2000), True)
+        out = qvex.verify._map_in_order(lambda a: calls.append(a) or a * a, range(2000), 8)
     finally:
         sys.setswitchinterval(interval)
     assert out == [a * a for a in range(2000)]

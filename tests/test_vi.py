@@ -212,16 +212,31 @@ def test_a_constant_operator_solve_certifies_at_the_unit_step():
     assert vi_residual(rep.solution, op, C, 1.0) <= 1e-8
 
 
-@pytest.mark.parametrize("slope", [1e-10, 1e-12])
-def test_a_nearly_flat_operator_solve_certifies_at_the_unit_step(slope):
-    # a two-point ratio under the 1e-8 floor gives a first step of 9e7;
-    # rounding in the projection of the far forward point left the stop
-    # bound at that step below tol at a point 2.07e-8 off at the unit step
+def _nearly_flat(slope):
+    """One cell, a budget line with a cap past it, and F(v) = slope v - c."""
     p, e = GridFunction(G1, np.array([[0.74478467]])), GridFunction(G1, np.array([[0.52634508]]))
     C = Intersection((BudgetHalfspace(p, e), CapBox((1.625,))))
-    op = OperatorHandle(lambda v: slope * v - 0.72144189)
+    return OperatorHandle(lambda v: slope * v - 0.72144189), C
+
+
+@pytest.mark.parametrize("slope", [1e-9, 1e-10, 1e-12])
+def test_a_nearly_flat_operator_solve_certifies_at_the_unit_step(slope):
+    # a two-point ratio under the 1e-8 floor asks for a first step of 9e7,
+    # which throws the start 6.5e7 past the budget line: the rounding of the
+    # projection back certified a point 2.07e-8 off at the unit step (slopes
+    # 1e-10, 1e-12), or held the stop bound at 1.49e-8 > tol (slope 1e-9)
+    op, C = _nearly_flat(slope)
     rep = solve_vi_extragradient(op, C, scalar(0.1), tol=1e-8)
     assert rep.converged
+    assert vi_residual(rep.solution, op, C, 1.0) <= 1e-8
+
+
+def test_a_stop_above_the_unit_step_is_confirmed_at_it():
+    # a given step is not cut: at 9e7 the stop bound passes at a point
+    # 2.07e-8 off at the unit step, so the solve goes on from there at g = 1
+    op, C = _nearly_flat(1e-10)
+    rep = solve_vi_extragradient(op, C, scalar(0.1), step=9e7, tol=1e-8)
+    assert rep.converged and rep.step_used == 1.0
     assert vi_residual(rep.solution, op, C, 1.0) <= 1e-8
 
 
