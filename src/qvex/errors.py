@@ -66,7 +66,9 @@ class NonConvergence(RuntimeError):
 
 
 class InnerSolveFailure(RuntimeError):
-    """One or more per-agent inner solves failed to certify."""
+    """One or more per-agent inner solves failed to certify.  Nothing in
+    qvex raises it (`solve_qvi` reports converged=False instead); it stays
+    only because `perfbench/layertrace.py` and a test helper import it."""
 
     def __init__(self, message, failed_agents=()):
         super().__init__(message)

@@ -15,19 +15,19 @@ each block to per-sample utility and Minty sums in one pass
 (`UtilitySpec.block_sums`).  A check holds about three blocks at a time:
 the one being drawn, its projection and the projection's temporaries.
 Agents whose samples fill at least three quarters of a block are checked
-concurrently, one thread per CPU the process may use, the caller among
-them; smaller checks stay serial, their GIL hand-offs costing more than
-the threads win back.  Each agent draws from its own generator and the
-results are gathered by agent index, so the report has the bits of the
-serial loop.  The probes draw from the same sampler and evaluate operators
-on the value arrays; only their witnesses are wrapped.
+concurrently on a standard thread pool, one thread per CPU the process
+may use; smaller checks stay serial on the caller's thread, their GIL
+hand-offs costing more than the threads win back.  Each agent draws from
+its own generator and the pool returns the results in agent order, so the
+report has the bits of the serial loop.  The probes draw from the same
+sampler and evaluate operators on the value arrays; only their witnesses
+are wrapped.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -185,7 +185,14 @@ def certify_equilibrium(
     # x86 VM: serial was faster at 6,400 to 38,400 values, threads at 51,200)
     concurrent = 4 * samples * eco.grid.cells * eco.goods >= 3 * _sets._SAMPLE_CHUNK
     workers = min(len(checked), _usable_cpus()) if concurrent else 1
-    brs = dict(zip(checked, _map_in_order(check, checked, workers)))
+    if workers > 1:
+        # imported here, so that `import qvex` does not load the pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            brs = dict(zip(checked, pool.map(check, checked)))
+    else:
+        brs = dict(zip(checked, map(check, checked)))
     for i in range(eco.n_agents):
         if i not in brs:
             residuals[f"best_response[{i}]"] = np.inf
@@ -213,46 +220,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _map_in_order(fn: Callable[[int], float], args: Sequence[int], workers: int) -> list:
-    """[fn(a) for a in args], on the caller and `workers` - 1 helper threads.
-
-    Each pulls the next argument in order until none is left, and results
-    are written back by position.  `fn` must be pure: after a failure the
-    remaining arguments are still called, and the exception of the lowest
-    failing argument is raised, as the serial loop would raise it.  The
-    helpers are joined before anything returns.
-    """
-    results, errors = [None] * len(args), [None] * len(args)
-    pending = iter(range(len(args)))
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                k = next(pending, None)
-            if k is None:
-                return
-            try:
-                results[k] = fn(args[k])
-            except Exception as exc:  # re-raised in the caller below
-                errors[k] = exc
-
-    helpers = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            helpers.append(thread)
-        work()
-    finally:
-        for thread in helpers:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
 
 
 def coercivity_probe(

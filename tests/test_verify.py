@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import numpy as np
@@ -358,26 +357,24 @@ def test_a_concurrent_check_raises_the_lowest_agents_error(monkeypatch, workers)
     assert threading.active_count() == before
 
 
-def test_concurrent_map_pulls_every_argument_once_under_fast_thread_switches():
-    # more workers than cores, switching threads every microsecond: a pull
-    # that raced another would call an argument twice or skip one
-    calls, before, interval = [], threading.active_count(), sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out = qvex.verify._map_in_order(lambda a: calls.append(a) or a * a, range(2000), 8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert out == [a * a for a in range(2000)]
-    assert sorted(calls) == list(range(2000))
-    assert threading.active_count() == before
-
-
 def test_concurrent_checks_record_a_check_that_cannot_finish(monkeypatch, workers):
     eco, p, plans, _ = _planted_block_pair()
     monkeypatch.setattr(qvex.sets, "_project_budget_cone", _stuck_cone)
     before = threading.active_count()
     rep = certify_equilibrium(eco, p, plans)
     assert not rep.verdict and rep.witness == ("best_response", 0)
+    assert [rep.residuals[f"best_response[{i}]"] for i in range(4)] == [np.inf] * 4
+    assert threading.active_count() == before
+
+
+def test_a_block_filling_pair_with_every_budget_broken_checks_no_agent(workers):
+    # no agent passes its budget gate, so there is no check to run, and
+    # no pool to build for one
+    eco, p, _, endowments = _planted_block_pair()
+    before = threading.active_count()
+    rep = certify_equilibrium(eco, p, [3.0 * e for e in endowments])
+    assert not rep.verdict
+    assert all(rep.residuals[f"budget[{i}]"] > 1e-6 for i in range(4))
     assert [rep.residuals[f"best_response[{i}]"] for i in range(4)] == [np.inf] * 4
     assert threading.active_count() == before
 
