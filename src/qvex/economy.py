@@ -41,7 +41,6 @@ from .sets import (
     BudgetHalfspace,
     CapBox,
     Intersection,
-    PointwiseSimplex,
     _cap_budgets,
     _fixing_root,
     _multiplier_search,
@@ -359,12 +358,11 @@ def default_caps(eco: Economy, slack: float = 1.1) -> np.ndarray:
 
 
 def assemble_qvi(eco: Economy, caps: Sequence[float]) -> QVIProblem:
-    """Build the split QVI for the economy.
+    """Build the split QVI for the economy, its endowments the warm starts.
 
-    Price set: per-cell unit simplex.  Constraint map: budget halfspace at
-    the given price intersected with the capped cone.  Operator: stacked
-    negative utility gradients.  Outer map: aggregate unsold endowment
-    sum_i (e_i - x_i).
+    Constraint map: budget halfspace at the given price intersected with
+    the capped cone.  Operator: stacked negative utility gradients.  Outer
+    map: aggregate unsold endowment sum_i (e_i - x_i).
     """
     caps = np.asarray(caps, dtype=float)
     if caps.shape != (eco.goods,):
@@ -393,12 +391,9 @@ def assemble_qvi(eco: Economy, caps: Sequence[float]) -> QVIProblem:
     # a family that keeps the base method has no closed form
     exact = all(type(s).demand is not UtilitySpec.demand for s in specs)
     return QVIProblem(
-        price_set=PointwiseSimplex(),
         constraint_map=constraint_map,
         agent_operators=[agent_operator(a) for a in eco.agents],
         outer_map=outer_map,
-        grid=eco.grid,
-        goods=eco.goods,
         warm_starts=endowments,
         caps=tuple(caps),
         demand=demand if exact else None,

@@ -1,6 +1,6 @@
 """Two-level solver for quasi-variational inequalities with the split
-structure (price set D, per-agent constraint map K(d), block operator F,
-outer map f).
+structure (price set D, the per-cell unit simplex on the warm starts' grid;
+per-agent constraint map K(d); block operator F; outer map f).
 
 `solve_qvi` follows the reduction of the problem to a price-space VI:
 evaluate the inner best responses x(d) on K(d), then move prices by a
@@ -32,7 +32,7 @@ whatever internal steps the iterations used.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ from .reports import CertReport
 from .sets import (
     Ball,
     Intersection,
-    SetDescriptor,
+    PointwiseSimplex,
     membership_residual,
     project,
     project_values,
@@ -114,32 +114,37 @@ class QVIParams:
 class QVIProblem:
     """Problem data for the split QVI.
 
-    `constraint_map` sends a feasible price curve to one constraint set per
-    agent; `agent_operators` are the diagonal blocks of the stacked
-    operator; `outer_map` sends a stacked allocation to a price-space
-    direction.  `warm_starts` must be feasible for every price the map can
-    produce (probed on construction at the uniform price).  `demand`, when
-    given, is an exact inner solver: `demand(i, d)` returns the values of
-    agent i's solution on K_i(d) and raises `NonConvergence` when its
-    search runs out; without it the inner VIs are solved iteratively by
-    `solve_vi_extragradient`.
+    Prices live on the per-cell unit simplex.  `constraint_map` sends a
+    price curve to one constraint set per agent; `agent_operators` are the
+    diagonal blocks of the stacked operator; `outer_map` sends a stacked
+    allocation to a price-space direction.  `warm_starts`, one per
+    operator, fix `grid` and `goods` (a ValueError names them unless they
+    share one grid and one goods count) and must be feasible for every
+    price the map can produce (probed on construction at the uniform
+    price).  `demand`, when given, is an exact inner solver: `demand(i, d)`
+    returns the values of agent i's solution on K_i(d) and raises
+    `NonConvergence` when its search runs out; without it the inner VIs are
+    solved iteratively by `solve_vi_extragradient`.
     """
 
-    price_set: SetDescriptor
     constraint_map: Callable[[PriceCurve], list]
     agent_operators: list
     outer_map: Callable[[GridFunction], GridFunction]
-    grid: TimeGrid
-    goods: int
     warm_starts: list
     caps: Optional[tuple] = None
     demand: Optional[Callable[[int, PriceCurve], np.ndarray]] = None
+    grid: TimeGrid = field(init=False)
+    goods: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.agent_operators) != len(self.warm_starts):
-            raise ValueError("one warm start per agent operator is required")
-        probe = PriceCurve.uniform(self.grid, self.goods)
-        sets = self.constraint_map(probe)
+        shapes = list(dict.fromkeys((w.grid, w.components) for w in self.warm_starts))
+        if len(shapes) != 1 or len(self.warm_starts) != self.n_agents:
+            raise ValueError(
+                f"warm_starts: need one per agent operator ({self.n_agents}), all on one grid "
+                f"with one goods count, got {len(self.warm_starts)} on (grid, goods) {shapes}"
+            )
+        ((self.grid, self.goods),) = shapes
+        sets = self.constraint_map(PriceCurve.uniform(self.grid, self.goods))
         if len(sets) != self.n_agents:
             raise ValueError("constraint_map must return one set per agent")
         for i, (s, w) in enumerate(zip(sets, self.warm_starts)):
@@ -152,6 +157,15 @@ class QVIProblem:
     @property
     def n_agents(self) -> int:
         return len(self.agent_operators)
+
+    def require_price(self, name: str, d: PriceCurve) -> PriceCurve:
+        """`d`; ValueError, naming it, unless it is on the grid, one column per good."""
+        if d.grid != self.grid or d.components != self.goods:
+            raise ValueError(
+                f"{name}: need {self.goods} goods on {self.grid}, "
+                f"got {d.components} goods on {d.grid}"
+            )
+        return d
 
 
 @dataclass
@@ -178,17 +192,11 @@ class QVISolveReport:
 
 
 def _start_price(prob: QVIProblem, params: QVIParams) -> PriceCurve:
-    """`params.start_price`, or the uniform price without one; ValueError,
-    naming it, unless it lies on the problem's grid with one column per good."""
+    """`params.start_price`, checked by `QVIProblem.require_price`, or the uniform price."""
     d = params.start_price
     if d is None:
         return PriceCurve.uniform(prob.grid, prob.goods)
-    if d.grid != prob.grid or d.components != prob.goods:
-        raise ValueError(
-            f"start_price: need {prob.goods} goods on {prob.grid}, "
-            f"got {d.components} goods on {d.grid}"
-        )
-    return d
+    return prob.require_price("start_price", d)
 
 
 def _agent_steps(prob: QVIProblem, params: QVIParams) -> list:
@@ -248,7 +256,7 @@ def _agent_residuals(blocks, prob, sets, failed=()):
 
 
 def _outer_residual(d_vals, h_vals, prob):
-    proj = project_values(d_vals - RESIDUAL_GAUGE * h_vals, prob.price_set, prob.grid)
+    proj = project_values(d_vals - RESIDUAL_GAUGE * h_vals, PointwiseSimplex(), prob.grid)
     return float(np.sqrt(prob.grid.dt) * _l2(d_vals - proj))
 
 
@@ -339,7 +347,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
                 converged=True,
                 residual_history=np.asarray(history),
             )
-        d = project(d - sigma * h, prob.price_set)
+        d = project(d - sigma * h, PointwiseSimplex())
 
     d, x, inner_res, res = best
     if not failure:
@@ -364,7 +372,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
 
 def check_truncation_interior(report: QVISolveReport, r: float) -> bool:
     """True when every agent's plan lies strictly inside its radius-r ball,
-    the ball `_make_truncated_map` cuts each agent's set with."""
+    the ball `solve_qvi_truncated` cuts each agent's set with."""
     return max(norm(b) for b in report.agent_allocations()) < r - 1e-9
 
 
@@ -419,14 +427,15 @@ def solve_qvi_truncated(
 
     last = None
     for r in radii:
-        trunc_map = _make_truncated_map(prob.constraint_map, r)
+        # each agent's set cut by its own ball; used only within this radius
+        def trunc_map(p):
+            return [Intersection((*s.parts, Ball(r))) for s in prob.constraint_map(p)]
+
         # scaled endowments stay feasible for every price (budget gap scales
         # down, caps and ball shrink with t), so they serve as warm starts
         # even when the ball excludes the endowment itself; the problem
         # checks them against the truncated sets on construction
-        warm = [
-            w if norm(w) < r else (0.99 * r / norm(w)) * w for w in prob.warm_starts
-        ]
+        warm = [w if norm(w) < r else (0.99 * r / norm(w)) * w for w in prob.warm_starts]
         # the exact demand map knows no ball, so the truncated inner VIs run
         # on the iterative solver
         sub = replace(prob, constraint_map=trunc_map, warm_starts=warm, demand=None)
@@ -452,10 +461,3 @@ def solve_qvi_truncated(
         f"retry with a larger coercivity radius{reason}"
     )
     return last
-
-
-def _make_truncated_map(constraint_map, r):
-    def trunc_map(p):
-        return [Intersection((*s.parts, Ball(r))) for s in constraint_map(p)]
-
-    return trunc_map

@@ -147,8 +147,9 @@ def certify_equilibrium(
     on the step functions; the Minty and utility parts are checked only on
     the sampled plans.  A pass therefore certifies the exact gates at the
     stated tolerance and the optimality inequalities on the sampled
-    directions, not optimality over the whole budget set.  An agent whose
-    check cannot finish (infeasible plan, projection out of steps) gets inf.
+    directions, not optimality over the whole budget set.  An agent gets inf
+    when its check cannot finish: a projection out of steps, or a plan over
+    1e-9 outside the uncapped budget set, a budget gate that ignores `tol`.
 
     Raises ValueError unless `x` holds one plan per agent, `tol` is finite
     and positive, `samples` an integer >= 1 and `seed` an integer >= 0.
@@ -235,7 +236,9 @@ def coercivity_probe(
     feasible y of smaller norm with <<F(x), x - y>> >= 0.  A pass with no
     sample beyond the radius is reported as vacuous; a NaN radius would be.
     A stacked sample is one single-point draw per agent, kept as arrays.
+    A ValueError naming `d` rejects a price off the problem's grid or goods.
     """
+    prob.require_price("d", d)
     require_positive_real("r_d", r_d)
     require_integer("samples", samples, 1)
     require_integer("seed", seed, 0)

@@ -597,7 +597,7 @@ def solve_qvi_product(prob, params=None):
         y = np.hstack(ys)
         hy = prob.outer_map(GridFunction(grid, y))
         fys = [op.values(y_i) for op, y_i in zip(prob.agent_operators, ys)]
-        d = PriceCurve(grid, project_values(d.values - gamma * hy.values, prob.price_set, grid))
+        d = PriceCurve(grid, project_values(d.values - gamma * hy.values, PointwiseSimplex(), grid))
         xs = [
             x_i.with_values(project_values(x_i.values - gamma * fy, s, grid))
             for x_i, fy, s in zip(xs, fys, sets)

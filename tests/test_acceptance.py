@@ -231,12 +231,9 @@ def test_criterion_7_probe_soundness(oracle_problem):
 
     outward = OperatorHandle(lambda x: np.full_like(x, -1.0))
     ray_prob = QVIProblem(
-        price_set=PointwiseSimplex(),
         constraint_map=lambda p: [CapBox((np.inf,))],
         agent_operators=[outward],
         outer_map=lambda x: GridFunction(g1, np.zeros((1, 1))),
-        grid=g1,
-        goods=1,
         warm_starts=[GridFunction.constant(g1, [1.0])],
     )
     rep = coercivity_probe(ray_prob, PriceCurve.uniform(g1, 1), r_d=1.0, samples=64, seed=4)

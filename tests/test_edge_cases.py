@@ -145,6 +145,27 @@ def test_whole_economies_certify_or_say_why_not(eco):
     assert cert.verdict, cert.residuals
 
 
+@pytest.mark.parametrize("weight", [1e-8, 1e-10, 1e-12])
+def test_a_quadratic_agent_with_tiny_weights_is_reported_honestly(oracle_economy, weight):
+    # Quadratic.demand projects b/q, so agent 0's plan carries rounding of
+    # about eps * |b| / q: the plain solve misses its inner tolerance
+    # (residuals 2.3e-8, 1.8e-6, 3.1e-4) and must say so; the truncated
+    # solve runs the iterative inner solver and certifies
+    eco, caps = oracle_economy
+    faint = Agent(eco.agents[0].endowment, Quadratic(eco.agents[0].utility.bliss, (weight,) * 2))
+    eco = Economy(eco.grid, eco.goods, (faint, eco.agents[1]))
+    prob = assemble_qvi(eco, caps)
+    rep = solve_qvi(prob)
+    if rep.converged:
+        assert certify_equilibrium(eco, rep.price, rep.agent_allocations(), tol=1e-6).verdict
+    else:
+        assert "inner solves failed to certify" in rep.message and "agents [0]" in rep.message
+    trunc = solve_qvi_truncated(prob, [50, 100])
+    assert trunc.converged, trunc.message
+    cert = certify_equilibrium(eco, trunc.price, trunc.agent_allocations(), tol=1e-6)
+    assert cert.verdict, cert.residuals
+
+
 def test_default_radius_schedule_doubles_from_caps(oracle_problem):
     radii = default_radius_schedule(oracle_problem)
     base = 1.0 + sum(oracle_problem.caps)

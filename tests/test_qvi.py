@@ -58,7 +58,7 @@ def bliss_inside_economy():
 def agent_best_responses(d, prob, params):
     """Stacked inner solutions x(d), each certified on its own K_i(d); the
     selection of the inner solution map that the outer iteration works with."""
-    if membership_residual(d, prob.price_set) > 1e-9:
+    if membership_residual(d, PointwiseSimplex()) > 1e-9:
         raise ValueError("price curve is not in the price set")
     blocks, _, inner_res, _ = _best_responses(d, prob, params, params.inner_tol)
     failed = np.flatnonzero(inner_res > params.inner_tol).tolist()
@@ -282,6 +282,48 @@ def test_a_start_price_off_the_problem_grid_is_rejected(scenario_dir, horizon, c
         solve_qvi(prob, params)
     with pytest.raises(ValueError, match="^start_price: "):
         solve_qvi_truncated(prob, params=params)
+
+
+def _zero_operator_problem(warm_starts):
+    zero = OperatorHandle(lambda x: np.zeros_like(x))
+    return QVIProblem(
+        constraint_map=lambda p: [qvex.CapBox((np.inf,) * w.components) for w in warm_starts],
+        agent_operators=[zero] * len(warm_starts),
+        outer_map=lambda x: x,
+        warm_starts=warm_starts,
+    )
+
+
+@pytest.mark.parametrize(
+    "warm_starts",
+    [
+        pytest.param(
+            [GridFunction.constant(make_grid(h, 1), [1.0, 1.0]) for h in (1.0, 2.0)],
+            id="two-horizons",
+        ),
+        pytest.param(
+            [GridFunction.constant(make_grid(1.0, 1), [1.0] * m) for m in (2, 3)],
+            id="two-goods-counts",
+        ),
+        pytest.param([], id="none"),
+    ],
+)
+def test_warm_starts_that_fix_no_one_grid_and_goods_count_are_rejected(warm_starts):
+    # a problem used to take its grid and goods on trust: a price on
+    # horizon 2.0 solved beside allocations on horizon 1.0, and a third
+    # good died in numpy broadcasting
+    with pytest.raises(ValueError, match="^warm_starts: "):
+        _zero_operator_problem(warm_starts)
+
+
+def test_a_problem_reads_its_grid_and_goods_off_the_warm_starts(oracle_economy, oracle_problem):
+    eco, _ = oracle_economy
+    assert (oracle_problem.grid, oracle_problem.goods) == (eco.grid, eco.goods)
+    three = _zero_operator_problem([GridFunction.constant(make_grid(2.0, 5), [1.0] * 3)] * 2)
+    assert (three.grid, three.goods) == (make_grid(2.0, 5), 3)
+    for name, value in (("grid", make_grid(2.0, 1)), ("goods", 3)):
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            replace(oracle_problem, **{name: value})
 
 
 def test_solver_determinism(oracle_problem, skewed_start):
@@ -667,12 +709,9 @@ def test_product_path_zero_operator_is_stationary():
     zero_op = OperatorHandle(lambda x: np.zeros_like(x))
 
     prob = QVIProblem(
-        price_set=PointwiseSimplex(),
         constraint_map=lambda p: [qvex.Intersection((qvex.BudgetHalfspace(p, e), qvex.CapBox((2.0, 2.0))))],
         agent_operators=[zero_op],
         outer_map=lambda x: GridFunction(g, np.zeros((2, 2))),
-        grid=g,
-        goods=2,
         warm_starts=[e],
     )
     rep = solve_qvi_product(prob, QVIParams())

@@ -20,7 +20,6 @@ from qvex import (
     GridFunction,
     LogShift,
     OperatorHandle,
-    PointwiseSimplex,
     PriceCurve,
     QVIParams,
     QVIProblem,
@@ -461,6 +460,36 @@ def test_coercivity_probe_rejects_a_nan_radius_and_no_samples(oracle_problem):
         coercivity_probe(oracle_problem, p, 1.0, samples=0)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        # passed vacuously, measuring samples drawn on the wrong grid
+        pytest.param(PriceCurve.uniform(make_grid(2.0, 1), 2), id="horizon"),
+        # died in the sampler with "cannot reshape array of size 2 into shape (3,)"
+        pytest.param(PriceCurve.uniform(G, 3), id="goods"),
+    ],
+)
+def test_coercivity_probe_rejects_a_price_off_the_problem_grid(oracle_problem, d):
+    with pytest.raises(ValueError, match="^d: need 2 goods on "):
+        coercivity_probe(oracle_problem, d, 5.0)
+
+
+def test_a_plan_over_budget_past_1e_9_fails_whatever_the_tolerance(oracle_economy, oracle_problem):
+    # the budget gate passes 5e-7 at tol=1e-3, but the best-response check
+    # refuses a plan more than 1e-9 outside the uncapped budget set
+    eco, _ = oracle_economy
+    rep = solve_qvi(oracle_problem)
+    p, plans = rep.price, rep.agent_allocations()
+    gap = 5e-7 - budget_residuals(eco, p, plans)[0]
+    step = gap / (eco.grid.dt * np.sum(p.values**2))
+    plans[0] = plans[0].with_values(plans[0].values + step * p.values)
+    cert = certify_equilibrium(eco, p, plans, tol=1e-3, seed=0)
+    assert cert.residuals["budget[0]"] == pytest.approx(5e-7, rel=1e-6)
+    assert cert.residuals["best_response[0]"] == np.inf
+    assert cert.residuals["best_response[1]"] <= 1e-6
+    assert not cert.verdict and cert.witness == ("best_response", 0)
+
+
 def test_certify_needs_exactly_one_plan_per_agent(oracle_economy, oracle_problem):
     # an extra plan was ignored, so a junk plan rode along on a certified pair
     eco, _ = oracle_economy
@@ -487,12 +516,9 @@ def test_coercivity_passes_for_identity_on_cone():
     e = GridFunction.constant(g, [1.0])
     ident = OperatorHandle(lambda x: x)
     prob = QVIProblem(
-        price_set=PointwiseSimplex(),
         constraint_map=lambda p: [CapBox((np.inf,))],
         agent_operators=[ident],
         outer_map=lambda x: GridFunction(g, np.zeros((1, 1))),
-        grid=g,
-        goods=1,
         warm_starts=[e],
     )
     rep = coercivity_probe(prob, PriceCurve.uniform(g, 1), r_d=1.0, samples=64, seed=3)
@@ -505,12 +531,9 @@ def test_coercivity_fails_on_outward_constant_field():
     e = GridFunction.constant(g, [1.0])
     outward = OperatorHandle(lambda x: np.full_like(x, -1.0))
     prob = QVIProblem(
-        price_set=PointwiseSimplex(),
         constraint_map=lambda p: [CapBox((np.inf,))],
         agent_operators=[outward],
         outer_map=lambda x: GridFunction(g, np.zeros((1, 1))),
-        grid=g,
-        goods=1,
         warm_starts=[e],
     )
     rep = coercivity_probe(prob, PriceCurve.uniform(g, 1), r_d=1.0, samples=64, seed=4)
@@ -544,12 +567,9 @@ def _criterion_7_calls():
 
     def ray(op):
         return QVIProblem(
-            price_set=PointwiseSimplex(),
             constraint_map=lambda p: [CapBox((np.inf,))],
             agent_operators=[op],
             outer_map=lambda x: GridFunction(g1, np.zeros((1, 1))),
-            grid=g1,
-            goods=1,
             warm_starts=[GridFunction.constant(g1, [1.0])],
         )
 
