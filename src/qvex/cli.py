@@ -28,7 +28,12 @@ from .errors import require_finite_real, require_integer, require_positive_real
 from .grids import GridFunction, PriceCurve, make_grid
 from .qvi import QVIParams, require_radius_schedule, solve_qvi, solve_qvi_truncated
 from .scenario import Scenario, build_economy, echo_scenario, load_scenario
-from .verify import certify_equilibrium, coercivity_probe, pseudomonotonicity_probe
+from .verify import (
+    _residual_name,
+    certify_equilibrium,
+    coercivity_probe,
+    pseudomonotonicity_probe,
+)
 
 
 def _write_series_csv(path: Path, series: dict) -> None:
@@ -190,6 +195,7 @@ def run_verify(scn_path: str, price_path: str, alloc_path: str, out_dir: str, to
         f"seed: {scn.solver.seed}",
         f"samples: {report.samples_used}",
         f"verdict: {'pass' if report.verdict else 'fail'}",
+        f"witness: {'none' if report.witness is None else _residual_name(report.witness)}",
         "residuals:",
     ]
     lines += [f"  {k}: {v:.6e}" for k, v in report.residuals.items()]

@@ -268,13 +268,16 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
     agent's residual on K_i(d) is <= inner_tol; the run stops at the first
     iterate where both hold.  The loose-then-tight inner tolerance schedule
     only sets the iterative inner solves' tolerance and the failure level.
-    An inner solve that fails to certify ends the run with converged=False
-    and the best certified pair so far (the failing iteration's own pair if
-    none certified yet); the message ends with each failed demand's own
-    error text.
-    An exhausted budget says why the step did not bring the price home when
-    it can tell: the step never moved because excess demand never changed,
-    or it collapsed to at most 1e-9 times `OUTER_STEP0`.
+    The report is converged exactly when no failure was recorded, and its
+    message is that failure.
+    An inner solve that fails to certify ends the run with the best
+    certified pair so far (the failing iteration's own pair if none
+    certified yet); the message ends with each failed demand's own error
+    text.
+    An exhausted budget returns the best pair and says why the step did not
+    bring the price home when it can tell: the step never moved because
+    excess demand never changed, or it collapsed to at most 1e-9 times
+    `OUTER_STEP0`.
     Each outer iteration logs one DEBUG record: k, residual, price step,
     effective inner tolerance and the agents' iterative-solver iterations
     (0 on exact demand).  A ValueError naming `start_price` rejects a start
@@ -287,16 +290,14 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
 
     history = []
     best = None
-    best_res = np.inf
-    prev_res = np.inf
     prev = None
     starts = None
     failure = ""
     # step updates made, and updates skipped because excess demand stood still
     step_updates = flat_steps = 0
-    k = 0
     for k in range(params.max_outer):
         # loose inner solves while far from the fixed point, exact near it
+        prev_res = history[-1] if history else np.inf
         if prev_res > 20 * params.outer_tol:
             # excess demand sums every agent's inner error, so split the share
             tol_eff = float(np.clip(0.05 * prev_res / prob.n_agents, params.inner_tol, 1e-4))
@@ -324,6 +325,7 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
             "outer %d: residual %.3e step %.3e inner tol %.1e inner iterations %d",
             k, res, sigma, tol_eff, eg_iters,
         )
+        pair = (d, x, inner_res, res)
         failed = np.flatnonzero(inner_res > tol_eff)
         if failed.size:
             failure = (
@@ -331,40 +333,32 @@ def solve_qvi(prob: QVIProblem, params: QVIParams = None) -> QVISolveReport:
                 f"{failed.tolist()} (residuals {[f'{r:.3e}' for r in inner_res[failed]]})"
                 + "".join(f"; agent {i}: {text}" for i, text in why.items())
             )
-            best = best or (d, x, inner_res, res)
+            best = best or pair
             break
-        prev_res = res
-        if res < best_res:
-            best_res = res
-            best = (d, x, inner_res, res)
         if res <= params.outer_tol and inner_res.max() <= params.inner_tol:
-            return QVISolveReport(
-                price=d,
-                allocation=x,
-                outer_residual=res,
-                inner_residuals=inner_res,
-                iterations=k + 1,
-                converged=True,
-                residual_history=np.asarray(history),
-            )
+            best = pair
+            break
+        if res < (best[3] if best else np.inf):
+            best = pair
         d = project(d - sigma * h, PointwiseSimplex())
-
-    d, x, inner_res, res = best
-    if not failure:
+    else:
         failure = (
-            f"outer iteration budget exhausted (best residual {res:.3e}, final step {sigma:.3e})"
+            f"outer iteration budget exhausted (best residual {best[3]:.3e}, "
+            f"final step {sigma:.3e})"
         )
         if flat_steps and not step_updates:
             failure += ": price step never moved: excess demand did not change"
         elif sigma <= 1e-9 * OUTER_STEP0:
             failure += f": price step collapsed to at most 1e-9 times its start {OUTER_STEP0:g}"
+
+    d, x, inner_res, res = best
     return QVISolveReport(
         price=d,
         allocation=x,
         outer_residual=res,
         inner_residuals=inner_res,
-        iterations=k + 1,
-        converged=False,
+        iterations=len(history),
+        converged=not failure,
         residual_history=np.asarray(history),
         message=failure,
     )

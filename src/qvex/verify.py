@@ -140,7 +140,12 @@ def certify_equilibrium(
 
     Gates: price lies in the per-cell simplex, every budget gap <= tol,
     every per-good clearing integral <= tol, every best-response residual
-    <= tol.  The Walras aggregate is reported as metadata only.
+    <= tol.  The Walras aggregate is reported as metadata only, between the
+    clearing integrals and the best responses.  The residuals are reported
+    in that order, and a failed certificate's witness is the first gate
+    that fails in it: ("price_simplex",), ("budget", i), ("clearing", j),
+    then ("best_response", i).  An agent that fails its budget gate is not
+    checked further; its best-response residual reads inf.
 
     Certification semantics: the simplex, budget and clearing gates and the
     natural-map part of each best-response residual are exact evaluations
@@ -158,21 +163,14 @@ def certify_equilibrium(
     require_positive_real("tol", tol)
     require_integer("samples", samples, 1)
     require_integer("seed", seed, 0)
-    residuals = {}
-    witness = None
-
-    residuals["price_simplex"] = membership_residual(p, PointwiseSimplex())
-
     budgets = budget_residuals(eco, p, x)
-    for i, b in enumerate(budgets):
-        residuals[f"budget[{i}]"] = float(b)
-    clearing = market_clearing_residual(eco, x)
-    for j, c in enumerate(clearing):
-        residuals[f"clearing[{j}]"] = float(c)
-    residuals["walras"] = float(budgets.sum())
-
-    ok = residuals["price_simplex"] <= tol
-    ok = ok and bool(np.all(budgets <= tol)) and bool(np.all(clearing <= tol))
+    # every residual in report order, keyed by the witness it names on a failure
+    table = {("price_simplex",): membership_residual(p, PointwiseSimplex())}
+    table.update({("budget", i): float(b) for i, b in enumerate(budgets)})
+    table.update(
+        {("clearing", j): float(c) for j, c in enumerate(market_clearing_residual(eco, x))}
+    )
+    table[("walras",)] = float(budgets.sum())
 
     def check(i):
         try:
@@ -194,25 +192,23 @@ def certify_equilibrium(
             brs = dict(zip(checked, pool.map(check, checked)))
     else:
         brs = dict(zip(checked, map(check, checked)))
-    for i in range(eco.n_agents):
-        if i not in brs:
-            residuals[f"best_response[{i}]"] = np.inf
-            ok = False
-            continue
-        residuals[f"best_response[{i}]"] = brs[i]
-        if not brs[i] <= tol:
-            ok = False
-            witness = witness or ("best_response", i)
+    table.update({("best_response", i): brs.get(i, np.inf) for i in range(eco.n_agents)})
 
+    failing = [key for key, r in table.items() if key != ("walras",) and not r <= tol]
     return CertReport(
-        verdict=bool(ok),
-        residuals=residuals,
-        witness=witness,
+        verdict=not failing,
+        residuals={_residual_name(key): r for key, r in table.items()},
+        witness=failing[0] if failing else None,
         tolerance=tol,
         samples_used=samples,
         seed=seed,
         name="equilibrium",
     )
+
+
+def _residual_name(key: tuple) -> str:
+    """The residual a certificate's key names: ("clearing", 1) -> "clearing[1]"."""
+    return key[0] + "".join(f"[{i}]" for i in key[1:])
 
 
 def _usable_cpus() -> int:
@@ -233,7 +229,9 @@ def coercivity_probe(
     """Sampled coercivity check of the stacked operator on K(d).
 
     For each sampled feasible stacked x with ||x|| > r_d, look for a
-    feasible y of smaller norm with <<F(x), x - y>> >= 0.  A pass with no
+    feasible y of smaller norm with <<F(x), x - y>> >= 0 among 0.1, 0.5
+    and 0.9 times x, the origin and a pool of 4 * `samples` more draws,
+    drawn only when some sample lies beyond the radius.  A pass with no
     sample beyond the radius is reported as vacuous; a NaN radius would be.
     A stacked sample is one single-point draw per agent, kept as arrays.
     A ValueError naming `d` rejects a price off the problem's grid or goods.

@@ -97,7 +97,7 @@ ENTRY_POINTS = [
     ("samples", lambda v: certify_equilibrium(ECO, P, PLANS, samples=v), BAD),
     ("r_d", lambda v: coercivity_probe(PROB, P, v), BAD),
     ("samples", lambda v: coercivity_probe(PROB, P, 1.0, samples=v), BAD),
-    ("pairs", lambda v: pseudomonotonicity_probe(OP, Ball(1.0), X, pairs=v), BAD),
+    ("pairs", lambda v: pseudomonotonicity_probe(OP, Ball(1.0), X, pairs=v), [*BAD, 0]),
     ("scale", lambda v: pseudomonotonicity_probe(OP, Ball(1.0), X, scale=v), BAD),
     ("radii[0]", lambda v: solve_qvi_truncated(PROB, [v]), BAD),
     ("outer_tol", lambda v: QVIParams(outer_tol=v), BAD),

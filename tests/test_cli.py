@@ -173,7 +173,7 @@ def test_verify_accepts_solver_output(scenario_dir, tmp_path):
     )
     assert code == 0
     ledger = (out / "certification.txt").read_text()
-    assert "verdict: pass" in ledger
+    assert ledger.splitlines()[6:8] == ["verdict: pass", "witness: none"]
     assert "clearing[0]" in ledger and "best_response[1]" in ledger
 
 
@@ -207,7 +207,38 @@ def test_verify_rejects_perturbed_candidate(scenario_dir, tmp_path):
         ]
     )
     assert code == 1
-    assert "verdict: fail" in (out / "certification.txt").read_text()
+    lines = (out / "certification.txt").read_text().splitlines()
+    assert lines[6:8] == ["verdict: fail", "witness: best_response[0]"]
+
+
+def test_verify_names_a_broken_budget_before_clearing(scenario_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    scn = scenario_dir / "oracle_cd_quad.yaml"
+    assert run(["solve", "--scenario", scn, "--out", out]) == 0
+    # half as much again of good 0 breaks agent 0's budget and the market
+    rows = (out / "allocations.csv").read_text().splitlines()
+    patched = [rows[0]]
+    for line in rows[1:]:
+        cell, name, value = line.split(",")
+        if name == "alloc[0].good[0]":
+            value = repr(1.5 * float(value))
+        patched.append(f"{cell},{name},{value}")
+    (out / "allocations.csv").write_text("\n".join(patched) + "\n")
+    capsys.readouterr()
+
+    code = run(
+        [
+            "verify", "--scenario", scn, "--out", out,
+            "--price", out / "prices.csv", "--allocation", out / "allocations.csv",
+        ]
+    )
+    assert code == 1 and capsys.readouterr().out == "verdict: fail\n"
+    lines = (out / "certification.txt").read_text().splitlines()
+    # the printed verdict keeps its line; the witness, the first failing
+    # gate in report order, follows it
+    assert lines[6:8] == ["verdict: fail", "witness: budget[0]"]
+    residuals = dict(line.strip().split(": ") for line in lines[lines.index("residuals:") + 1 :])
+    assert float(residuals["clearing[0]"]) > 1e-6
 
 
 def test_verify_shape_mismatch_diagnostic(scenario_dir, tmp_path, capsys):

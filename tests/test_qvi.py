@@ -33,7 +33,7 @@ from qvex import (
     vi_residual,
 )
 from qvex.errors import InnerSolveFailure, NonConvergence
-from qvex.qvi import RESIDUAL_GAUGE, _best_responses
+from qvex.qvi import OUTER_STEP0, RESIDUAL_GAUGE, _best_responses
 from qvex.scenario import build_economy, load_scenario
 
 
@@ -430,6 +430,17 @@ def test_each_outer_iteration_logs_its_step(oracle_problem, skewed_start, caplog
     assert rep.converged == (max_outer == 2000)
     if not rep.converged:
         assert f"final step {records[-1].args[2]:.3e}" in rep.message
+
+
+def test_a_repeated_price_leaves_the_step_as_it_was(oracle_problem, caplog):
+    # the uniform start is this economy's equilibrium, so the first step
+    # returns the same price while the inner tolerance tightens; the zero
+    # ratio of that repeat must be skipped, or it freezes the step at 0
+    with caplog.at_level(logging.DEBUG, logger="qvex.qvi"):
+        rep = solve_qvi_truncated(oracle_problem, [50.0, 100.0])
+    records = [r for r in caplog.records if r.name == "qvex.qvi"]
+    assert rep.converged and [r.args[0] for r in records] == [0, 1]
+    assert [r.args[2] for r in records] == [OUTER_STEP0, OUTER_STEP0]
 
 
 def test_many_agents_converge_in_few_outer_iterations():

@@ -15,6 +15,7 @@ from oracles import (
 from qvex import (
     Agent,
     Ball,
+    BudgetHalfspace,
     CapBox,
     Economy,
     GridFunction,
@@ -42,14 +43,14 @@ from qvex.errors import NonConvergence
 G = make_grid(1.0, 1)
 
 
-def two_agent_economy():
+def two_agent_economy(weight=1.0, slope=1.0):
     a1 = Agent(
         GridFunction.constant(G, [1.0, 0.2]),
-        Quadratic(GridFunction.constant(G, [2.0, 1.0]), (1.0, 1.0)),
+        Quadratic(GridFunction.constant(G, [2.0 * slope, slope]), (weight, weight)),
     )
     a2 = Agent(
         GridFunction.constant(G, [0.2, 1.0]),
-        Quadratic(GridFunction.constant(G, [1.0, 2.0]), (1.0, 1.0)),
+        Quadratic(GridFunction.constant(G, [slope, 2.0 * slope]), (weight, weight)),
     )
     return Economy(G, 2, (a1, a2))
 
@@ -165,6 +166,77 @@ def test_certify_symmetric_no_trade_passes_tight():
     rep = solve_qvi(prob, QVIParams())
     cert = certify_equilibrium(eco, rep.price, rep.agent_allocations(), tol=1e-8, seed=1)
     assert cert.verdict
+
+
+def _demands_at(prob, price):
+    """Each agent's exact demand at `price`, as plans."""
+    return [GridFunction(prob.grid, prob.demand(i, price)) for i in range(prob.n_agents)]
+
+
+def _gated(rep):
+    """The residuals the certificate gates: all but the Walras aggregate."""
+    return {k: v for k, v in rep.residuals.items() if k != "walras"}
+
+
+def test_a_pair_that_does_not_clear_fails_on_clearing_alone(oracle_economy, oracle_problem):
+    # every plan is its agent's exact demand, so only the market fails
+    eco, _ = oracle_economy
+    p = PriceCurve(G, np.array([[0.55, 0.45]]))
+    rep = certify_equilibrium(eco, p, _demands_at(oracle_problem, p))
+    assert not rep.verdict and rep.witness == ("clearing", 1)
+    assert rep.residuals["clearing[1]"] == pytest.approx(0.196, abs=1e-3)
+    assert [k for k, v in _gated(rep).items() if not v <= 1e-6] == ["clearing[1]"]
+
+
+def test_a_pair_off_the_simplex_fails_on_price_simplex_alone(oracle_economy, oracle_problem):
+    # doubling the uniform price leaves every budget set, and so every
+    # demand, as it was; only the price leaves the simplex
+    eco, _ = oracle_economy
+    plans = _demands_at(oracle_problem, PriceCurve.uniform(G, 2))
+    rep = certify_equilibrium(eco, GridFunction(G, np.array([[1.0, 1.0]])), plans)
+    assert not rep.verdict and rep.witness == ("price_simplex",)
+    assert rep.residuals["price_simplex"] == 1.0
+    assert [k for k, v in _gated(rep).items() if not v <= 1e-6] == ["price_simplex"]
+
+
+def test_the_default_tolerance_is_1e_6(oracle_economy, oracle_problem):
+    # exact demands at a price 1.4e-6 off the uniform equilibrium miss
+    # clearing by about 5e-6: out of the default tolerance, within 1e-5
+    eco, _ = oracle_economy
+    p = PriceCurve(G, np.array([[0.5 - 1.4e-6, 0.5 + 1.4e-6]]))
+    plans = _demands_at(oracle_problem, p)
+    rep = certify_equilibrium(eco, p, plans)
+    assert rep.tolerance == 1e-6
+    assert rep.residuals["clearing[0]"] == pytest.approx(5e-6, rel=0.02)
+    assert not rep.verdict and rep.witness == ("clearing", 0)
+    assert certify_equilibrium(eco, p, plans, tol=1e-5).verdict
+
+
+@pytest.mark.parametrize(
+    "weight, slope",
+    [
+        # steep and curved: the sampled utility gains decide each residual
+        (100.0, 1.0),
+        # steep and nearly linear: a gain exceeds its Minty value by only
+        # weight * |y - x|^2 / 2, so the Minty values, 1e-9 below the
+        # gains' 1e-8 allowance, decide
+        (1e-10, 100.0),
+    ],
+)
+def test_the_best_response_check_defaults_to_200_samples_from_seed_0(weight, slope):
+    # the natural map stays below 1 on these budget sets, so the sampled
+    # parts decide, and the count, seed and scale of the draws show
+    eco = two_agent_economy(weight, slope)
+    p = PriceCurve.uniform(G, 2)
+    x = [a.endowment for a in eco.agents]
+    refs = [per_sample_best_response(eco, p, x[i], i, samples=200, seed=i) for i in range(2)]
+    assert refs[0] > 10.0
+    # the reference pairs through grid functions, so the last bits may differ
+    assert best_response_residual(eco, p, x[0], 0) == pytest.approx(refs[0], rel=1e-12)
+    # the certificate draws agent i's samples from seed + i
+    rep = certify_equilibrium(eco, p, x)
+    for i, ref in enumerate(refs):
+        assert rep.residuals[f"best_response[{i}]"] == pytest.approx(ref, rel=1e-12)
 
 
 def test_truncation_upgrade_capped_optima_pass_on_full_budget_set(
@@ -310,7 +382,10 @@ def test_concurrent_checks_match_a_serial_loop_in_index_order(monkeypatch, worke
     assert [rep.residuals[f"best_response[{i}]"] for i in range(4)] == serial
     failing = [i for i, br in enumerate(serial) if not br <= 1e-6]
     assert failing == {"plans": [], "endowments": [0, 1, 2, 3], "mixed": [2, 3]}[candidate]
-    assert rep.witness == (("best_response", failing[0]) if failing else None)
+    # the mixed pair does not clear either, and clearing precedes the best
+    # responses in report order, so it is the witness
+    witness = {"plans": None, "endowments": ("best_response", 0), "mixed": ("clearing", 1)}
+    assert rep.witness == witness[candidate]
     assert rep.verdict == (candidate == "plans")
     assert len({threads[i] for i in range(workers)}) == workers
 
@@ -320,16 +395,18 @@ def test_checks_stay_serial_below_three_quarters_of_a_block(monkeypatch, workers
     # agent's sampled values keeps every check on the caller's thread
     eco, p, plans, _ = _planted_block_pair()
     threads = _record_threads(monkeypatch)
-    monkeypatch.setattr(qvex.sets, "_SAMPLE_CHUNK", 4 * 200 * 256 * 2 // 3 + 1)
-    assert certify_equilibrium(eco, p, plans).verdict
+    monkeypatch.setattr(qvex.sets, "_SAMPLE_CHUNK", 4 * 300 * 256 * 2 // 3 + 1)
+    assert certify_equilibrium(eco, p, plans, samples=300).verdict
     assert set(threads.values()) == {threading.get_ident()}
 
 
 def test_checks_run_on_threads_from_three_quarters_of_a_block(monkeypatch, workers):
     eco, p, plans, _ = _planted_block_pair()
     threads = _record_threads(monkeypatch, workers)
-    monkeypatch.setattr(qvex.sets, "_SAMPLE_CHUNK", 4 * 200 * 256 * 2 // 3)
-    assert certify_equilibrium(eco, p, plans).verdict
+    # 300 samples of 512 values fill exactly three quarters of this block
+    monkeypatch.setattr(qvex.sets, "_SAMPLE_CHUNK", 4 * 300 * 256 * 2 // 3)
+    assert 4 * 300 * 256 * 2 == 3 * qvex.sets._SAMPLE_CHUNK
+    assert certify_equilibrium(eco, p, plans, samples=300).verdict
     assert len({threads[i] for i in range(workers)}) == workers
 
 
@@ -376,6 +453,30 @@ def test_a_block_filling_pair_with_every_budget_broken_checks_no_agent(workers):
     assert all(rep.residuals[f"budget[{i}]"] > 1e-6 for i in range(4))
     assert [rep.residuals[f"best_response[{i}]"] for i in range(4)] == [np.inf] * 4
     assert threading.active_count() == before
+
+
+def test_a_block_filling_pair_with_one_budget_kept_checks_it_on_the_caller(
+    monkeypatch, workers
+):
+    # one check to run takes no pool, however many CPUs there are
+    eco, p, plans, endowments = _planted_block_pair()
+    threads = _record_threads(monkeypatch)
+    rep = certify_equilibrium(eco, p, plans[:1] + [3.0 * e for e in endowments[1:]])
+    assert rep.witness == ("budget", 1) and rep.residuals["best_response[0]"] <= 1e-6
+    assert threads == {0: threading.get_ident()}
+
+
+def test_usable_cpus_are_this_process_affinity_or_the_cpu_count(monkeypatch):
+    # pid 0 is the calling process
+    affinity = {0: {0, 2, 5}}
+    monkeypatch.setattr(qvex.verify.os, "sched_getaffinity", affinity.get, raising=False)
+    assert qvex.verify._usable_cpus() == 3
+    # platforms without an affinity call report the CPU count, or 1 if unknown
+    monkeypatch.delattr(qvex.verify.os, "sched_getaffinity")
+    monkeypatch.setattr(qvex.verify.os, "cpu_count", lambda: 4)
+    assert qvex.verify._usable_cpus() == 4
+    monkeypatch.setattr(qvex.verify.os, "cpu_count", lambda: None)
+    assert qvex.verify._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -442,6 +543,28 @@ def test_pseudomonotonicity_fails_on_repulsion_fixture():
     assert inner_product(neg(wy), wy - wx) < -1e-9
 
 
+@pytest.mark.parametrize("seed, triggered", [(0, 0), (5, 1)])
+def test_pseudomonotonicity_is_vacuous_exactly_when_no_pair_meets_the_premise(seed, triggered):
+    # one pair, drawn by `seed`, around a ball off the origin
+    box, center = Ball(1.0, center=(1.5, 1.5)), GridFunction.constant(G, [1.5, 1.5])
+    rep = pseudomonotonicity_probe(OperatorHandle(lambda x: x), box, center, pairs=1, seed=seed)
+    assert rep.residuals["pairs_triggered"] == triggered and rep.verdict
+    assert rep.vacuous == (triggered == 0)
+    assert (rep.residuals["min_conclusion_value"] == np.inf) == (triggered == 0)
+
+
+def test_pseudomonotonicity_fails_on_a_violation_between_1e_9_and_1e_8():
+    # the repulsion fixture scaled down keeps its triggered pairs, and
+    # its worst conclusion value shrinks to 5e-9 below zero
+    box, center = Ball(1.0, center=(1.5, 1.5)), GridFunction.constant(G, [1.5, 1.5])
+    full = pseudomonotonicity_probe(OperatorHandle(lambda f: -f), box, center, pairs=400, seed=2)
+    eps = 5e-9 / -full.residuals["min_conclusion_value"]
+    weak = OperatorHandle(lambda f: -eps * f)
+    rep = pseudomonotonicity_probe(weak, box, center, pairs=400, seed=2)
+    assert rep.residuals["min_conclusion_value"] == pytest.approx(-5e-9, rel=1e-6)
+    assert not rep.verdict and rep.witness is not None
+
+
 @pytest.mark.parametrize("scale", [0.0, -1.5, np.nan, np.inf])
 def test_pseudomonotonicity_probe_rejects_a_scale_that_is_not_finite_and_positive(scale):
     # at scale 0 every pair is x = y, which passed the repulsion fixture above
@@ -449,6 +572,27 @@ def test_pseudomonotonicity_probe_rejects_a_scale_that_is_not_finite_and_positiv
     box, center = Ball(1.0, center=(1.5, 1.5)), GridFunction.constant(G, [1.5, 1.5])
     with pytest.raises(ValueError, match="^scale: "):
         pseudomonotonicity_probe(neg, box, center, pairs=400, seed=2, scale=scale)
+
+
+def test_the_probes_default_to_their_documented_draws(oracle_problem):
+    # 200 pairs at scale 1 and 64 coercivity samples, each from seed 0
+    sets = oracle_problem.constraint_map(PriceCurve.uniform(G, 2))
+    args = (oracle_problem.agent_operators[0], sets[0], oracle_problem.warm_starts[0])
+    explicit = pseudomonotonicity_probe(*args, pairs=200, seed=0, scale=1.0)
+    assert pseudomonotonicity_probe(*args).residuals == explicit.residuals
+    # the outward ray fails, and its witness is the first failing draw
+    g = make_grid(1.0, 1)
+    ray = QVIProblem(
+        constraint_map=lambda p: [CapBox((np.inf,))],
+        agent_operators=[OperatorHandle(lambda x: np.full_like(x, -1.0))],
+        outer_map=lambda x: GridFunction(g, np.zeros((1, 1))),
+        warm_starts=[GridFunction.constant(g, [1.0])],
+    )
+    d = PriceCurve.uniform(g, 1)
+    explicit = coercivity_probe(ray, d, 1.0, samples=64, seed=0)
+    default = coercivity_probe(ray, d, 1.0)
+    assert default.residuals == explicit.residuals
+    assert default.witness[0].values.tolist() == explicit.witness[0].values.tolist()
 
 
 def test_coercivity_probe_rejects_a_nan_radius_and_no_samples(oracle_problem):
@@ -474,20 +618,41 @@ def test_coercivity_probe_rejects_a_price_off_the_problem_grid(oracle_problem, d
         coercivity_probe(oracle_problem, d, 5.0)
 
 
-def test_a_plan_over_budget_past_1e_9_fails_whatever_the_tolerance(oracle_economy, oracle_problem):
-    # the budget gate passes 5e-7 at tol=1e-3, but the best-response check
+@pytest.mark.parametrize("over", [5e-7, 5e-9])
+def test_a_plan_over_budget_past_1e_9_fails_whatever_the_tolerance(
+    oracle_economy, oracle_problem, over
+):
+    # the budget gate passes `over` at tol=1e-3, but the best-response check
     # refuses a plan more than 1e-9 outside the uncapped budget set
     eco, _ = oracle_economy
     rep = solve_qvi(oracle_problem)
     p, plans = rep.price, rep.agent_allocations()
-    gap = 5e-7 - budget_residuals(eco, p, plans)[0]
+    gap = over - budget_residuals(eco, p, plans)[0]
     step = gap / (eco.grid.dt * np.sum(p.values**2))
     plans[0] = plans[0].with_values(plans[0].values + step * p.values)
     cert = certify_equilibrium(eco, p, plans, tol=1e-3, seed=0)
-    assert cert.residuals["budget[0]"] == pytest.approx(5e-7, rel=1e-6)
+    assert cert.residuals["budget[0]"] == pytest.approx(over, rel=1e-6)
     assert cert.residuals["best_response[0]"] == np.inf
     assert cert.residuals["best_response[1]"] <= 1e-6
     assert not cert.verdict and cert.witness == ("best_response", 0)
+
+
+def test_a_budget_gap_at_the_tolerance_passes_its_gate_and_is_checked(
+    oracle_economy, oracle_problem
+):
+    # agent 0 overspends by 5e-10, within the best-response check's 1e-9;
+    # with the tolerance at that gap, the gate passes and the agent is checked
+    eco, _ = oracle_economy
+    p = PriceCurve.uniform(G, 2)
+    plans = _demands_at(oracle_problem, p)
+    gap = 5e-10 - budget_residuals(eco, p, plans)[0]
+    step = gap / (eco.grid.dt * np.sum(p.values**2))
+    plans[0] = plans[0].with_values(plans[0].values + step * p.values)
+    tol = float(budget_residuals(eco, p, plans)[0])
+    rep = certify_equilibrium(eco, p, plans, tol=tol)
+    assert rep.residuals["budget[0]"] == tol
+    assert rep.residuals["best_response[0]"] < np.inf
+    assert rep.witness != ("budget", 0)
 
 
 def test_certify_needs_exactly_one_plan_per_agent(oracle_economy, oracle_problem):
@@ -525,6 +690,44 @@ def test_coercivity_passes_for_identity_on_cone():
     assert rep.verdict and not rep.vacuous
 
 
+@pytest.mark.parametrize("r_d, draws", [(1.0, 8 + 4 * 8), (3.0, 8)])
+def test_coercivity_draws_its_pool_only_beyond_the_radius(monkeypatch, r_d, draws):
+    # every plan of the capped ray has norm at most 2
+    g = make_grid(1.0, 1)
+    prob = QVIProblem(
+        constraint_map=lambda p: [CapBox((2.0,))],
+        agent_operators=[OperatorHandle(lambda x: x)],
+        outer_map=lambda x: GridFunction(g, np.zeros((1, 1))),
+        warm_starts=[GridFunction.constant(g, [1.0])],
+    )
+    counted, sampler = [], qvex.verify.sample_feasible_blocks
+
+    def counting(*args):
+        counted.append(args[-1])
+        return sampler(*args)
+
+    monkeypatch.setattr(qvex.verify, "sample_feasible_blocks", counting)
+    rep = coercivity_probe(prob, PriceCurve.uniform(g, 1), r_d, samples=8, seed=3)
+    assert rep.vacuous == (r_d > 2.0)
+    assert sum(counted) == draws
+
+
+def test_coercivity_passes_for_a_pull_along_a_capped_good():
+    # F = -e_0 pulls every plan up good 0, which is capped at 0.1, so each
+    # sample x has a smaller y with y_0 >= x_0 (one at the cap, or the
+    # origin where x_0 = 0), and <<F(x), x - y>> = y_0 - x_0 >= 0
+    g = make_grid(1.0, 1)
+    prob = QVIProblem(
+        constraint_map=lambda p: [CapBox((0.1, np.inf))],
+        agent_operators=[OperatorHandle(lambda x: np.full_like(x, [-1.0, 0.0]))],
+        outer_map=lambda x: GridFunction(g, np.zeros((1, 2))),
+        warm_starts=[GridFunction.constant(g, [0.05, 1.0])],
+    )
+    for seed in range(3):
+        rep = coercivity_probe(prob, PriceCurve.uniform(g, 2), r_d=1.5, samples=32, seed=seed)
+        assert rep.verdict and not rep.vacuous
+
+
 def test_coercivity_fails_on_outward_constant_field():
     # constant pull up the ray: no smaller-norm point ever satisfies the test
     g = make_grid(1.0, 1)
@@ -539,6 +742,27 @@ def test_coercivity_fails_on_outward_constant_field():
     rep = coercivity_probe(prob, PriceCurve.uniform(g, 1), r_d=1.0, samples=64, seed=4)
     assert not rep.verdict
     assert rep.witness is not None
+
+
+def test_coercivity_refuses_a_smaller_point_over_1e_9_outside_the_set():
+    # K = {x <= -a}: its point of least norm, -a, is where every draw above
+    # the boundary projects to, bit for bit, so no drawn point is smaller
+    # there.  The scaled candidate 0.9 * (-a) is closer to 0 and would
+    # satisfy the test under F = -1, but lies 0.1 * a = 6e-9 outside K
+    g = make_grid(1.0, 1)
+    a = 2.0**-24
+    e = GridFunction.constant(g, [-a])
+    outward = OperatorHandle(lambda x: np.full_like(x, -1.0))
+    prob = QVIProblem(
+        constraint_map=lambda p: [BudgetHalfspace(p, e)],
+        agent_operators=[outward],
+        outer_map=lambda x: GridFunction(g, np.zeros((1, 1))),
+        warm_starts=[GridFunction.constant(g, [-1.0])],
+    )
+    rep = coercivity_probe(prob, PriceCurve.uniform(g, 1), r_d=1e-8, samples=48, seed=0)
+    assert not rep.verdict
+    (witness,) = rep.witness
+    assert witness.values.tolist() == [[-a]]
 
 
 def _run_probes_calls(scenario_dir, tmp_path, monkeypatch):
